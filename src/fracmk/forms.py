@@ -57,14 +57,11 @@ class OperatorData:
                 raise ValueError(f"{name} must vanish outside Omega")
         if np.any(self.c[~mask] != 0.0):
             raise ValueError("c must vanish outside Omega")
-        # nonnegativity A(x) xi . xi >= 0, sampled directions
-        rng = np.random.default_rng(12345)
-        for _ in range(8):
-            xi = rng.normal(size=d)
-            xi /= np.linalg.norm(xi)
-            quad = np.einsum("a,ab...,b->...", xi, self.A, xi)
-            if quad.min() < -1e-12:
-                raise ValueError("A is not nonnegative along sampled directions")
+        # nonnegativity A(x) xi . xi >= 0 for all xi: the symmetric part of
+        # A is positive semidefinite at every node
+        An = np.moveaxis(self.A.reshape(d, d, -1), -1, 0)
+        if np.linalg.eigvalsh(0.5 * (An + np.swapaxes(An, 1, 2))).min() < -1e-12:
+            raise ValueError("A is not nonnegative: its symmetric part has a negative eigenvalue")
 
     def apply_A(self, p: np.ndarray) -> np.ndarray:
         return np.einsum("ab...,b...->a...", self.A, p)

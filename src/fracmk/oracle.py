@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField
-from .penalty import Solution, _gradient_matrix, _scatter
+from .penalty import Solution, _assemble_rhs, _gradient_matrix, _scatter, _weighted_gram
 from .riesz import _as_s
 
 
@@ -132,11 +132,7 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     mask = grid.masks().inside
     G = _gradient_matrix(grid, s)
     d, N, m = G.shape
-    A_flat = op.A.reshape(d, d, -1)
-    Q = np.zeros((m, m))
-    for a in range(d):
-        for b in range(d):
-            Q += G[a].T @ (A_flat[a, b][:, None] * G[b])
+    Q = _weighted_gram(G, op.A.reshape(d, d, N))
     unk = np.flatnonzero(mask.ravel())
     Q[np.diag_indices_from(Q)] += op.c.ravel()[unk]
     Q *= hd
@@ -144,15 +140,13 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     if float(op.A.max(initial=0.0)) == 0.0 and float(op.c.max(initial=0.0)) == 0.0:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
         ridge_added = True
-    fvec_flat = src.f_vec.reshape(d, -1)
-    rhs = hd * (src.f_sharp[mask] + np.einsum("aNi,aN->i", G, fvec_flat))
-    return Q, rhs, G, unk, ridge_added
+    return Q, _assemble_rhs(src, G, mask, hd), G, unk, ridge_added
 
 
 def _package(grid, s, uvec, lam_flat, unk, G, converged, iters, gap, notes=()):
     N = int(np.prod(grid.shape))
     u_field = ScalarField(grid, _scatter(uvec, unk, N).reshape(grid.shape))
-    du = np.einsum("aNi,i->aN", G, uvec).reshape((grid.dim,) + grid.shape)
+    du = (G.reshape(-1, uvec.size) @ uvec).reshape((grid.dim,) + grid.shape)
     lam = lam_flat.reshape(grid.shape)
     return Solution(
         u=u_field,
@@ -301,12 +295,12 @@ def brute_force_qp(
     # first inner solve runs on the 1e-8 ridge alone and explodes
     lam = np.ones(N) if ridge else np.zeros(N)
 
+    eye = np.eye(d)[:, :, None]
+
     def inner(lam_vec):
-        Qeff = Q.copy()
-        for a in range(d):
-            Qeff += hd * (G[a].T @ (lam_vec[:, None] * G[a]))
+        Qeff = Q + hd * _weighted_gram(G, eye * lam_vec)
         uvec = np.linalg.solve(Qeff, rhs)
-        p = np.einsum("aNi,i->aN", G, uvec)
+        p = (G.reshape(d * N, m) @ uvec).reshape(d, N)
         psi = 0.5 * (np.sum(p**2, axis=0) - g_flat**2)
         # at the inner minimizer Qeff u = rhs, so the Lagrangian collapses
         # to -1/2 rhs.u - (h^d/2) sum lam g^2

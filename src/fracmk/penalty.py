@@ -16,14 +16,22 @@ KKT diagnostics to the complementarity system.
 
 Unknowns are the values of u at the Omega-interior nodes, so membership in
 the zero-extension space is enforced strongly.  The fractional gradient of
-the nodal basis is assembled once per (grid, s) as a dense matrix (the
+the nodal basis is assembled once per (grid, s) as a dense matrix G (the
 spectral operator is a lattice convolution, so columns are shifts of one
-kernel); Newton systems are then small dense solves.
+kernel), and gradients and residuals are BLAS matrix-vector products with
+it.  The Newton Jacobian G^T C G, with a d x d coefficient C per box node,
+is a weighted Gram: C's symmetric part is positive semidefinite, so its
+per-node factor L L^T gives G^T C G = Z^T Z with Z = L^T G, accumulated over
+row blocks by BLAS syrk.  The Newton systems are then small dense solves.
+
+This path imports numpy only: importing scipy.linalg alone costs ~28 MB of
+resident memory and ~0.3 s, more than some whole solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -145,45 +153,73 @@ class KKTReport:
     r_exponent: float
 
 
-_GRAD_CACHE: dict = {}
-
-
+# The localize sweep solves up to 4 values of s at once; twice that keeps each
+# in-flight solve's matrix cached between its stages.
+@lru_cache(maxsize=8)
 def _gradient_matrix(grid: GridSpec, s: float) -> np.ndarray:
-    """Dense D^s of the Omega-node basis: shape (d, n^d, m), via kernel shifts."""
-    key = (grid, round(float(s), 12))
-    hit = _GRAD_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Dense D^s of the Omega-node basis: shape (d, n^d, m), via kernel shifts.
+
+    Memoised per (grid, s) in a bounded cache, so the array is read-only.
+    """
     mask = grid.masks().inside
     n, d = grid.points_per_axis, grid.dim
-    m = riesz_symbol(grid, s)
-    idx = np.flatnonzero(mask.ravel())
+    nodes = np.argwhere(mask)
     N = n**d
-    if d * N * idx.size > 6e7:
+    if d * N * len(nodes) > 6e7:
         raise ValueError("dense gradient matrix would be too large for this grid")
-    cols = np.zeros((d, N, idx.size))
-    if d == 1:
-        for j in range(1):
-            kern = np.fft.ifft(m[0]).real
-            rows = (np.arange(n)[:, None] - idx[None, :]) % n
-            cols[0] = kern[rows]
-    else:
-        kern = np.stack([np.fft.ifftn(m[j]).real for j in range(d)])
-        ix, jx = np.divmod(np.arange(N), n)
-        ii, ji = np.divmod(idx, n)
-        r0 = (ix[:, None] - ii[None, :]) % n
-        r1 = (jx[:, None] - ji[None, :]) % n
-        for j in range(d):
-            cols[j] = kern[j][r0, r1]
+    m = riesz_symbol(grid, s)
+    kern = np.stack([np.fft.ifftn(m[j]).real for j in range(d)])
+    axes = tuple(range(1, d + 1))
+    cols = np.empty((d, N, len(nodes)))
+    for i, node in enumerate(nodes):
+        # D^s is a lattice convolution: the column of a node is the kernel
+        # shifted onto it
+        cols[:, :, i] = np.roll(kern, tuple(node), axis=axes).reshape(d, N)
     cols.flags.writeable = False
-    _GRAD_CACHE[key] = cols
     return cols
 
 
+# Box nodes per block of the weighted Gram.  A block's Z holds d * 512 * m
+# values, under the size of G itself on every grid of more than 512 nodes.
+_GRAM_ROWS = 512
+
+
+def _weighted_gram(G: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_ab G_a^T diag(C_ab) G_b for nodal coefficients C of shape (d, d, N).
+
+    The symmetric part of C must be positive semidefinite at every node
+    (rounding-level negative eigenvalues are clamped to 0).  It is factored
+    per node as L L^T, which turns its sum into Z^T Z with
+    Z_c = sum_a L_ac G_a; Z is formed one block of box rows at a time and
+    numpy sends each Z_blk^T Z_blk to BLAS syrk.  A skew part of C, when
+    present, adds G_a^T (K_ab G_b) - transpose over a < b.
+    """
+    d, N, m = G.shape
+    Cn = np.moveaxis(C, -1, 0)  # (N, d, d)
+    w, V = np.linalg.eigh(0.5 * (Cn + np.swapaxes(Cn, 1, 2)))
+    L = V * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+    K = 0.5 * (C - np.swapaxes(C, 0, 1))
+    skew = [(a, b) for a in range(d) for b in range(a + 1, d) if np.any(K[a, b])]
+    J = np.zeros((m, m))
+    X = np.zeros((m, m)) if skew else None
+    for r0 in range(0, N, _GRAM_ROWS):
+        rows = slice(r0, min(r0 + _GRAM_ROWS, N))
+        Gb = G[:, rows]
+        Z = np.empty((d, Gb.shape[1], m))
+        np.einsum("nac,anm->cnm", L[rows], Gb, out=Z)
+        Z = Z.reshape(-1, m)
+        J += Z.T @ Z
+        for a, b in skew:
+            X += Gb[a].T @ (K[a, b, rows, None] * Gb[b])
+    if skew:
+        J += X - X.T
+    return J
+
+
 def _assemble_rhs(src: SourceData, G: np.ndarray, mask: np.ndarray, hd: float) -> np.ndarray:
-    f_vec_flat = src.f_vec.reshape(G.shape[0], -1)
-    rhs = src.f_sharp[mask] + np.einsum("aNi,aN->i", G, f_vec_flat)
-    return hd * rhs
+    """h^d (f_sharp + (D^s)^T f_vec) on the Omega nodes."""
+    d, N, m = G.shape
+    return hd * (src.f_sharp[mask] + src.f_vec.ravel() @ G.reshape(d * N, m))
 
 
 class _PenaltyProblem:
@@ -196,6 +232,7 @@ class _PenaltyProblem:
         self.hd = grid.cell_volume
         self.G = _gradient_matrix(grid, s)  # (d, N, m)
         self.d, self.N, self.m = self.G.shape
+        self.Gf = self.G.reshape(self.d * self.N, self.m)
         self.op = op
         self.thr = thr
         self.s = s
@@ -215,7 +252,7 @@ class _PenaltyProblem:
         )
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        return np.einsum("aNi,i->aN", self.G, u)
+        return (self.Gf @ u).reshape(self.d, self.N)
 
     def flux_coeff(self, mag: np.ndarray):
         k = self.fn.value(mag - self.g_flat)
@@ -228,7 +265,7 @@ class _PenaltyProblem:
         _, apen = self.flux_coeff(mag)
         flux = np.einsum("ab N,bN->aN", self.A_flat, p) + apen[None] * p
         flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[None]
-        out = np.einsum("aNi,aN->i", self.G, flux)
+        out = flux.ravel() @ self.Gf
         out = out + np.sum(self.b_at * p[:, self.unk_box_index], axis=0) + self.c_at * u
         return self.hd * out - self.rhs
 
@@ -250,18 +287,18 @@ class _PenaltyProblem:
         kp = self.fn.derivative(mag - self.g_flat)
         apen = k + self.eps * magf ** (self.q - 2)
         aniso = kp / magf + self.eps * (self.q - 2) * magf ** (self.q - 4)
-        J = np.zeros((self.m, self.m))
+        # A + apen I + aniso p p^T: positive semidefinite, as A's symmetric
+        # part is and apen, aniso >= 0; p p^T is formed first so that the
+        # added term is exactly symmetric
+        coeff = self.A_flat + aniso * (p[:, None] * p[None, :])
+        coeff[np.diag_indices(self.d)] += apen
+        J = _weighted_gram(self.G, coeff)
+        # d/du of the convection term G^T (dvec u) and of b . D^s u
         for a in range(self.d):
-            for b in range(self.d):
-                coeff = self.A_flat[a, b] + aniso * p[a] * p[b]
-                if a == b:
-                    coeff = coeff + apen
-                J += self.G[a].T @ (coeff[:, None] * self.G[b])
-        # d/du of the convection term G^T (dvec u)
-        for a in range(self.d):
-            J += self.G[a][self.unk_box_index].T * self.dvec_flat[a, self.unk_box_index][None, :]
-        for a in range(self.d):
-            J += self.b_at[a][:, None] * self.G[a][self.unk_box_index]
+            dv, ba = self.dvec_flat[a, self.unk_box_index], self.b_at[a]
+            if dv.any() or ba.any():
+                Ga = self.G[a][self.unk_box_index]
+                J += Ga.T * dv[None, :] + ba[:, None] * Ga
         J[np.diag_indices_from(J)] += self.c_at
         return self.hd * J
 

@@ -19,6 +19,7 @@ discretize the same torus operator and can be compared tightly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as gamma_fn
 from math import pi
 
@@ -108,8 +109,13 @@ def riesz_symbol(grid: GridSpec, s: FracOrder | float) -> np.ndarray:
     The j-th component is also zeroed where axis j sits at the Nyquist
     index: that mode is self-conjugate, and an odd (purely imaginary)
     symbol must vanish there for real fields to map to real fields.
+    Memoised per (grid, s); the returned array is shared, hence read-only.
     """
-    sv = _as_s(s)
+    return _symbol(grid, _as_s(s))
+
+
+@lru_cache(maxsize=32)
+def _symbol(grid: GridSpec, sv: float) -> np.ndarray:
     n = grid.points_per_axis
     k = _freq_mesh(grid)
     kabs = np.sqrt(np.sum(k**2, axis=0))
@@ -122,6 +128,7 @@ def riesz_symbol(grid: GridSpec, s: FracOrder | float) -> np.ndarray:
         shape = [1] * grid.dim
         shape[j] = n
         m[j] = np.where(nyq.reshape(shape), 0.0, m[j])
+    m.flags.writeable = False
     return m
 
 

@@ -46,11 +46,34 @@ def masked_vector(grid, rng, scale=1.0):
 def test_operator_validation():
     g = grid_1d()
     with pytest.raises(ValueError):
-        isotropic_operator(g, a=-1.0)  # negative A fails the sampled test
+        isotropic_operator(g, a=-1.0)  # negative A fails the eigenvalue check
     rng = np.random.default_rng(0)
     bad_b = rng.normal(size=(1,) + g.shape)  # nonzero outside Omega
     with pytest.raises(ValueError):
         isotropic_operator(g, a=1.0, b=bad_b)
+
+
+def test_operator_rejects_a_indefinite_off_the_sampled_directions():
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=interval(1.0), buffer=0.5)
+    delta = 1e-6
+    A = np.zeros((2, 2) + g.shape)
+    A[0, 0] = A[1, 1] = 1.0
+    A[0, 1] = A[1, 0] = 1.0 + delta  # eigenvalues 2 + delta and -delta, along (1, -1)
+    # a sampled check over 8 random unit directions sees no negative value
+    rng = np.random.default_rng(12345)
+    for _ in range(8):
+        xi = rng.normal(size=2)
+        xi /= np.linalg.norm(xi)
+        assert np.einsum("a,ab...,b->...", xi, A, xi).min() > 0.0
+    zero_v = np.zeros((2,) + g.shape)
+    with pytest.raises(ValueError, match="not nonnegative"):
+        OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
+    # singular (rank-one) and skew-perturbed PSD coefficients are accepted
+    A[0, 1] = A[1, 0] = 1.0
+    OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
+    A[0, 1] += 5.0
+    A[1, 0] -= 5.0
+    OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
 
 
 def test_threshold_validation():

@@ -12,6 +12,7 @@ from fracmk import (
     lp_norm,
 )
 from fracmk.forms import (
+    OperatorData,
     constant_source,
     constant_threshold,
     isotropic_operator,
@@ -19,6 +20,8 @@ from fracmk.forms import (
 )
 from fracmk.penalty import (
     PenaltyFn,
+    _gradient_matrix,
+    _PenaltyProblem,
     SolverConfig,
     Solution,
     continuation_solve,
@@ -284,3 +287,106 @@ def test_2d_solve_smoke():
     rep = kkt_report(sol, op, src, thr, 0.6)
     assert rep.violation_sup <= np.sqrt(0.01) + 1e-3
     assert sol.lam.values.min() >= 0.0
+
+
+# -- dense assembly: G columns, weighted-Gram Jacobian -------------------------
+
+
+def grid_2d(n=16):
+    return GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
+
+
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_gradient_matrix_columns_are_spectral_gradients_of_unit_fields(grid):
+    s = 0.7
+    G = _gradient_matrix(grid, s)
+    nodes = np.flatnonzero(grid.masks().inside.ravel())
+    assert G.shape == (grid.dim, grid.points_per_axis**grid.dim, nodes.size)
+    for i, node in enumerate(nodes):
+        e = np.zeros(grid.points_per_axis**grid.dim)
+        e[node] = 1.0
+        du = frac_gradient_spectral(ScalarField(grid, e.reshape(grid.shape)), s).values
+        assert np.max(np.abs(G[:, :, i] - du.reshape(grid.dim, -1))) <= 1e-13 * np.max(np.abs(G))
+    assert not G.flags.writeable
+    assert _gradient_matrix(grid, s) is G
+
+
+def _reference_jacobian(prob, u):
+    """The Jacobian as the plain d x d loop of G_a^T diag(coeff_ab) G_b."""
+    p = prob.grad(u)
+    mag = np.sqrt(np.sum(p**2, axis=0))
+    magf = np.maximum(mag, 1e-150)
+    k = prob.fn.value(mag - prob.g_flat)
+    kp = prob.fn.derivative(mag - prob.g_flat)
+    apen = k + prob.eps * magf ** (prob.q - 2)
+    aniso = kp / magf + prob.eps * (prob.q - 2) * magf ** (prob.q - 4)
+    G, unk = prob.G, prob.unk_box_index
+    J = np.zeros((prob.m, prob.m))
+    for a in range(prob.d):
+        for b in range(prob.d):
+            coeff = prob.A_flat[a, b] + aniso * p[a] * p[b]
+            if a == b:
+                coeff = coeff + apen
+            J += G[a].T @ (coeff[:, None] * G[b])
+    for a in range(prob.d):
+        J += G[a][unk].T * prob.dvec_flat[a, unk][None, :]
+        J += prob.b_at[a][:, None] * G[a][unk]
+    J[np.diag_indices_from(J)] += prob.c_at
+    return prob.hd * J
+
+
+def _operator(grid, kind):
+    """Operators for the Jacobian checks; every A has a PSD symmetric part."""
+    d, shp = grid.dim, grid.shape
+    mask = grid.masks().inside
+    x = grid.coords()
+    if kind == "isotropic":
+        return isotropic_operator(grid, a=1.0 + 0.5 * np.cos(x[0]))
+    if kind == "degenerate":
+        return isotropic_operator(grid, a=0.0)
+    A = np.zeros((d, d) + shp)
+    for j in range(d):
+        A[j, j] = 1.0 + 0.3 * x[j] ** 2
+    if d == 2:
+        A[0, 1] = A[1, 0] = 0.4 * np.sin(x[0] + x[1])
+    zero_v = np.zeros((d,) + shp)
+    if kind == "anisotropic":
+        return OperatorData(grid, A, zero_v, zero_v, np.zeros(shp))
+    # non-symmetric A (a skew part where d = 2), b != dvec, c > 0 on Omega
+    if d == 2:
+        A[0, 1] += 0.7 * np.cos(x[1])
+        A[1, 0] -= 0.7 * np.cos(x[1])
+    b = np.where(mask, 0.5 + x[0], 0.0)[None] * np.ones((d,) + shp)
+    dvec = np.where(mask, -0.3 * x[-1], 0.0)[None] * np.ones((d,) + shp)
+    return OperatorData(grid, A, b, dvec, np.where(mask, 0.8, 0.0))
+
+
+def _active_problem(grid, kind, seed=0):
+    """A penalty problem and an iterate whose |D^s u| crosses g = 1."""
+    s = 0.7
+    op = _operator(grid, kind)
+    prob = _PenaltyProblem(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s, 0.1, default_q(grid.dim, s))
+    u = np.random.default_rng(seed).normal(size=prob.m)
+    p = prob.grad(u)
+    u *= 1.3 / np.max(np.sqrt(np.sum(p**2, axis=0)))
+    return prob, u
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "anisotropic", "nonsymmetric", "degenerate"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_jacobian_matches_reference_loop(grid, kind):
+    prob, u = _active_problem(grid, kind)
+    assert prob.symmetric == (kind != "nonsymmetric")
+    J = prob.jacobian(u)
+    ref = _reference_jacobian(prob, u)
+    assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_jacobian_is_derivative_of_residual(grid):
+    prob, u = _active_problem(grid, "nonsymmetric", seed=1)
+    v = np.random.default_rng(2).normal(size=prob.m)
+    t = 1e-6 * np.linalg.norm(u) / np.linalg.norm(v)
+    fd = (prob.residual(u + t * v) - prob.residual(u - t * v)) / (2 * t)
+    Jv = prob.jacobian(u) @ v
+    assert np.linalg.norm(fd - Jv) <= 1e-6 * np.linalg.norm(Jv)

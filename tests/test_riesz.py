@@ -138,6 +138,17 @@ def test_symbol_oddness_and_magnitude():
     assert np.abs(m[inner])[1:] == pytest.approx(np.abs(k[inner])[1:] ** 0.6, rel=1e-13)
 
 
+def test_symbol_memoised_and_read_only():
+    g = grid_1d(n=64)
+    m = riesz_symbol(g, 0.6)
+    assert riesz_symbol(g, FracOrder(0.6)) is m
+    assert riesz_symbol(g, np.float64(0.6)) is m
+    assert riesz_symbol(g, 0.7) is not m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 1] = 0.0
+
+
 def test_spectral_gradient_real_output():
     g = grid_1d(n=128)
     rng = np.random.default_rng(2)

@@ -1,10 +1,15 @@
 """Run configs, persistence, sweeps, the verify suite and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracmk
 from fracmk.cli import main
 from fracmk.runs import (
     config_from_mapping,
@@ -75,6 +80,36 @@ def test_run_solve_outputs_and_reproducibility(tmp_path):
     man = json.loads((tmp_path / "a/manifest.json").read_text())
     assert "timings.json" not in man["outputs"]
     assert man["outputs"]["u.bin"]
+
+
+def test_run_solve_loads_no_scipy(tmp_path):
+    # importing scipy.linalg alone adds ~28 MB and ~0.3 s to a process, so the
+    # solve path stays numpy-only; checked in a fresh interpreter
+    mapping = base_mapping()
+    mapping["grid"] = {"dim": 2, "box_side": 4.0, "points_per_axis": 16, "omega": {"shape": "ball", "radius": 1.0}, "buffer": 0.5}
+    code = (
+        "import json, sys\n"
+        "import fracmk\n"
+        "from fracmk.runs import config_from_mapping, run_solve\n"
+        f"run_solve(config_from_mapping(json.loads({json.dumps(mapping)!r})), {str(tmp_path / 'run')!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    src = str(Path(fracmk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def test_run_localize_builds_each_gradient_matrix_once():
+    from fracmk.penalty import _gradient_matrix
+
+    s_list = [0.5, 0.6, 0.7, 0.8, 0.9]
+    cfg = config_from_mapping(base_mapping(s_list=s_list))
+    _gradient_matrix.cache_clear()
+    run_localize(cfg)
+    # every stage and cold-start step of the 4 concurrent sweep points finds
+    # its matrix cached: one build per s, plus s = 1
+    assert _gradient_matrix.cache_info().misses == len(s_list) + 1
 
 
 def test_load_config_round_trip(tmp_path):
