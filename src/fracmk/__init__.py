@@ -8,88 +8,58 @@ A numpy/scipy library for the constrained variational system
 on a periodic computational box, solved by exponential penalization of the
 constraint plus a q-power regularization of the (possibly degenerate)
 operator, with independent first-order and brute-force oracles.
+
+Exports resolve lazily (PEP 562): importing the package loads no numpy, so
+the command line can cap the BLAS/FFT thread pools before numpy starts them.
 """
 
-from .grid import (
-    DomainMask,
-    GridSpec,
-    OmegaShape,
-    ScalarField,
-    VectorField,
-    ball,
-    bump,
-    extend_by_zero,
-    holder_seminorm,
-    interval,
-    lp_norm,
-    random_bumps,
-    read_field,
-    rectangle,
-    slice_to_csv,
-    write_field,
-)
-from .riesz import (
-    FracOrder,
-    adjointness_residual,
-    frac_divergence_spectral,
-    frac_gradient_direct,
-    frac_gradient_spectral,
-    gamma_coeff,
-    kernel_norm_ball,
-    kernel_norm_tail,
-    localization_error,
-    mu_coeff,
-    poincare_check,
-    riesz_convolve,
-    riesz_symbol,
-    sphere_area,
-    tail_decay_check,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .forms import (  # noqa: E402
-    CoercivityReport,
-    EmpiricalConstants,
-    OperatorData,
-    SourceData,
-    Threshold,
-    bilinear_apply,
-    coercivity_margin,
-    constant_source,
-    constant_threshold,
-    estimate_constants,
-    isotropic_operator,
-    linear_apply,
-    threshold_replace,
-)
-from .oracle import (  # noqa: E402
-    AnalyticBenchmark,
-    analytic_mk_1d,
-    analytic_torsion_1d,
-    brute_force_qp,
-    direct_linear_solve,
-    pdhg_solve,
-)
-from .penalty import (  # noqa: E402
-    KKTReport,
-    PenaltyFn,
-    Solution,
-    SolverConfig,
-    continuation_solve,
-    discrete_energy,
-    kkt_report,
-    penalized_residual,
-    penalty_value,
-    solve_fixed_eps,
-)
-from .runs import (  # noqa: E402
-    RunConfig,
-    config_from_mapping,
-    load_config,
-    run_dependence,
-    run_localize,
-    run_oracle,
-    run_solve,
-    run_verify,
-)
+_EXPORTS = {
+    "grid": (
+        "DomainMask", "GridSpec", "OmegaShape", "ScalarField", "VectorField", "ball",
+        "bump", "extend_by_zero", "holder_seminorm", "interval", "lp_norm",
+        "random_bumps", "read_field", "rectangle", "slice_to_csv", "write_field",
+    ),
+    "riesz": (
+        "FracOrder", "adjointness_residual", "frac_divergence_spectral",
+        "frac_gradient_direct", "frac_gradient_spectral", "gamma_coeff",
+        "kernel_norm_ball", "kernel_norm_tail", "localization_error", "mu_coeff",
+        "poincare_check", "riesz_convolve", "riesz_symbol", "sphere_area",
+        "tail_decay_check",
+    ),
+    "forms": (
+        "CoercivityReport", "EmpiricalConstants", "OperatorData", "SourceData",
+        "Threshold", "bilinear_apply", "coercivity_margin", "constant_source",
+        "constant_threshold", "estimate_constants", "isotropic_operator",
+        "linear_apply", "threshold_replace",
+    ),
+    "oracle": (
+        "AnalyticBenchmark", "analytic_mk_1d", "analytic_torsion_1d", "brute_force_qp",
+        "direct_linear_solve", "pdhg_solve",
+    ),
+    "penalty": (
+        "KKTReport", "PenaltyFn", "Solution", "SolverConfig", "continuation_solve",
+        "discrete_energy", "kkt_report", "penalized_residual", "penalty_value",
+        "solve_fixed_eps",
+    ),
+    "runs": (
+        "RunConfig", "config_from_mapping", "load_config", "run_dependence",
+        "run_localize", "run_oracle", "run_solve", "run_verify",
+    ),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    mod = _HOME.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{mod}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

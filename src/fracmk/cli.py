@@ -44,8 +44,6 @@ def _load(args):
     if args.seed is not None:
         raw = dict(cfg.raw)
         raw["seed"] = args.seed
-        if "solver" in raw:
-            raw["solver"] = dict(raw["solver"], seed=args.seed)
         cfg = config_from_mapping(raw)
     return cfg
 

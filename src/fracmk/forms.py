@@ -142,7 +142,7 @@ def constant_threshold(grid: GridSpec, value: float = 1.0) -> Threshold:
     return Threshold(grid, g, float(value), float(value))
 
 
-def threshold_replace(g_loc, grid: GridSpec, s: FracOrder | float, k: float | None = None) -> Threshold:
+def threshold_replace(g_loc, grid: GridSpec, k: float | None = None) -> Threshold:
     """Replace a locally bounded threshold by an equivalent global one.
 
     Keeps g on Omega_R and a constant k >= ||g||_inf(Omega_R) outside; for
@@ -347,5 +347,5 @@ def source_from_preset(grid: GridSpec, cfg: dict) -> SourceData:
 def threshold_from_preset(grid: GridSpec, cfg: dict) -> Threshold:
     vals = scalar_from_preset(grid, cfg.get("g", 1.0))
     if cfg.get("replace", False):
-        return threshold_replace(vals, grid, cfg.get("s", 0.5), k=cfg.get("k"))
+        return threshold_replace(vals, grid, k=cfg.get("k"))
     return Threshold(grid, vals, float(vals.min()), float(vals.max()))

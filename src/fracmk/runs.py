@@ -61,7 +61,6 @@ class RunConfig:
     threshold_cfg: dict
     solver: SolverConfig
     seed: int
-    output_dir: str | None
     dependence_cfg: dict = field(default_factory=dict)
     integrability: dict = field(default_factory=dict)  # documentation only
     raw: dict = field(default_factory=dict)
@@ -118,7 +117,6 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         max_iters=int(sm.get("max_iters", 120)),
         damping=float(sm.get("damping", 1e-11)),
         min_step=float(sm.get("min_step", 1e-7)),
-        seed=int(sm.get("seed", cfg.get("seed", 0))),
     )
     rc = RunConfig(
         grid=grid,
@@ -128,7 +126,6 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         threshold_cfg=dict(cfg.get("threshold", {"g": 1.0})),
         solver=solver,
         seed=int(cfg.get("seed", 0)),
-        output_dir=cfg.get("output_dir"),
         dependence_cfg=dict(cfg.get("dependence", {})),
         integrability=dict(cfg.get("integrability", {})),
         raw=cfg,

@@ -195,7 +195,7 @@ def test_coercivity_witness_on_ensemble():
 def test_threshold_replace_bounded_input():
     g = grid_1d()
     vals = np.full(g.shape, 2.0)
-    thr = threshold_replace(vals, g, 0.6)
+    thr = threshold_replace(vals, g)
     buffer_mask = g.masks().buffer_inside
     assert np.all(thr.g[buffer_mask] == 2.0)
     assert np.all(thr.g[~buffer_mask] == 2.0)
@@ -209,7 +209,7 @@ def test_threshold_replace_growing_input():
     def growing(p):
         return 1.0 + np.abs(p[0]) ** 3  # satisfies the growth condition
 
-    thr = threshold_replace(growing, g, 0.6)
+    thr = threshold_replace(growing, g)
     buffer_mask = g.masks().buffer_inside
     assert np.allclose(thr.g[buffer_mask], growing(x)[buffer_mask])
     outside = thr.g[~buffer_mask]
@@ -221,7 +221,7 @@ def test_threshold_replace_rejects_nonpositive_floor():
     g = grid_1d()
     vals = np.zeros(g.shape)
     with pytest.raises(ValueError):
-        threshold_replace(vals, g, 0.6)
+        threshold_replace(vals, g)
 
 
 def test_presets_cover_named_shapes():

@@ -1,5 +1,7 @@
 """Penalty function, penalized residual, Newton solves and KKT diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fracmk import (
     frac_gradient_spectral,
     interval,
     lp_norm,
+    rectangle,
 )
 from fracmk.forms import (
     OperatorData,
@@ -261,8 +264,8 @@ def test_threshold_replacement_leaves_solution_unchanged():
     src = constant_source(g, 2.0)
     x = g.coords()
     growing = 1.0 + np.abs(x[0]) ** 4
-    thr_g = threshold_replace(growing, g, 0.7)
-    thr_k = threshold_replace(growing, g, 0.7, k=2 * thr_g.g_upper)
+    thr_g = threshold_replace(growing, g)
+    thr_k = threshold_replace(growing, g, k=2 * thr_g.g_upper)
     cfg = SolverConfig(eps=1e-2)
     sol_g = solve_fixed_eps(op, src, thr_g, 0.7, cfg)
     sol_k = solve_fixed_eps(op, src, thr_k, 0.7, cfg)
@@ -390,3 +393,122 @@ def test_jacobian_is_derivative_of_residual(grid):
     fd = (prob.residual(u + t * v) - prob.residual(u - t * v)) / (2 * t)
     Jv = prob.jacobian(u) @ v
     assert np.linalg.norm(fd - Jv) <= 1e-6 * np.linalg.norm(Jv)
+
+
+# -- KKT report: the nodal weak residual against the FFT forms -----------------
+
+
+def _reference_kkt(sol, op, src, thr, s):
+    """The KKT report as the per-field loop of FFT gradients and forms."""
+    from fracmk.forms import bilinear_apply, linear_apply
+    from fracmk.penalty import kkt_battery
+
+    grid = op.grid
+    hd = grid.cell_volume
+    du = frac_gradient_spectral(sol.u, s)
+    mag = du.magnitude()
+    slack = mag - thr.g
+    eps_coeff = sol.eps * np.maximum(mag, 1e-150) ** (sol.q - 2) if sol.eps > 0 else np.zeros_like(mag)
+    eq_res = pen_res = 0.0
+    for v in kkt_battery(grid):
+        dv = frac_gradient_spectral(v, s)
+        norm_v = np.sqrt(hd * np.sum(dv.values**2))
+        if norm_v == 0:
+            continue
+        pair = np.sum(du.values * dv.values, axis=0)
+        base = bilinear_apply(op, sol.u, v, s) + hd * np.sum(sol.lam.values * pair) - linear_apply(src, v, s)
+        eq_res = max(eq_res, abs(base) / norm_v)
+        pen_res = max(pen_res, abs(base + hd * np.sum(eps_coeff * pair)) / norm_v)
+    r = max(sol.q - 1.0, 1.0)
+    return {
+        "violation_sup": float(np.max(np.maximum(slack, 0.0))),
+        "complementarity": hd * float(np.sum(sol.lam.values * slack)),
+        "equation_residual": eq_res,
+        "penalized_residual_sup": pen_res,
+        "dsu_lr": lp_norm(du, r),
+    }
+
+
+def _kkt_grids():
+    return {
+        "1d-interval": grid_1d(n=128),
+        "2d-ball": GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5),
+        "2d-rectangle": GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=rectangle(1.0, 0.6), buffer=0.5),
+    }
+
+
+def _fixed_solution(grid, op, s, eps, seed=3):
+    """A random u on Omega with |D^s u| crossing g = 1, lam >= 0 on the box."""
+    from fracmk.grid import VectorField
+
+    rng = np.random.default_rng(seed)
+    mask = grid.masks().inside
+    u = np.zeros(grid.shape)
+    u[mask] = rng.normal(size=int(mask.sum()))
+    u = u * (1.5 / np.max(frac_gradient_spectral(ScalarField(grid, u.copy()), s).magnitude()))
+    lam = rng.uniform(0.0, 2.0, size=grid.shape)
+    du = frac_gradient_spectral(ScalarField(grid, u), s).values
+    q = default_q(grid.dim, s) if eps > 0 else 0.0
+    return Solution(
+        u=ScalarField(grid, u),
+        lam=ScalarField(grid, lam),
+        psi=VectorField(grid, lam[None] * du),
+        eps=eps,
+        q=q,
+        s=s,
+        converged=True,
+        iterations=0,
+        residual_norm=0.0,
+    )
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0], ids=["penalty", "oracle"])
+@pytest.mark.parametrize("kind", ["isotropic", "nonsymmetric"])
+@pytest.mark.parametrize("name", list(_kkt_grids()))
+def test_kkt_report_matches_fft_form_loop(name, kind, eps):
+    from fracmk.forms import SourceData
+
+    grid = _kkt_grids()[name]
+    s = 0.7
+    op = _operator(grid, kind)
+    mask = grid.masks().inside
+    x = grid.coords()
+    f_vec = np.stack([np.cos(x[j]) * np.exp(-np.sum(x**2, axis=0)) for j in range(grid.dim)])
+    src = SourceData(grid, np.where(mask, 1.0 + 0.5 * x[0], 0.0), f_vec if kind == "nonsymmetric" else 0 * f_vec)
+    thr = constant_threshold(grid, 1.0)
+    sol = _fixed_solution(grid, op, s, eps)
+    rep = kkt_report(sol, op, src, thr, s)
+    ref = _reference_kkt(sol, op, src, thr, s)
+    assert rep.equation_residual > 0 and rep.violation_sup > 0
+    for field, want in ref.items():
+        assert getattr(rep, field) == pytest.approx(want, rel=1e-10), field
+    if eps == 0:
+        assert rep.penalized_residual_sup == rep.equation_residual
+
+
+@pytest.mark.parametrize("name", list(_kkt_grids()))
+def test_kkt_battery_vanishes_off_omega(name):
+    from fracmk.penalty import kkt_battery
+
+    grid = _kkt_grids()[name]
+    outside = ~grid.masks().inside
+    battery = kkt_battery(grid)
+    assert len(battery) == 32 + 4 * grid.dim
+    for v in battery:
+        assert not v.values[outside].any()
+
+
+def test_kkt_report_rejects_u_outside_omega():
+    g, op, src, thr = torsion_setup(n=64)
+    sol = _fixed_solution(g, op, 0.7, 0.05)
+    u = sol.u.values.copy()
+    u[np.flatnonzero(~g.masks().inside)[0]] = 1e-3
+    with pytest.raises(ValueError, match="outside Omega"):
+        kkt_report(replace(sol, u=ScalarField(g, u)), op, src, thr, 0.7)
+
+
+def test_energy_history_ends_at_discrete_energy_of_solution():
+    g, op, src, thr = torsion_setup()
+    cfg = SolverConfig(eps=0.01)
+    sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
+    assert sol.energy_history[-1] == discrete_energy(sol.u, op, src, thr, 1.0, cfg)

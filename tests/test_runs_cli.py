@@ -100,6 +100,59 @@ def test_run_solve_loads_no_scipy(tmp_path):
     assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this fracmk."""
+    src = str(Path(fracmk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads sets the BLAS/FFT thread variables in main(); they only take
+    # effect if numpy has not been loaded by then
+    out = _fresh_python("import sys\nimport fracmk.cli\nprint('numpy' in sys.modules)\n")
+    assert out.split() == ["False"]
+
+
+# the package's exports, by the submodule that defines them
+EXPORTS = {
+    "grid": "DomainMask GridSpec OmegaShape ScalarField VectorField ball bump extend_by_zero holder_seminorm "
+    "interval lp_norm random_bumps read_field rectangle slice_to_csv write_field",
+    "riesz": "FracOrder adjointness_residual frac_divergence_spectral frac_gradient_direct frac_gradient_spectral "
+    "gamma_coeff kernel_norm_ball kernel_norm_tail localization_error mu_coeff poincare_check riesz_convolve "
+    "riesz_symbol sphere_area tail_decay_check",
+    "forms": "CoercivityReport EmpiricalConstants OperatorData SourceData Threshold bilinear_apply "
+    "coercivity_margin constant_source constant_threshold estimate_constants isotropic_operator linear_apply "
+    "threshold_replace",
+    "oracle": "AnalyticBenchmark analytic_mk_1d analytic_torsion_1d brute_force_qp direct_linear_solve pdhg_solve",
+    "penalty": "KKTReport PenaltyFn Solution SolverConfig continuation_solve discrete_energy kkt_report "
+    "penalized_residual penalty_value solve_fixed_eps",
+    "runs": "RunConfig config_from_mapping load_config run_dependence run_localize run_oracle run_solve run_verify",
+}
+
+
+def test_package_exports_resolve_to_their_submodule_objects():
+    code = (
+        "import importlib, json, sys\n"
+        "import fracmk\n"
+        "eager = 'numpy' in sys.modules\n"
+        f"exports = {EXPORTS!r}\n"
+        "same = {n: getattr(fracmk, n) is getattr(importlib.import_module('fracmk.' + m), n)\n"
+        "        for m, names in exports.items() for n in names.split()}\n"
+        "star = {}\n"
+        "exec('from fracmk import *', star)\n"
+        "print(json.dumps([eager, fracmk.__version__, same, sorted(k for k in star if not k.startswith('__'))]))\n"
+    )
+    eager, version, same, star = json.loads(_fresh_python(code).splitlines()[-1])
+    names = sorted(n for names in EXPORTS.values() for n in names.split())
+    assert not eager and version == fracmk.__version__
+    assert sorted(same) == names and all(same.values())
+    assert star == names == sorted(fracmk.__all__)
+    assert set(names) <= set(dir(fracmk))
+    with pytest.raises(AttributeError):
+        fracmk.no_such_name
+
 def test_run_localize_builds_each_gradient_matrix_once():
     from fracmk.penalty import _gradient_matrix
 
