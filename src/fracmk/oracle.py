@@ -118,8 +118,10 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     """Q, rhs of the discrete energy 1/2 u'Qu - rhs'u over Omega nodes.
 
-    Requires the symmetric convex case; for A identically zero a 1e-8 mass
-    ridge keeps Q positive definite (noted on the returned flag).
+    Requires the symmetric convex case.  Where A and c both vanish at some
+    Omega node, the principal part is degenerate there and Q can be
+    singular, so a 1e-8 mass ridge keeps it positive definite (noted on the
+    returned flag).
     """
     if np.any(op.b != 0.0) or np.any(op.dvec != 0.0):
         raise ValueError("oracle solvers require b = dvec = 0")
@@ -136,10 +138,10 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     unk = np.flatnonzero(mask.ravel())
     Q[np.diag_indices_from(Q)] += op.c.ravel()[unk]
     Q *= hd
-    ridge_added = False
-    if float(op.A.max(initial=0.0)) == 0.0 and float(op.c.max(initial=0.0)) == 0.0:
+    degenerate = np.all(op.A.reshape(d * d, N)[:, unk] == 0.0, axis=0) & (op.c.ravel()[unk] == 0.0)
+    ridge_added = bool(degenerate.any())
+    if ridge_added:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
-        ridge_added = True
     return Q, _assemble_rhs(src, G, mask, hd), G, unk, ridge_added
 
 
@@ -194,6 +196,12 @@ def pdhg_solve(
     tol * (1 + |energy|).  The dual variable yields the multiplier estimate
     lambda = |y| / (h^d g).  step_ratio skews tau/sigma toward the primal,
     which accelerates the strongly convex cases considerably.
+
+    Both linear operators the loop needs are formed once, before it starts,
+    with numpy alone: (I + tau Q)^{-1}, so each primal prox step is one
+    matrix-vector product, and chol(Q)^{-1}, which gives the dual value
+    -1/2 |chol(Q)^{-1} w|^2 at every gap check.  Raises ValueError when Q
+    is not positive definite.
     """
     sv = _as_s(s)
     grid = op.grid
@@ -215,15 +223,18 @@ def pdhg_solve(
     tau = step_ratio / Knorm
     sigma = 0.9 / (step_ratio * Knorm)
 
-    M = np.linalg.cholesky(np.eye(m) + tau * Q)
-    Qchol = np.linalg.cholesky(Q)
-
-    def prox_primal(z):
-        return np.linalg.solve(M.T, np.linalg.solve(M, z))
+    # numpy only: importing scipy.linalg for cho_factor would add ~28 MB
+    try:
+        Lq_inv = np.linalg.inv(np.linalg.cholesky(Q))
+    except np.linalg.LinAlgError:
+        raise ValueError("the discrete energy is not strictly convex: Q is not positive definite") from None
+    Minv = np.eye(m)
+    Minv += tau * Q
+    Minv = np.linalg.inv(Minv)
 
     def dual_value(y):
         w = rhs - K.T @ y
-        t = np.linalg.solve(Qchol, w)
+        t = Lq_inv @ w
         return -0.5 * float(t @ t) - float(np.sum(g_flat * _mag(y)))
 
     def _mag(y):
@@ -242,7 +253,7 @@ def pdhg_solve(
         shrink = np.maximum(0.0, 1.0 - sigma * g_flat / np.maximum(magy, 1e-300))
         y = (ytil.reshape(d, N) * shrink[None]).reshape(d * N)
         u_old = u
-        u = prox_primal(u - tau * (K.T @ y) + tau * rhs)
+        u = Minv @ (u - tau * (K.T @ y) + tau * rhs)
         ubar = 2 * u - u_old
         if it % check_every == 0:
             p = (K @ u).reshape(d, N)

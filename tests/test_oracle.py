@@ -6,6 +6,8 @@ import pytest
 from fracmk import GridSpec, interval
 from fracmk.forms import constant_source, constant_threshold, isotropic_operator
 from fracmk.oracle import (
+    _feasible_scaling,
+    _quadratic_pieces,
     analytic_mk_1d,
     analytic_torsion_1d,
     brute_force_qp,
@@ -117,6 +119,94 @@ def test_pdhg_matches_analytic_torsion():
     sol = pdhg_solve(op, src, thr, 1.0, tol=1e-8)
     u_ex = analytic_torsion_1d(1.0, 2.0).sample(g)[0]
     assert np.max(np.abs(sol.u.values - u_ex.values)) <= 1e-3
+
+
+def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.0):
+    """The PDHG loop with per-iteration triangular solves, as it was before
+    pdhg_solve factored its operators once; returns (u on Omega, iterations)."""
+    Q, rhs, G, unk, _ = _quadratic_pieces(op, src, s)
+    d, N, m = G.shape
+    g_flat = thr.g.ravel()
+    K = G.reshape(d * N, m)
+    v = np.ones(m) / np.sqrt(m)
+    for _ in range(50):
+        w = K.T @ (K @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            break
+        v = w / nw
+    Knorm = max(float(np.sqrt(np.linalg.norm(K.T @ (K @ v)))), 1e-30)
+    tau = step_ratio / Knorm
+    sigma = 0.9 / (step_ratio * Knorm)
+    M = np.linalg.cholesky(np.eye(m) + tau * Q)
+    Qchol = np.linalg.cholesky(Q)
+
+    def mag(y):
+        return np.sqrt(np.sum(y.reshape(d, N) ** 2, axis=0))
+
+    u, ubar, y = np.zeros(m), np.zeros(m), np.zeros(d * N)
+    it = 0
+    while it < max_iters:
+        it += 1
+        ytil = y + sigma * (K @ ubar)
+        shrink = np.maximum(0.0, 1.0 - sigma * g_flat / np.maximum(mag(ytil), 1e-300))
+        y = (ytil.reshape(d, N) * shrink[None]).reshape(d * N)
+        u_old = u
+        u = np.linalg.solve(M.T, np.linalg.solve(M, u - tau * (K.T @ y) + tau * rhs))
+        ubar = 2 * u - u_old
+        if it % 50 == 0:
+            uf = _feasible_scaling(mag(K @ u), g_flat) * u
+            primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
+            t = np.linalg.solve(Qchol, rhs - K.T @ y)
+            gap = primal - (-0.5 * float(t @ t) - float(np.sum(g_flat * mag(y))))
+            if tol > 0 and gap <= tol * (1.0 + abs(primal)):
+                break
+    return _feasible_scaling(mag(K @ u), g_flat) * u, it
+
+
+@pytest.mark.parametrize(
+    "n, a, f, s",
+    [(128, 1.0, 2.0, 1.0), (64, 1.0, 2.0, 0.7), (32, 0.0, 1.0, 1.0)],
+    ids=["torsion-s1-n128", "torsion-s0.7-n64", "degenerate-a0-n32"],
+)
+def test_pdhg_matches_per_iteration_solves(n, a, f, s):
+    # factoring once changes only the rounding of each prox/dual solve: the
+    # gap checks stop at the same iteration and u agrees to rounding level
+    g = grid_1d(n)
+    op = isotropic_operator(g, a=a)
+    src, thr = constant_source(g, f), constant_threshold(g, 1.0)
+    sol = pdhg_solve(op, src, thr, s, tol=1e-8)
+    u_ref, iters = _reference_pdhg(op, src, thr, s, tol=1e-8)
+    assert sol.converged
+    assert sol.iterations == iters
+    assert rel_l2(sol.u.values.ravel()[g.masks().inside.ravel()], u_ref) <= 1e-12
+    assert sol.notes == (("mass-ridge-1e-8",) if a == 0.0 else ())
+
+
+def test_pdhg_handles_a_partially_degenerate_operator():
+    # A = 0 on the right half of the box, c = 0: Q is singular without the
+    # mass ridge; PDHG certifies its gap and agrees with the penalty path
+    g = grid_1d(64)
+    op = isotropic_operator(g, a=np.where(g.axis() > 0, 0.0, 1.0))
+    src, thr = constant_source(g, 1.0), constant_threshold(g, 1.0)
+    pd = pdhg_solve(op, src, thr, 1.0, tol=1e-8)
+    assert pd.converged
+    assert pd.notes == ("mass-ridge-1e-8",)
+    pen = continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3)))[-1][1]
+    assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
+    # a mass term c > 0 on Omega keeps Q definite: no ridge
+    c = np.where(g.masks().inside, 1.0, 0.0)
+    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, 1.0)[-1]
+
+
+def test_pdhg_names_a_form_that_is_not_positive_definite():
+    # the nonnegativity check on A tolerates -1e-12; such an A is not
+    # degenerate (no ridge), and Q is negative definite
+    g = grid_1d(32)
+    op = isotropic_operator(g, a=-1e-13, a_star=0.0)
+    with pytest.raises(ValueError, match="not strictly convex") as err:
+        pdhg_solve(op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0)
+    assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
 # -- brute-force QP ---------------------------------------------------------------

@@ -108,6 +108,21 @@ def _fresh_python(code: str) -> str:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True).stdout
 
 
+def test_pdhg_solve_loads_no_scipy():
+    # the oracle factors its operators with numpy alone, for the same memory
+    # reason as the solve path
+    out = _fresh_python(
+        "import json, sys\n"
+        "from fracmk import GridSpec, interval\n"
+        "from fracmk.forms import constant_source, constant_threshold, isotropic_operator\n"
+        "from fracmk.oracle import pdhg_solve\n"
+        "g = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)\n"
+        "pdhg_solve(isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 1.0, max_iters=100)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_importing_the_cli_loads_no_numpy():
     # --threads sets the BLAS/FFT thread variables in main(); they only take
     # effect if numpy has not been loaded by then
