@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField
-from .penalty import Solution, _assemble_rhs, _gradient_matrix, _scatter, _weighted_gram
+from .penalty import Solution, _assemble_rhs, _gradient_matrix, _omega_fft, _scatter, _weighted_gram
 from .riesz import _as_s
 
 
@@ -142,7 +142,7 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     ridge_added = bool(degenerate.any())
     if ridge_added:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
-    return Q, _assemble_rhs(src, G, mask, hd), G, unk, ridge_added
+    return Q, _assemble_rhs(src, _omega_fft(grid, s), hd), G, unk, ridge_added
 
 
 def _package(grid, s, uvec, lam_flat, unk, G, converged, iters, gap, notes=()):

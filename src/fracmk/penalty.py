@@ -15,16 +15,22 @@ itself, the flux is Psi = lambda D^s u, and eps-continuation drives the
 KKT diagnostics to the complementarity system.
 
 Unknowns are the values of u at the Omega-interior nodes, so membership in
-the zero-extension space is enforced strongly.  The fractional gradient of
-the nodal basis is assembled once per (grid, s) as a dense matrix G (the
-spectral operator is a lattice convolution, so columns are shifts of one
-kernel), and gradients and residuals are BLAS matrix-vector products with
-it.  The nodal weak residual is written once, in _PenaltyProblem, and both
-the Newton iteration and the KKT report use it.  The Newton Jacobian
-G^T C G, with a d x d coefficient C per box node, is a weighted Gram: C's
-symmetric part is positive semidefinite, so its per-node factor L L^T gives
-G^T C G = Z^T Z with Z = L^T G, accumulated over row blocks by BLAS syrk.
-The Newton systems are then small dense solves.
+the zero-extension space is enforced strongly.  The spectral D^s is a
+lattice convolution, so the fractional gradient G of the nodal basis has
+shifts of one real kernel as columns.  G v and G^T w are applied by FFT
+(_OmegaFFT, built once per (grid, s)); the dense G is assembled only on
+request.  The nodal weak residual is written once, in _PenaltyProblem, and
+both the Newton iteration and the KKT report use it.
+
+Each Newton system J s = -r is solved inexactly by preconditioned CG (GMRES
+when the form is not symmetric) to an Eisenstat-Walker forcing tolerance.
+J = h^d G^T C G + ... is never formed for this: J v costs a few FFTs.  The
+preconditioner is the inverse of the last assembled, damped Jacobian; it is
+kept through a continuation and its cold-start eps chain, and the dense J is
+assembled again only when the Krylov solve misses its iteration budget.
+That assembly is a weighted Gram: C's symmetric part is positive
+semidefinite, so its per-node factor L L^T gives G^T C G = Z^T Z with
+Z = L^T G, accumulated over row blocks by BLAS syrk.
 
 This path imports numpy only: importing scipy.linalg alone costs ~28 MB of
 resident memory and ~0.3 s, more than some whole solves.
@@ -33,7 +39,7 @@ resident memory and ~0.3 s, more than some whole solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil
 
 import numpy as np
@@ -154,8 +160,60 @@ class KKTReport:
     r_exponent: float
 
 
+class _OmegaFFT:
+    """D^s of nodal values on the Omega nodes, and its adjoint, by FFT.
+
+    Column i of the dense G is the real kernel kern_a = ifftn(m_a) rolled
+    onto node i, so G v is the circular convolution of kern_a with v
+    scattered onto the box, and G^T w = sum_a kern_a correlated with w_a,
+    gathered on the nodes: both are products with sigma_a = rfftn(kern_a)
+    and equal the dense products to rounding.  The diagonal of
+    G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered
+    the same way.  Immutable, so concurrent solves can share one.
+    """
+
+    def __init__(self, grid: GridSpec, s: float):
+        d = grid.dim
+        sym = riesz_symbol(grid, s)
+        kern = np.stack([np.fft.ifftn(sym[j]).real for j in range(d)])
+        kern.flags.writeable = False
+        self.d = d
+        self.kern = kern
+        self.shape = grid.shape
+        self.axes = tuple(range(-d, 0))
+        self.nodes = np.flatnonzero(grid.masks().inside.ravel())
+        self.sigma = np.fft.rfftn(kern, axes=self.axes)
+        self.sigma_conj = self.sigma.conj()
+        self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        self.prod_conj = np.stack([np.fft.rfftn(kern[a] * kern[b]) for a, b in self.pairs]).conj()
+
+    def _gather(self, spectrum: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(spectrum, s=self.shape, axes=self.axes).ravel()[self.nodes]
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        """G v, shape (d, N), for nodal values v of shape (m,)."""
+        vhat = np.fft.rfftn(_scatter(v, self.nodes, self.kern[0].size).reshape(self.shape))
+        return np.fft.irfftn(self.sigma * vhat, s=self.shape, axes=self.axes).reshape(self.d, -1)
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """G^T w on the nodes, shape (m,), for a box vector field w of shape (d, N)."""
+        what = np.fft.rfftn(w.reshape((self.d,) + self.shape), axes=self.axes)
+        return self._gather(np.sum(self.sigma_conj * what, axis=0))
+
+    def gram_diag(self, C: np.ndarray) -> np.ndarray:
+        """diag(sum_ab G_a^T diag(C_ab) G_b), shape (m,), for C of shape (d, d, N)."""
+        sym = np.stack([C[a, a] if a == b else C[a, b] + C[b, a] for a, b in self.pairs])
+        chat = np.fft.rfftn(sym.reshape((len(self.pairs),) + self.shape), axes=self.axes)
+        return self._gather(np.sum(chat * self.prod_conj, axis=0))
+
+
 # The localize sweep solves up to 4 values of s at once; twice that keeps each
-# in-flight solve's matrix cached between its stages.
+# in-flight solve's operators cached between its stages.
+@lru_cache(maxsize=8)
+def _omega_fft(grid: GridSpec, s: float) -> _OmegaFFT:
+    return _OmegaFFT(grid, s)
+
+
 @lru_cache(maxsize=8)
 def _gradient_matrix(grid: GridSpec, s: float) -> np.ndarray:
     """Dense D^s of the Omega-node basis: shape (d, n^d, m), via kernel shifts.
@@ -168,8 +226,7 @@ def _gradient_matrix(grid: GridSpec, s: float) -> np.ndarray:
     N = n**d
     if d * N * len(nodes) > 6e7:
         raise ValueError("dense gradient matrix would be too large for this grid")
-    m = riesz_symbol(grid, s)
-    kern = np.stack([np.fft.ifftn(m[j]).real for j in range(d)])
+    kern = _omega_fft(grid, s).kern
     axes = tuple(range(1, d + 1))
     cols = np.empty((d, N, len(nodes)))
     for i, node in enumerate(nodes):
@@ -217,10 +274,9 @@ def _weighted_gram(G: np.ndarray, C: np.ndarray) -> np.ndarray:
     return J
 
 
-def _assemble_rhs(src: SourceData, G: np.ndarray, mask: np.ndarray, hd: float) -> np.ndarray:
+def _assemble_rhs(src: SourceData, fft: _OmegaFFT, hd: float) -> np.ndarray:
     """h^d (f_sharp + (D^s)^T f_vec) on the Omega nodes."""
-    d, N, m = G.shape
-    return hd * (src.f_sharp[mask] + src.f_vec.ravel() @ G.reshape(d * N, m))
+    return hd * (src.f_sharp.ravel()[fft.nodes] + fft.adjoint(src.f_vec))
 
 
 class _PenaltyProblem:
@@ -231,9 +287,8 @@ class _PenaltyProblem:
         self.grid = grid
         self.mask = grid.masks().inside
         self.hd = grid.cell_volume
-        self.G = _gradient_matrix(grid, s)  # (d, N, m)
-        self.d, self.N, self.m = self.G.shape
-        self.Gf = self.G.reshape(self.d * self.N, self.m)
+        self.fft = _omega_fft(grid, s)
+        self.d, self.N, self.m = grid.dim, self.mask.size, self.fft.nodes.size
         self.op = op
         self.thr = thr
         self.s = s
@@ -241,24 +296,35 @@ class _PenaltyProblem:
         self.q = q
         self.fn = PenaltyFn(eps)
         self.g_flat = thr.g.ravel()
-        self.rhs = _assemble_rhs(src, self.G, self.mask, self.hd)
+        self.rhs = _assemble_rhs(src, self.fft, self.hd)
         self.A_flat = op.A.reshape(self.d, self.d, -1)
         self.b_at = op.b[:, self.mask]  # (d, m)
         self.dvec_flat = op.dvec.reshape(self.d, -1)
         self.c_at = op.c[self.mask]
-        mask_flat = self.mask.ravel()
-        self.unk_box_index = np.flatnonzero(mask_flat)
+        self.unk_box_index = self.fft.nodes
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The dense D^s of the nodal basis, (d, N, m): built only on request."""
+        return _gradient_matrix(self.grid, self.s)
+
     def grad(self, u: np.ndarray) -> np.ndarray:
-        return (self.Gf @ u).reshape(self.d, self.N)
+        return self.fft.grad(u)
 
     def flux_coeff(self, mag: np.ndarray):
         k = self.fn.value(mag - self.g_flat)
         apen = k + self.eps * np.maximum(mag, 1e-150) ** (self.q - 2)
         return k, apen
+
+    def _weak_form(self, u: np.ndarray, p: np.ndarray, flux: np.ndarray) -> np.ndarray:
+        """h^d [G^T (flux + dvec u) + b . p + c u] on the Omega nodes, p = D^s u."""
+        flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[None]
+        out = self.fft.adjoint(flux)
+        out = out + np.sum(self.b_at * p[:, self.unk_box_index], axis=0) + self.c_at * u
+        return self.hd * out
 
     def weak_residual(self, u: np.ndarray, p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """h^d [G^T (A p + coeff p + dvec u) + b . p + c u] - rhs on the Omega nodes.
@@ -268,10 +334,7 @@ class _PenaltyProblem:
         is L(u, v) + <coeff D^s u, D^s v> - F(v).
         """
         flux = np.einsum("abN,bN->aN", self.A_flat, p) + coeff[None] * p
-        flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[None]
-        out = flux.ravel() @ self.Gf
-        out = out + np.sum(self.b_at * p[:, self.unk_box_index], axis=0) + self.c_at * u
-        return self.hd * out - self.rhs
+        return self._weak_form(u, p, flux) - self.rhs
 
     # residual, energy and jacobian take p = D^s u when the caller has it
     def residual(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
@@ -289,20 +352,25 @@ class _PenaltyProblem:
         reg = (self.eps / self.q) * np.sum(np.maximum(mag, 0.0) ** self.q)
         return float(self.hd * (quad + conv + low + pen + reg) - self.rhs @ u)
 
-    def jacobian(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        p = self.grad(u) if p is None else p
+    def flux_derivative(self, p: np.ndarray) -> np.ndarray:
+        """C = A + apen I + aniso p p^T per box node, (d, d, N): the derivative
+        of the flux in D^s u.  Positive semidefinite, as A's symmetric part is
+        and apen, aniso >= 0; p p^T is formed first so that the added term is
+        exactly symmetric."""
         mag = np.sqrt(np.sum(p**2, axis=0))
         magf = np.maximum(mag, 1e-150)
         k = self.fn.value(mag - self.g_flat)
         kp = self.fn.derivative(mag - self.g_flat)
         apen = k + self.eps * magf ** (self.q - 2)
         aniso = kp / magf + self.eps * (self.q - 2) * magf ** (self.q - 4)
-        # A + apen I + aniso p p^T: positive semidefinite, as A's symmetric
-        # part is and apen, aniso >= 0; p p^T is formed first so that the
-        # added term is exactly symmetric
-        coeff = self.A_flat + aniso * (p[:, None] * p[None, :])
-        coeff[np.diag_indices(self.d)] += apen
-        J = _weighted_gram(self.G, coeff)
+        C = self.A_flat + aniso * (p[:, None] * p[None, :])
+        C[np.diag_indices(self.d)] += apen
+        return C
+
+    def jacobian(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+        """The dense Newton Jacobian, (m, m)."""
+        p = self.grad(u) if p is None else p
+        J = _weighted_gram(self.G, self.flux_derivative(p))
         # d/du of the convection term G^T (dvec u) and of b . D^s u
         for a in range(self.d):
             dv, ba = self.dvec_flat[a, self.unk_box_index], self.b_at[a]
@@ -310,7 +378,21 @@ class _PenaltyProblem:
                 Ga = self.G[a][self.unk_box_index]
                 J += Ga.T * dv[None, :] + ba[:, None] * Ga
         J[np.diag_indices_from(J)] += self.c_at
-        return self.hd * J
+        J *= self.hd
+        return J
+
+    def linearization(self, p: np.ndarray):
+        """v -> J v and diag(J) at a point with D^s u = p, without forming J."""
+        C = self.flux_derivative(p)
+        # the convection and b terms put G_a[node i, i] = kern_a(0) on the
+        # diagonal, which is 0: the symbol is odd
+        diag = self.hd * (self.fft.gram_diag(C) + self.c_at)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            pv = self.fft.grad(v)
+            return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv))
+
+        return apply, diag
 
 
 def _scatter(u: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
@@ -361,29 +443,146 @@ def discrete_energy(
     return prob.energy(u.values[op.grid.masks().inside])
 
 
-def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig):
+# Krylov iterations a Newton step may take before the Jacobian is assembled again
+_KRYLOV_BUDGET = 40
+
+
+class _LaggedInverse:
+    """The inverse of the last assembled, damped Newton Jacobian, and counts.
+
+    One object serves one continuation, its stages and their cold-start eps
+    chains, so concurrent solves never share one.
+    """
+
+    __slots__ = ("inv", "jacobians", "krylov")
+
+    def __init__(self):
+        self.inv = None
+        self.jacobians = 0  # dense Jacobians assembled and inverted
+        self.krylov = 0  # Krylov iterations
+
+
+def _norm(x: np.ndarray) -> float:
+    """|x|_2, non-finite only if an entry is: a trial point deep in the
+    exponential wall has entries whose squares overflow a plain dot product."""
+    big = float(np.max(np.abs(x), initial=0.0))
+    return big * float(np.linalg.norm(x / big)) if 0.0 < big < np.inf else big
+
+
+def _pcg(apply, b: np.ndarray, M: np.ndarray, eta: float, budget: int):
+    """Preconditioned CG for apply(x) = b from x = 0, to |b - apply(x)| <= eta |b|.
+
+    Returns (x, iterations); x is None when the budget runs out, a value
+    turns non-finite or a curvature is not positive.  It iterates on b / |b|,
+    so the products stay finite under the stiff penalty.
+    """
+    nb = _norm(b)
+    res = b / nb
+    x = np.zeros_like(b)
+    z = M @ res
+    d = z.copy()
+    rz = res @ z
+    for k in range(1, budget + 1):
+        q = apply(d)
+        dq = d @ q
+        if not (np.isfinite(dq) and np.isfinite(rz) and dq > 0 and rz > 0):
+            return None, k
+        alpha = rz / dq
+        x += alpha * d
+        res -= alpha * q
+        rn = _norm(res)
+        if not np.isfinite(rn):
+            return None, k
+        if rn <= eta:
+            return nb * x, k
+        z = M @ res
+        rz, rz_old = res @ z, rz
+        d = z + (rz / rz_old) * d
+    return None, budget
+
+
+def _gmres(apply, b: np.ndarray, M: np.ndarray, eta: float, budget: int):
+    """Right-preconditioned GMRES for apply(x) = b from x = 0, no restart.
+
+    Same contract as _pcg.  The Arnoldi basis is orthogonalised by classical
+    Gram-Schmidt applied twice.
+    """
+    nb = _norm(b)
+    V = np.empty((budget + 1, b.size))
+    V[0] = b / nb
+    H = np.zeros((budget + 1, budget))
+    e1 = np.zeros(budget + 1)
+    e1[0] = 1.0
+    for k in range(budget):
+        w = apply(M @ V[k])
+        basis = V[: k + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        H[: k + 1, k] = h + h2
+        H[k + 1, k] = _norm(w)
+        if not np.all(np.isfinite(H[: k + 2, k])):
+            return None, k + 1
+        Hk = H[: k + 2, : k + 1]
+        y = np.linalg.lstsq(Hk, e1[: k + 2], rcond=None)[0]
+        if np.linalg.norm(e1[: k + 2] - Hk @ y) <= eta:
+            return nb * (M @ (y @ basis)), k + 1
+        if H[k + 1, k] == 0.0:
+            return None, k + 1
+        V[k + 1] = w / H[k + 1, k]
+    return None, budget
+
+
+def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged: _LaggedInverse):
+    """Inexact Newton with a line search; returns (u, stop, iterations, |r|, energies).
+
+    Each step solves J s = -r by PCG (GMRES when the form is not symmetric)
+    preconditioned by lagged.inv, to the Eisenstat-Walker tolerance
+    min(0.1, max(0.9 (|r_k| / |r_{k-1}|)^2, 1e-10)) |r_k|.  Without an
+    inverse, or when the Krylov solve fails, the damped Jacobian is
+    assembled and inverted at the current point and the step is exact.
+    stop is converged, stagnated, damping or budget.
+    """
     u = u0.copy()
     scale = 1.0 + float(np.linalg.norm(prob.rhs))
     hist = []
     damping = cfg.damping
     p = prob.grad(u)
     r = prob.residual(u, p)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = _norm(r)
+    rprev = None
     energy = prob.energy(u, p) if prob.symmetric else None
+    krylov = _pcg if prob.symmetric else _gmres
+    stop = "budget"
     it = 0
     best, since_best = rnorm, 0
     while rnorm > cfg.newton_tol * scale and it < cfg.max_iters:
         # stagnation at the floating-point floor of the stiff penalty
         if since_best >= 15:
+            stop = "stagnated"
             break
         it += 1
-        J = prob.jacobian(u, p)
-        J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            damping = max(damping * 100, 1e-8)
-            continue
+        step = None
+        if lagged.inv is not None:
+            apply, diag = prob.linearization(p)
+            damp = damping * (1.0 + np.abs(diag))
+            eta = 0.1 if rprev is None else min(0.1, max(0.9 * (rnorm / rprev) ** 2, 1e-10))
+            step, k = krylov(lambda v: apply(v) + damp * v, -r, lagged.inv, eta, _KRYLOV_BUDGET)
+            lagged.krylov += k
+        if step is None:
+            lagged.inv = None  # free the old inverse before assembling J
+            J = prob.jacobian(u, p)
+            J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
+            lagged.jacobians += 1
+            try:
+                lagged.inv = np.linalg.inv(J)
+            except np.linalg.LinAlgError:
+                damping = max(damping * 100, 1e-8)
+                continue
+            finally:
+                del J
+            step = lagged.inv @ -r
         t = 1.0
         accepted = False
         slope = float(r @ step)
@@ -391,7 +590,7 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig):
             cand = u + t * step
             p_new = prob.grad(cand)
             r_new = prob.residual(cand, p_new)
-            rn = float(np.linalg.norm(r_new))
+            rn = _norm(r_new)
             if not np.isfinite(rn):
                 t *= 0.5
                 continue
@@ -407,13 +606,14 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig):
             else:
                 ok = rn <= (1 - 1e-4 * t) * rnorm or rn <= 0.5 * cfg.newton_tol * scale
             if ok:
-                u, p, r, rnorm, energy = cand, p_new, r_new, rn, e_new
+                u, p, r, rprev, rnorm, energy = cand, p_new, r_new, rnorm, rn, e_new
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             damping = max(damping * 100, 1e-8)
             if damping > 1e6:
+                stop = "damping"
                 break
             continue
         damping = max(cfg.damping, damping / 10)
@@ -423,7 +623,9 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig):
             best, since_best = rnorm, 0
         else:
             since_best += 1
-    return u, rnorm <= cfg.newton_tol * scale, it, rnorm, tuple(hist)
+    if rnorm <= cfg.newton_tol * scale:
+        stop = "converged"
+    return u, stop, it, rnorm, tuple(hist)
 
 
 def solve_fixed_eps(
@@ -433,23 +635,34 @@ def solve_fixed_eps(
     s,
     cfg: SolverConfig,
     warm_start: Solution | None = None,
+    *,
+    lagged: _LaggedInverse | None = None,
 ) -> Solution:
     """Solve the penalized problem at the configured eps.
 
-    Damped Newton with an energy line search when the form is symmetric
-    (Armijo on the convex discrete energy), residual-reduction line search
-    otherwise.  A cold start at small eps first walks a short internal
-    geometric eps chain down from 0.1, since the exponential wall defeats
-    plain Newton from zero.  Returns the last accepted iterate, with
-    converged=False if the iteration budget runs out or Newton stalls.
+    Inexact Newton (see _run_newton) with an energy line search when the
+    form is symmetric (Armijo on the convex discrete energy), a
+    residual-reduction line search otherwise.  A cold start at small eps
+    first walks a short internal geometric eps chain down from 0.1, since
+    the exponential wall defeats plain Newton from zero.  `lagged` carries
+    the preconditioner from the solve that gave warm_start (continuation_solve
+    passes it); without it the first Newton step assembles the Jacobian.
+
+    Returns the last accepted iterate, with converged=False if Newton stops
+    before the tolerance.  notes holds "stop=<reason>" (converged,
+    stagnated, damping or budget) and the dense Jacobians and Krylov
+    iterations this call took, its cold-start chain included.
     """
     sv = _as_s(s)
     grid = op.grid
     q = cfg.q if cfg.q is not None else default_q(grid.dim, sv)
+    lagged = _LaggedInverse() if lagged is None else lagged
+    jac0, kry0 = lagged.jacobians, lagged.krylov
     if warm_start is None and cfg.eps < 0.1:
         e = 0.1
         while e > cfg.eps * 1.0001:
-            warm_start = solve_fixed_eps(op, src, thr, s, replace(cfg, eps=e, eps_schedule=()), warm_start)
+            chain_cfg = replace(cfg, eps=e, eps_schedule=())
+            warm_start = solve_fixed_eps(op, src, thr, s, chain_cfg, warm_start, lagged=lagged)
             e = max(cfg.eps, 0.25 * e)
     prob = _PenaltyProblem(op, src, thr, sv, cfg.eps, q)
     mask = grid.masks().inside
@@ -457,7 +670,7 @@ def solve_fixed_eps(
         u0 = warm_start.u.values[mask]
     else:
         u0 = np.zeros(int(mask.sum()))
-    u, ok, iters, rnorm, hist = _run_newton(prob, u0, cfg)
+    u, stop, iters, rnorm, hist = _run_newton(prob, u0, cfg, lagged)
 
     p = prob.grad(u)
     lam, _ = prob.flux_coeff(np.sqrt(np.sum(p**2, axis=0)))
@@ -468,10 +681,11 @@ def solve_fixed_eps(
         eps=cfg.eps,
         q=q,
         s=sv,
-        converged=bool(ok),
+        converged=stop == "converged",
         iterations=iters,
         residual_norm=rnorm,
         energy_history=hist,
+        notes=(f"stop={stop}", f"jacobians={lagged.jacobians - jac0}", f"krylov={lagged.krylov - kry0}"),
     )
 
 
@@ -482,15 +696,23 @@ def continuation_solve(
     s,
     cfg: SolverConfig,
 ) -> list[tuple[float, Solution, KKTReport]]:
-    """Warm-started continuation along the decreasing eps schedule."""
+    """Warm-started continuation along the decreasing eps schedule.
+
+    One preconditioner serves every stage.  Raises RuntimeError naming the
+    stop reason when a stage does not converge.
+    """
     schedule = cfg.eps_schedule if cfg.eps_schedule else (cfg.eps,)
     out = []
     warm = None
+    lagged = _LaggedInverse()
     for eps in schedule:
         stage_cfg = replace(cfg, eps=eps, eps_schedule=())
-        sol = solve_fixed_eps(op, src, thr, s, stage_cfg, warm_start=warm)
+        sol = solve_fixed_eps(op, src, thr, s, stage_cfg, warm_start=warm, lagged=lagged)
         if not sol.converged:
-            raise RuntimeError(f"continuation stage eps={eps} failed to converge")
+            raise RuntimeError(
+                f"continuation stage eps={eps} failed to converge: {sol.notes[0]} after "
+                f"{sol.iterations} Newton iterations, residual {sol.residual_norm:.3e}"
+            )
         out.append((eps, sol, kkt_report(sol, op, src, thr, s)))
         warm = sol
     return out
@@ -521,7 +743,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     so D^s v = G v|_Omega and L(u, v) + <coeff D^s u, D^s v> - F(v) equals
     r . v|_Omega exactly: with the battery as the rows of V (restricted to
     Omega), V r tests all fields at once, and each is scaled by
-    ||D^s v||_2 = sqrt(h^d) |G v|_Omega|, a column norm of G V^T.
+    ||D^s v||_2 = sqrt(h^d) |G v|_Omega|.  G is applied by FFT throughout.
     """
     grid = op.grid
     mask = grid.masks().inside
@@ -541,11 +763,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     psi_l1 = hd * float(np.sum(np.sqrt(np.sum(sol.psi.values**2, axis=0))))
 
     V = np.stack([v.values[mask] for v in kkt_battery(grid)])
-    # |G v|^2 one block of rows at a time: one GEMM with all of G packs it
-    # into ~24 MB of BLAS buffers (+18% peak RSS on a 2D n=64 solve)
-    Gf = prob.Gf
-    dv2 = sum(np.sum((Gf[r0 : r0 + _GRAM_ROWS] @ V.T) ** 2, axis=0) for r0 in range(0, len(Gf), _GRAM_ROWS))
-    norm_v = np.sqrt(hd * dv2)
+    norm_v = np.sqrt(hd * np.array([np.sum(prob.grad(v) ** 2) for v in V]))
     # oracle solutions carry eps = 0 (no regularization term)
     eps_coeff = sol.eps * np.maximum(mag, 1e-150) ** (sol.q - 2) if sol.eps > 0 else 0.0
     r_eq = prob.weak_residual(u, p, lam)

@@ -24,7 +24,10 @@ from fracmk.forms import (
 from fracmk.penalty import (
     PenaltyFn,
     _gradient_matrix,
+    _LaggedInverse,
+    _omega_fft,
     _PenaltyProblem,
+    _run_newton,
     SolverConfig,
     Solution,
     continuation_solve,
@@ -512,3 +515,189 @@ def test_energy_history_ends_at_discrete_energy_of_solution():
     cfg = SolverConfig(eps=0.01)
     sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
     assert sol.energy_history[-1] == discrete_energy(sol.u, op, src, thr, 1.0, cfg)
+
+
+# -- inexact Newton: same answers as the direct loop, the FFT pair is G --------
+
+
+def _reference_newton(prob, u0, cfg):
+    """Newton with a dense Jacobian and a direct solve at every step: the
+    loop that the lagged-inverse Krylov iteration replaced."""
+    u = u0.copy()
+    scale = 1.0 + float(np.linalg.norm(prob.rhs))
+    damping = cfg.damping
+    p = prob.grad(u)
+    r = prob.residual(u, p)
+    rnorm = float(np.linalg.norm(r))
+    energy = prob.energy(u, p) if prob.symmetric else None
+    it = 0
+    best, since_best = rnorm, 0
+    while rnorm > cfg.newton_tol * scale and it < cfg.max_iters:
+        if since_best >= 15:
+            break
+        it += 1
+        J = prob.jacobian(u, p)
+        J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
+        try:
+            step = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            damping = max(damping * 100, 1e-8)
+            continue
+        t = 1.0
+        accepted = False
+        slope = float(r @ step)
+        while t >= cfg.min_step:
+            cand = u + t * step
+            p_new = prob.grad(cand)
+            r_new = prob.residual(cand, p_new)
+            rn = float(np.linalg.norm(r_new))
+            if not np.isfinite(rn):
+                t *= 0.5
+                continue
+            e_new = None
+            if prob.symmetric:
+                e_new = prob.energy(cand, p_new)
+                tiny = 1e-12 * (1 + abs(energy))
+                ok = e_new <= energy + 1e-4 * t * slope + 0.1 * tiny
+                ok = ok or (rn <= (1 - 1e-4 * t) * rnorm and e_new <= energy + tiny)
+            else:
+                ok = rn <= (1 - 1e-4 * t) * rnorm or rn <= 0.5 * cfg.newton_tol * scale
+            if ok:
+                u, p, r, rnorm, energy = cand, p_new, r_new, rn, e_new
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            damping = max(damping * 100, 1e-8)
+            if damping > 1e6:
+                break
+            continue
+        damping = max(cfg.damping, damping / 10)
+        if rnorm < 0.99 * best:
+            best, since_best = rnorm, 0
+        else:
+            since_best += 1
+    return u, rnorm <= cfg.newton_tol * scale, it
+
+
+def _newton_cases():
+    """name -> (operator, f, s, eps schedule, max_iters); each starts at eps = 0.1."""
+    g1 = grid_1d(n=128)
+    g2 = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
+    g2s = grid_2d()
+    return {
+        "1d-torsion": (isotropic_operator(g1, a=1.0), 2.0, 1.0, (0.1, 0.03, 0.01, 3e-3, 1e-3), 120),
+        "2d-isotropic": (isotropic_operator(g2, a=1.0), 2.0, 0.7, (0.1, 0.03, 0.01), 120),
+        "2d-anisotropic": (_operator(g2, "anisotropic"), 2.0, 0.7, (0.1, 0.03, 0.01), 120),
+        "1d-nonsymmetric": (_operator(grid_1d(n=64), "nonsymmetric"), 1.0, 0.7, (0.1, 0.03), 120),
+        "2d-nonsymmetric": (_operator(g2s, "nonsymmetric"), 1.0, 0.7, (0.1, 0.03), 120),
+        "1d-degenerate-transport": (isotropic_operator(grid_1d(n=256), a=0.0), 1.0, 1.0, (0.1, 0.03, 0.01, 3e-3, 1e-3), 200),
+    }
+
+
+@pytest.mark.parametrize("name", list(_newton_cases()))
+def test_inexact_newton_matches_direct_newton(name):
+    op, f, s, schedule, max_iters = _newton_cases()[name]
+    grid = op.grid
+    src, thr = constant_source(grid, f), constant_threshold(grid, 1.0)
+    q = default_q(grid.dim, s)
+    lagged = _LaggedInverse()
+    u_ref = u = np.zeros(int(grid.masks().inside.sum()))
+    iters = 0
+    for eps in schedule:
+        cfg = SolverConfig(eps=eps, max_iters=max_iters)
+        prob = _PenaltyProblem(op, src, thr, s, eps, q)
+        assert prob.symmetric == ("nonsymmetric" not in name)
+        u_ref, ok_ref, _ = _reference_newton(prob, u_ref, cfg)
+        u, stop, it, _, _ = _run_newton(prob, u, cfg, lagged)
+        assert ok_ref and stop == "converged", eps
+        assert np.linalg.norm(u - u_ref) <= 1e-7 * np.linalg.norm(u_ref), eps
+        iters += it
+    assert lagged.krylov > 0
+    if name == "2d-isotropic":
+        assert lagged.jacobians < iters
+    if "degenerate" in name:
+        # past the first Newton step, the a = 0 cold start assembles again
+        assert lagged.jacobians >= 2
+
+
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_fft_pair_is_the_gradient_matrix(grid):
+    s = 0.7
+    fft = _omega_fft(grid, s)
+    G = _gradient_matrix(grid, s)
+    d, N, m = G.shape
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=m)
+    w = rng.normal(size=(d, N))
+    Gv = G.reshape(d * N, m) @ v
+    assert np.linalg.norm(fft.grad(v).ravel() - Gv) <= 1e-13 * np.linalg.norm(Gv)
+    lhs, rhs = float(np.sum(fft.grad(v) * w)), float(v @ fft.adjoint(w))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Gv) * np.linalg.norm(w)
+    GTw = w.ravel() @ G.reshape(d * N, m)
+    assert np.linalg.norm(fft.adjoint(w) - GTw) <= 1e-13 * np.linalg.norm(GTw)
+    assert _omega_fft(grid, s) is fft
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "anisotropic", "nonsymmetric", "degenerate"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_matrix_free_linearization_is_the_jacobian(grid, kind):
+    prob, u = _active_problem(grid, kind)
+    p = prob.grad(u)
+    J = prob.jacobian(u, p)
+    apply, diag = prob.linearization(p)
+    assert np.linalg.norm(diag - J.diagonal()) <= 1e-12 * np.linalg.norm(J.diagonal())
+    v = np.random.default_rng(5).normal(size=prob.m)
+    assert np.linalg.norm(apply(v) - J @ v) <= 1e-12 * np.linalg.norm(J @ v)
+
+
+def test_solution_notes_name_the_stop_and_the_work():
+    g, op, src, thr = torsion_setup()
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
+    stop, jac, kry = sol.notes
+    assert stop == "stop=converged"
+    # the cold start walks 0.1, 0.025, 0.01 and assembles only at its first step
+    assert jac == "jacobians=1" and int(kry.split("=")[1]) > 0
+    zero = solve_fixed_eps(op, constant_source(g, 0.0), thr, 1.0, SolverConfig(eps=0.1))
+    assert zero.notes == ("stop=converged", "jacobians=0", "krylov=0")
+    # the later stages of a continuation reuse the first stage's inverse
+    stages = continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=(0.1, 0.03, 0.01)))
+    assert [sol.notes[1] for _, sol, _ in stages] == ["jacobians=1", "jacobians=0", "jacobians=0"]
+    stops = {
+        "budget": SolverConfig(eps=0.1, max_iters=2),
+        "stagnated": SolverConfig(eps=0.1, newton_tol=1e-30),  # below the rounding floor
+        "damping": SolverConfig(eps=0.1, min_step=2.0),  # no trial step is ever taken
+    }
+    for stop, cfg in stops.items():
+        sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
+        assert sol.notes[0] == f"stop={stop}" and not sol.converged
+
+
+def test_failed_continuation_names_its_stop_reason():
+    g, op, src, thr = torsion_setup()
+    with pytest.raises(RuntimeError, match=r"eps=0.1 failed to converge: stop=budget after 2 Newton iterations, residual"):
+        continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=(0.1, 0.01), max_iters=2))
+
+
+def test_concurrent_solves_share_no_state():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    g, op, src, thr = torsion_setup(n=64)
+    cfg = SolverConfig(eps_schedule=(0.1, 0.01, 1e-3))
+    jobs = [(src, 0.7), (src, 0.9), (constant_source(g, 1.5), 0.8), (src, 1.0), (src, 0.7)]
+
+    def solve(job):
+        return continuation_solve(op, job[0], thr, job[1], cfg)[-1][1].u.values
+
+    serial = [solve(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(solve, job) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert a.tobytes() == b.tobytes()
