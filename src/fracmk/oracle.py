@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField
-from .penalty import Solution, _assemble_rhs, _gradient_matrix, _omega_fft, _scatter, _weighted_gram
+from .penalty import Solution, _assemble_rhs, _omega_fft, _scatter, _weighted_gram
 from .riesz import _as_s
 
 
@@ -132,7 +132,8 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     grid = op.grid
     hd = grid.cell_volume
     mask = grid.masks().inside
-    G = _gradient_matrix(grid, s)
+    fft = _omega_fft(grid, s)
+    G = fft.G
     d, N, m = G.shape
     Q = _weighted_gram(G, op.A.reshape(d, d, N))
     unk = np.flatnonzero(mask.ravel())
@@ -142,7 +143,7 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     ridge_added = bool(degenerate.any())
     if ridge_added:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
-    return Q, _assemble_rhs(src, _omega_fft(grid, s), hd), G, unk, ridge_added
+    return Q, _assemble_rhs(src, fft, hd), G, unk, ridge_added
 
 
 def _package(grid, s, uvec, lam_flat, unk, G, converged, iters, gap, notes=()):

@@ -39,7 +39,7 @@ resident memory and ~0.3 s, more than some whole solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -169,7 +169,9 @@ class _OmegaFFT:
     gathered on the nodes: both are products with sigma_a = rfftn(kern_a)
     and equal the dense products to rounding.  The diagonal of
     G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered
-    the same way.  Immutable, so concurrent solves can share one.
+    the same way.  Immutable but for the dense G, which is built on first
+    use (two concurrent first uses may both build it, to equal arrays), so
+    concurrent solves can share one.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -186,6 +188,24 @@ class _OmegaFFT:
         self.sigma_conj = self.sigma.conj()
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
         self.prod_conj = np.stack([np.fft.rfftn(kern[a] * kern[b]) for a, b in self.pairs]).conj()
+        self._G = None
+
+    @property
+    def G(self) -> np.ndarray:
+        """The dense D^s of the nodal basis, shape (d, n^d, m), read-only."""
+        if self._G is None:
+            d, N, m = self.d, self.kern[0].size, self.nodes.size
+            if d * N * m > 6e7:
+                raise ValueError("dense gradient matrix would be too large for this grid")
+            axes = tuple(range(1, d + 1))
+            G = np.empty((d, N, m))
+            for i, node in enumerate(zip(*np.unravel_index(self.nodes, self.shape))):
+                # D^s is a lattice convolution: the column of a node is the
+                # kernel shifted onto it
+                G[:, :, i] = np.roll(self.kern, node, axis=axes).reshape(d, N)
+            G.flags.writeable = False
+            self._G = G
+        return self._G
 
     def _gather(self, spectrum: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spectrum, s=self.shape, axes=self.axes).ravel()[self.nodes]
@@ -214,27 +234,15 @@ def _omega_fft(grid: GridSpec, s: float) -> _OmegaFFT:
     return _OmegaFFT(grid, s)
 
 
-@lru_cache(maxsize=8)
 def _gradient_matrix(grid: GridSpec, s: float) -> np.ndarray:
-    """Dense D^s of the Omega-node basis: shape (d, n^d, m), via kernel shifts.
+    """Dense D^s of the Omega-node basis, (d, n^d, m): _omega_fft(grid, s).G."""
+    return _omega_fft(grid, s).G
 
-    Memoised per (grid, s) in a bounded cache, so the array is read-only.
-    """
-    mask = grid.masks().inside
-    n, d = grid.points_per_axis, grid.dim
-    nodes = np.argwhere(mask)
-    N = n**d
-    if d * N * len(nodes) > 6e7:
-        raise ValueError("dense gradient matrix would be too large for this grid")
-    kern = _omega_fft(grid, s).kern
-    axes = tuple(range(1, d + 1))
-    cols = np.empty((d, N, len(nodes)))
-    for i, node in enumerate(nodes):
-        # D^s is a lattice convolution: the column of a node is the kernel
-        # shifted onto it
-        cols[:, :, i] = np.roll(kern, tuple(node), axis=axes).reshape(d, N)
-    cols.flags.writeable = False
-    return cols
+
+# One cache per (grid, s) holds the FFT pair and the dense G; it is counted
+# and cleared under either name.
+_gradient_matrix.cache_info = _omega_fft.cache_info
+_gradient_matrix.cache_clear = _omega_fft.cache_clear
 
 
 # Box nodes per block of the weighted Gram.  A block's Z holds d * 512 * m
@@ -306,11 +314,6 @@ class _PenaltyProblem:
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
 
-    @cached_property
-    def G(self) -> np.ndarray:
-        """The dense D^s of the nodal basis, (d, N, m): built only on request."""
-        return _gradient_matrix(self.grid, self.s)
-
     def grad(self, u: np.ndarray) -> np.ndarray:
         return self.fft.grad(u)
 
@@ -370,12 +373,13 @@ class _PenaltyProblem:
     def jacobian(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         """The dense Newton Jacobian, (m, m)."""
         p = self.grad(u) if p is None else p
-        J = _weighted_gram(self.G, self.flux_derivative(p))
+        G = self.fft.G
+        J = _weighted_gram(G, self.flux_derivative(p))
         # d/du of the convection term G^T (dvec u) and of b . D^s u
         for a in range(self.d):
             dv, ba = self.dvec_flat[a, self.unk_box_index], self.b_at[a]
             if dv.any() or ba.any():
-                Ga = self.G[a][self.unk_box_index]
+                Ga = G[a][self.unk_box_index]
                 J += Ga.T * dv[None, :] + ba[:, None] * Ga
         J[np.diag_indices_from(J)] += self.c_at
         J *= self.hd
