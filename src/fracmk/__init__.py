@@ -1,6 +1,6 @@
 """Transport potentials and densities under fractional gradient constraints.
 
-A numpy/scipy library for the constrained variational system
+A numpy library for the constrained variational system
 
     L^s u - D^s.(lambda D^s u) = f - D^s.f_vec,
     |D^s u| <= g,  lambda >= 0,  lambda (|D^s u| - g) = 0,

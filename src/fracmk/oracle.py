@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField
-from .penalty import Solution, _assemble_rhs, _omega_fft, _scatter, _weighted_gram
+from .penalty import Solution, _assemble_rhs, _omega_fft, _scatter
 from .riesz import _as_s
 
 
@@ -116,8 +116,11 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 
 
 def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
-    """Q, rhs of the discrete energy 1/2 u'Qu - rhs'u over Omega nodes.
+    """Q, rhs of the discrete energy 1/2 u'Qu - rhs'u over Omega nodes, and K.
 
+    K is the dense D^s of the Omega-node basis, (d N, m): the oracles apply
+    it and K^T at every iteration, where dense products beat the FFT pair.
+    Q is assembled from the same column blocks as the penalty Jacobian.
     Requires the symmetric convex case.  Where A and c both vanish at some
     Omega node, the principal part is degenerate there and Q can be
     singular, so a 1e-8 mass ridge keeps it positive definite (noted on the
@@ -131,25 +134,30 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
         raise ValueError("oracle solvers require symmetric A")
     grid = op.grid
     hd = grid.cell_volume
-    mask = grid.masks().inside
     fft = _omega_fft(grid, s)
-    G = fft.G
-    d, N, m = G.shape
-    Q = _weighted_gram(G, op.A.reshape(d, d, N))
-    unk = np.flatnonzero(mask.ravel())
+    d, N, m = grid.dim, fft.N, fft.nodes.size
+    if d * N * m > 6e7:
+        raise ValueError("dense gradient matrix would be too large for this grid")
+    A = op.A.reshape(d, d, N)
+    K = np.empty((d * N, m))
+    Q = np.empty((m, m))
+    for j, P in fft.column_blocks():
+        K[:, j] = P.reshape(P.shape[0], -1).T
+        Q[:, j] = fft.adjoint(np.einsum("abN,kbN->kaN", A, P)).T
+    unk = fft.nodes
     Q[np.diag_indices_from(Q)] += op.c.ravel()[unk]
     Q *= hd
     degenerate = np.all(op.A.reshape(d * d, N)[:, unk] == 0.0, axis=0) & (op.c.ravel()[unk] == 0.0)
     ridge_added = bool(degenerate.any())
     if ridge_added:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
-    return Q, _assemble_rhs(src, fft, hd), G, unk, ridge_added
+    return Q, _assemble_rhs(src, fft, hd), K, unk, ridge_added
 
 
-def _package(grid, s, uvec, lam_flat, unk, G, converged, iters, gap, notes=()):
+def _package(grid, s, uvec, lam_flat, unk, K, converged, iters, gap, notes=()):
     N = int(np.prod(grid.shape))
     u_field = ScalarField(grid, _scatter(uvec, unk, N).reshape(grid.shape))
-    du = (G.reshape(-1, uvec.size) @ uvec).reshape((grid.dim,) + grid.shape)
+    du = (K @ uvec).reshape((grid.dim,) + grid.shape)
     lam = lam_flat.reshape(grid.shape)
     return Solution(
         u=u_field,
@@ -168,7 +176,7 @@ def _package(grid, s, uvec, lam_flat, unk, G, converged, iters, gap, notes=()):
 def direct_linear_solve(op: OperatorData, src: SourceData, s) -> ScalarField:
     """Unconstrained solve L u = F (symmetric case), as a cross-check."""
     sv = _as_s(s)
-    Q, rhs, G, unk, _ = _quadratic_pieces(op, src, sv)
+    Q, rhs, _, unk, _ = _quadratic_pieces(op, src, sv)
     uvec = np.linalg.solve(Q, rhs)
     N = int(np.prod(op.grid.shape))
     return ScalarField(op.grid, _scatter(uvec, unk, N).reshape(op.grid.shape))
@@ -207,11 +215,10 @@ def pdhg_solve(
     sv = _as_s(s)
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, G, unk, ridge = _quadratic_pieces(op, src, sv)
-    d, N, m = G.shape
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, sv)
     g_flat = thr.g.ravel()
+    d, N, m = grid.dim, g_flat.size, rhs.size
 
-    K = G.reshape(d * N, m)
     # power iteration for ||K||
     v = np.ones(m) / np.sqrt(m)
     for _ in range(50):
@@ -277,7 +284,7 @@ def pdhg_solve(
     lam_flat = _mag(y) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
-    return _package(grid, sv, uvec, lam_flat, unk, G, converged, it, float(gap), notes)
+    return _package(grid, sv, uvec, lam_flat, unk, K, converged, it, float(gap), notes)
 
 
 def brute_force_qp(
@@ -294,25 +301,28 @@ def brute_force_qp(
     slack (|D^s u|^2 - g^2)/2, so each inner problem is a linear solve; the
     outer loop is gradient ascent on the concave dual, projected onto the
     nonnegative cone, with adaptive step control.  Implementation shares
-    nothing with the penalty or PDHG iterations beyond the assembled Q.
+    nothing with the penalty or PDHG iterations beyond the assembled Q and K.
+
+    notes starts with "stop=<reason>": certified (the duality gap met tol),
+    budget (max_outer iterations ran out) or step (the ascent step fell
+    below 1e-14 without raising the dual).
     """
     sv = _as_s(s)
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, G, unk, ridge = _quadratic_pieces(op, src, sv)
-    d, N, m = G.shape
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, sv)
     g_flat = thr.g.ravel()
+    d, N = grid.dim, g_flat.size
 
     # a degenerate principal part needs a positive multiplier start, or the
     # first inner solve runs on the 1e-8 ridge alone and explodes
     lam = np.ones(N) if ridge else np.zeros(N)
 
-    eye = np.eye(d)[:, :, None]
-
     def inner(lam_vec):
-        Qeff = Q + hd * _weighted_gram(G, eye * lam_vec)
+        # the multiplier weighs every component of D^s u alike: C = lam I
+        Qeff = Q + hd * (K.T @ (np.tile(lam_vec, d)[:, None] * K))
         uvec = np.linalg.solve(Qeff, rhs)
-        p = (G.reshape(d * N, m) @ uvec).reshape(d, N)
+        p = (K @ uvec).reshape(d, N)
         psi = 0.5 * (np.sum(p**2, axis=0) - g_flat**2)
         # at the inner minimizer Qeff u = rhs, so the Lagrangian collapses
         # to -1/2 rhs.u - (h^d/2) sum lam g^2
@@ -323,6 +333,7 @@ def brute_force_qp(
     uvec, p, psi, dual = inner(lam)
     gap, primal = np.inf, 0.0
     it = 0
+    stop = "budget"
     while it < max_outer:
         it += 1
         lam_new = np.maximum(0.0, lam + step * psi)
@@ -333,6 +344,7 @@ def brute_force_qp(
         else:
             step *= 0.5
             if step < 1e-14:
+                stop = "step"
                 break
             continue
         if it % 20 == 0:
@@ -342,10 +354,11 @@ def brute_force_qp(
             primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
             gap = primal - dual
             if gap <= tol * (1 + abs(primal)):
+                stop = "certified"
                 break
 
     mag = np.sqrt(np.sum(p**2, axis=0))
     tstar = _feasible_scaling(mag, g_flat)
-    notes = ("mass-ridge-1e-8",) if ridge else ()
+    notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
     converged = gap <= tol * (1 + abs(primal))
-    return _package(grid, sv, tstar * uvec, lam, unk, G, converged, it, float(gap), notes)
+    return _package(grid, sv, tstar * uvec, lam, unk, K, converged, it, float(gap), notes)

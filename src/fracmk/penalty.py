@@ -17,10 +17,11 @@ KKT diagnostics to the complementarity system.
 Unknowns are the values of u at the Omega-interior nodes, so membership in
 the zero-extension space is enforced strongly.  The spectral D^s is a
 lattice convolution, so the fractional gradient G of the nodal basis has
-shifts of one real kernel as columns.  G v and G^T w are applied by FFT
-(_OmegaFFT, built once per (grid, s)); the dense G is assembled only on
-request.  The nodal weak residual is written once, in _PenaltyProblem, and
-both the Newton iteration and the KKT report use it.
+shifts of one real kernel as columns.  One operator per (grid, s),
+_OmegaFFT, applies G v and G^T w by FFT and hands out blocks of those
+columns; G itself is never stored.  The nodal weak residual is written
+once, in _PenaltyProblem, and the Newton iteration, its Jacobian and the
+KKT report all use it.
 
 Each Newton system J s = -r is solved inexactly by preconditioned CG (GMRES
 when the form is not symmetric) to an Eisenstat-Walker forcing tolerance.
@@ -28,9 +29,9 @@ J = h^d G^T C G + ... is never formed for this: J v costs a few FFTs.  The
 preconditioner is the inverse of the last assembled, damped Jacobian; it is
 kept through a continuation and its cold-start eps chain, and the dense J is
 assembled again only when the Krylov solve misses its iteration budget.
-That assembly is a weighted Gram: C's symmetric part is positive
-semidefinite, so its per-node factor L L^T gives G^T C G = Z^T Z with
-Z = L^T G, accumulated over row blocks by BLAS syrk.
+That assembly applies the same weak form to blocks of unit vectors e_j,
+with D^s e_j read off the kernel, so the dense J and the Krylov J v share
+one definition.
 
 This path imports numpy only: importing scipy.linalg alone costs ~28 MB of
 resident memory and ~0.3 s, more than some whole solves.
@@ -39,7 +40,7 @@ resident memory and ~0.3 s, more than some whole solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil
 
 import numpy as np
@@ -160,18 +161,24 @@ class KKTReport:
     r_exponent: float
 
 
+# Values per block of columns G e_j (0.5 MB): the blocked assemblies hold a
+# few arrays of this size, far under d * N * m on every grid past a few nodes.
+_BLOCK_VALUES = 1 << 16
+
+
 class _OmegaFFT:
     """D^s of nodal values on the Omega nodes, and its adjoint, by FFT.
 
-    Column i of the dense G is the real kernel kern_a = ifftn(m_a) rolled
-    onto node i, so G v is the circular convolution of kern_a with v
-    scattered onto the box, and G^T w = sum_a kern_a correlated with w_a,
-    gathered on the nodes: both are products with sigma_a = rfftn(kern_a)
-    and equal the dense products to rounding.  The diagonal of
-    G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered
-    the same way.  Immutable but for the dense G, which is built on first
-    use (two concurrent first uses may both build it, to equal arrays), so
-    concurrent solves can share one.
+    D^s is a lattice convolution: G e_i, the gradient of the basis function
+    of node i, is the real kernel kern_a = ifftn(m_a) rolled onto node i.
+    column_blocks hands out those columns, each a window into a 2x-tiled
+    copy of the kernel, so no FFT and no dense G.  G v is the circular
+    convolution of kern_a with v scattered onto the box, and
+    G^T w = sum_a kern_a correlated with w_a, gathered on the nodes: both
+    are products with sigma_a = rfftn(kern_a).  The diagonal of
+    G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered the
+    same way.  Immutable but for the KKT battery, which is built on first
+    use, so concurrent solves can share one.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -179,52 +186,59 @@ class _OmegaFFT:
         sym = riesz_symbol(grid, s)
         kern = np.stack([np.fft.ifftn(sym[j]).real for j in range(d)])
         kern.flags.writeable = False
+        self.grid = grid
         self.d = d
         self.kern = kern
         self.shape = grid.shape
+        self.N = kern[0].size
         self.axes = tuple(range(-d, 0))
         self.nodes = np.flatnonzero(grid.masks().inside.ravel())
         self.sigma = np.fft.rfftn(kern, axes=self.axes)
         self.sigma_conj = self.sigma.conj()
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
         self.prod_conj = np.stack([np.fft.rfftn(kern[a] * kern[b]) for a, b in self.pairs]).conj()
-        self._G = None
+        # the window at offset n - x of the tiled kernel is the kernel rolled onto x
+        tiled = np.tile(np.moveaxis(kern, 0, -1), (2,) * d + (1,))
+        self._windows = np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=tuple(range(d)))
+        self._offsets = tuple(n - x for n, x in zip(self.shape, np.unravel_index(self.nodes, self.shape)))
 
-    @property
-    def G(self) -> np.ndarray:
-        """The dense D^s of the nodal basis, shape (d, n^d, m), read-only."""
-        if self._G is None:
-            d, N, m = self.d, self.kern[0].size, self.nodes.size
-            if d * N * m > 6e7:
-                raise ValueError("dense gradient matrix would be too large for this grid")
-            axes = tuple(range(1, d + 1))
-            G = np.empty((d, N, m))
-            for i, node in enumerate(zip(*np.unravel_index(self.nodes, self.shape))):
-                # D^s is a lattice convolution: the column of a node is the
-                # kernel shifted onto it
-                G[:, :, i] = np.roll(self.kern, node, axis=axes).reshape(d, N)
-            G.flags.writeable = False
-            self._G = G
-        return self._G
+    def column_blocks(self):
+        """Yield (j, G e_j for the nodes j) over consecutive slices j of the
+        nodes; each block has shape (len(j), d, N) and is a fresh array."""
+        m = self.nodes.size
+        step = max(1, _BLOCK_VALUES // (self.d * self.N))
+        for j0 in range(0, m, step):
+            j = slice(j0, min(j0 + step, m))
+            yield j, np.ascontiguousarray(self._windows[tuple(o[j] for o in self._offsets)]).reshape(-1, self.d, self.N)
 
     def _gather(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spectrum, s=self.shape, axes=self.axes).ravel()[self.nodes]
+        box = np.fft.irfftn(spectrum, s=self.shape, axes=self.axes)
+        return box.reshape(box.shape[: -self.d] + (self.N,))[..., self.nodes]
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """G v, shape (d, N), for nodal values v of shape (m,)."""
-        vhat = np.fft.rfftn(_scatter(v, self.nodes, self.kern[0].size).reshape(self.shape))
+        vhat = np.fft.rfftn(_scatter(v, self.nodes, self.N).reshape(self.shape))
         return np.fft.irfftn(self.sigma * vhat, s=self.shape, axes=self.axes).reshape(self.d, -1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """G^T w on the nodes, shape (m,), for a box vector field w of shape (d, N)."""
-        what = np.fft.rfftn(w.reshape((self.d,) + self.shape), axes=self.axes)
-        return self._gather(np.sum(self.sigma_conj * what, axis=0))
+        """G^T w on the nodes, shape (..., m), for box vector fields w of shape (..., d, N)."""
+        what = np.fft.rfftn(w.reshape(w.shape[:-1] + self.shape), axes=self.axes)
+        return self._gather(np.sum(self.sigma_conj * what, axis=-self.d - 1))
 
     def gram_diag(self, C: np.ndarray) -> np.ndarray:
         """diag(sum_ab G_a^T diag(C_ab) G_b), shape (m,), for C of shape (d, d, N)."""
         sym = np.stack([C[a, a] if a == b else C[a, b] + C[b, a] for a, b in self.pairs])
         chat = np.fft.rfftn(sym.reshape((len(self.pairs),) + self.shape), axes=self.axes)
         return self._gather(np.sum(chat * self.prod_conj, axis=0))
+
+    @cached_property
+    def battery(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kkt_battery fields on the Omega nodes as rows V, and their norms
+        ||D^s v||_2 = sqrt(h^d) |G v|; read-only, built on first use."""
+        V = np.stack([v.values.ravel()[self.nodes] for v in kkt_battery(self.grid)])
+        norm_v = np.sqrt(self.grid.cell_volume * np.array([np.sum(self.grad(v) ** 2) for v in V]))
+        V.flags.writeable = norm_v.flags.writeable = False
+        return V, norm_v
 
 
 # The localize sweep solves up to 4 values of s at once; twice that keeps each
@@ -234,57 +248,9 @@ def _omega_fft(grid: GridSpec, s: float) -> _OmegaFFT:
     return _OmegaFFT(grid, s)
 
 
-def _gradient_matrix(grid: GridSpec, s: float) -> np.ndarray:
-    """Dense D^s of the Omega-node basis, (d, n^d, m): _omega_fft(grid, s).G."""
-    return _omega_fft(grid, s).G
-
-
-# One cache per (grid, s) holds the FFT pair and the dense G; it is counted
-# and cleared under either name.
-_gradient_matrix.cache_info = _omega_fft.cache_info
-_gradient_matrix.cache_clear = _omega_fft.cache_clear
-
-
-# Box nodes per block of the weighted Gram.  A block's Z holds d * 512 * m
-# values, under the size of G itself on every grid of more than 512 nodes.
-_GRAM_ROWS = 512
-
-
-def _weighted_gram(G: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sum_ab G_a^T diag(C_ab) G_b for nodal coefficients C of shape (d, d, N).
-
-    The symmetric part of C must be positive semidefinite at every node
-    (rounding-level negative eigenvalues are clamped to 0).  It is factored
-    per node as L L^T, which turns its sum into Z^T Z with
-    Z_c = sum_a L_ac G_a; Z is formed one block of box rows at a time and
-    numpy sends each Z_blk^T Z_blk to BLAS syrk.  A skew part of C, when
-    present, adds G_a^T (K_ab G_b) - transpose over a < b.
-    """
-    d, N, m = G.shape
-    Cn = np.moveaxis(C, -1, 0)  # (N, d, d)
-    w, V = np.linalg.eigh(0.5 * (Cn + np.swapaxes(Cn, 1, 2)))
-    L = V * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-    K = 0.5 * (C - np.swapaxes(C, 0, 1))
-    skew = [(a, b) for a in range(d) for b in range(a + 1, d) if np.any(K[a, b])]
-    J = np.zeros((m, m))
-    X = np.zeros((m, m)) if skew else None
-    for r0 in range(0, N, _GRAM_ROWS):
-        rows = slice(r0, min(r0 + _GRAM_ROWS, N))
-        Gb = G[:, rows]
-        Z = np.empty((d, Gb.shape[1], m))
-        np.einsum("nac,anm->cnm", L[rows], Gb, out=Z)
-        Z = Z.reshape(-1, m)
-        J += Z.T @ Z
-        for a, b in skew:
-            X += Gb[a].T @ (K[a, b, rows, None] * Gb[b])
-    if skew:
-        J += X - X.T
-    return J
-
-
 def _assemble_rhs(src: SourceData, fft: _OmegaFFT, hd: float) -> np.ndarray:
     """h^d (f_sharp + (D^s)^T f_vec) on the Omega nodes."""
-    return hd * (src.f_sharp.ravel()[fft.nodes] + fft.adjoint(src.f_vec))
+    return hd * (src.f_sharp.ravel()[fft.nodes] + fft.adjoint(src.f_vec.reshape(fft.d, -1)))
 
 
 class _PenaltyProblem:
@@ -310,6 +276,8 @@ class _PenaltyProblem:
         self.dvec_flat = op.dvec.reshape(self.d, -1)
         self.c_at = op.c[self.mask]
         self.unk_box_index = self.fft.nodes
+        # where b and dvec vanish on Omega their terms add only zeros: skip them
+        self.convective = bool(np.any(self.b_at) or np.any(self.dvec_flat[:, self.unk_box_index]))
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
@@ -323,11 +291,16 @@ class _PenaltyProblem:
         return k, apen
 
     def _weak_form(self, u: np.ndarray, p: np.ndarray, flux: np.ndarray) -> np.ndarray:
-        """h^d [G^T (flux + dvec u) + b . p + c u] on the Omega nodes, p = D^s u."""
-        flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[None]
+        """h^d [G^T (flux + dvec u) + b . p + c u] on the Omega nodes, p = D^s u.
+
+        u (..., m), p and flux (..., d, N) may share leading batch axes.
+        """
+        if self.convective:
+            flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[..., None, :]
         out = self.fft.adjoint(flux)
-        out = out + np.sum(self.b_at * p[:, self.unk_box_index], axis=0) + self.c_at * u
-        return self.hd * out
+        if self.convective:
+            out += np.sum(self.b_at * p[..., self.unk_box_index], axis=-2)
+        return self.hd * (out + self.c_at * u)
 
     def weak_residual(self, u: np.ndarray, p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """h^d [G^T (A p + coeff p + dvec u) + b . p + c u] - rhs on the Omega nodes.
@@ -371,18 +344,21 @@ class _PenaltyProblem:
         return C
 
     def jacobian(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        """The dense Newton Jacobian, (m, m)."""
+        """The dense Newton Jacobian, (m, m): column j is the linearized weak
+        form at e_j, with D^s e_j a column of G, taken a block at a time."""
         p = self.grad(u) if p is None else p
-        G = self.fft.G
-        J = _weighted_gram(G, self.flux_derivative(p))
-        # d/du of the convection term G^T (dvec u) and of b . D^s u
-        for a in range(self.d):
-            dv, ba = self.dvec_flat[a, self.unk_box_index], self.b_at[a]
-            if dv.any() or ba.any():
-                Ga = G[a][self.unk_box_index]
-                J += Ga.T * dv[None, :] + ba[:, None] * Ga
-        J[np.diag_indices_from(J)] += self.c_at
-        J *= self.hd
+        C = self.flux_derivative(p)
+        J = np.empty((self.m, self.m))
+        for j, P in self.fft.column_blocks():
+            E = np.zeros((P.shape[0], self.m))
+            E[:, j] = np.eye(P.shape[0])
+            J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
+        if self.symmetric:
+            # FFT rounding leaves J asymmetric at 1e-16, which inv(J) can
+            # amplify by cond(J) (1e18 at a degenerate cold start): PCG needs
+            # an exactly symmetric preconditioner
+            J += J.T
+            J *= 0.5
         return J
 
     def linearization(self, p: np.ndarray):
@@ -400,8 +376,8 @@ class _PenaltyProblem:
 
 
 def _scatter(u: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
-    out = np.zeros(N)
-    out[idx] = u
+    out = np.zeros(u.shape[:-1] + (N,))
+    out[..., idx] = u
     return out
 
 
@@ -747,7 +723,8 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     so D^s v = G v|_Omega and L(u, v) + <coeff D^s u, D^s v> - F(v) equals
     r . v|_Omega exactly: with the battery as the rows of V (restricted to
     Omega), V r tests all fields at once, and each is scaled by
-    ||D^s v||_2 = sqrt(h^d) |G v|_Omega|.  G is applied by FFT throughout.
+    ||D^s v||_2 = sqrt(h^d) |G v|_Omega|.  G is applied by FFT throughout, and
+    V and the norms are built once per (grid, s), on the shared operator.
     """
     grid = op.grid
     mask = grid.masks().inside
@@ -766,8 +743,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     k_l1 = hd * float(np.sum(np.abs(lam)))
     psi_l1 = hd * float(np.sum(np.sqrt(np.sum(sol.psi.values**2, axis=0))))
 
-    V = np.stack([v.values[mask] for v in kkt_battery(grid)])
-    norm_v = np.sqrt(hd * np.array([np.sum(prob.grad(v) ** 2) for v in V]))
+    V, norm_v = prob.fft.battery
     # oracle solutions carry eps = 0 (no regularization term)
     eps_coeff = sol.eps * np.maximum(mag, 1e-150) ** (sol.q - 2) if sol.eps > 0 else 0.0
     r_eq = prob.weak_residual(u, p, lam)

@@ -376,8 +376,11 @@ def run_dependence(cfg: RunConfig, outdir: str | Path | None = None) -> list[dic
 
 
 def _verify_kernel_norms(rows, rng):
-    from scipy.integrate import quad
-
+    # Gauss-Legendre on (0, 1), after substitutions that turn each power-law
+    # integrand smooth: r = R t^(1/alpha) on the ball, and r = R t^(-1/kappa)
+    # on the tail, whose density decays like r^(-1-kappa)
+    x, w = np.polynomial.legendre.leggauss(20)
+    t, w = (x + 1) / 2, w / 2
     param_grid = [
         (d, alpha, R)
         for d in (1, 2)
@@ -386,15 +389,18 @@ def _verify_kernel_norms(rows, rng):
     ]
     for d, alpha, R in param_grid:
         closed = kernel_norm_ball(d, alpha, R)
-        oracle = quad(lambda r: sphere_area(d) * gamma_coeff(d, alpha) * r ** (alpha - 1), 0, R)[0]
+        r = R * t ** (1 / alpha)
+        oracle = float(np.sum(w * sphere_area(d) * gamma_coeff(d, alpha) * r ** (alpha - 1) * r / (alpha * t)))
         err = abs(closed - oracle) / oracle
         rows.append(("kernel_ball", f"d={d},alpha={alpha},R={R}", err, 1e-6, err <= 1e-6))
     tail_grid = [(1, 0.25, 2.0, 1.0), (1, 0.3, 2.5, 1.5), (2, 0.5, 3.0, 1.0), (2, 0.2, 2.0, 0.7)]
     for d, alpha, p, R in tail_grid:
         pp = p / (p - 1)
         closed = kernel_norm_tail(d, alpha, p, R)
-        dens = lambda r: sphere_area(d) * (gamma_coeff(d, alpha) * r ** (alpha - d)) ** pp * r ** (d - 1)
-        oracle = quad(dens, R, np.inf)[0] ** (1 / pp)
+        kappa = pp * (d - alpha) - d
+        r = R * t ** (-1 / kappa)
+        dens = sphere_area(d) * (gamma_coeff(d, alpha) * r ** (alpha - d)) ** pp * r ** (d - 1)
+        oracle = float(np.sum(w * dens * r / (kappa * t))) ** (1 / pp)
         err = abs(closed - oracle) / oracle
         rows.append(("kernel_tail", f"d={d},alpha={alpha},p={p},R={R}", err, 1e-6, err <= 1e-6))
     balls = [kernel_norm_ball(1, a, 1.0) for a in (0.4, 0.2, 0.1, 0.05)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracmk import GridSpec, interval
+from fracmk import GridSpec, ball, interval
 from fracmk.forms import constant_source, constant_threshold, isotropic_operator
 from fracmk.oracle import (
     _feasible_scaling,
@@ -124,10 +124,9 @@ def test_pdhg_matches_analytic_torsion():
 def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.0):
     """The PDHG loop with per-iteration triangular solves, as it was before
     pdhg_solve factored its operators once; returns (u on Omega, iterations)."""
-    Q, rhs, G, unk, _ = _quadratic_pieces(op, src, s)
-    d, N, m = G.shape
+    Q, rhs, K, unk, _ = _quadratic_pieces(op, src, s)
     g_flat = thr.g.ravel()
-    K = G.reshape(d * N, m)
+    d, N, m = op.grid.dim, g_flat.size, rhs.size
     v = np.ones(m) / np.sqrt(m)
     for _ in range(50):
         w = K.T @ (K @ v)
@@ -228,6 +227,7 @@ def test_qp_torsion_matches_closed_form_to_order_h():
     src = constant_source(g, 2.0)
     thr = constant_threshold(g, 1.0)
     sol = brute_force_qp(op, src, thr, 1.0, tol=1e-8)
+    assert sol.converged and sol.notes == ("stop=certified",)
     u_ex = analytic_torsion_1d(1.0, 2.0).sample(g)[0]
     assert np.max(np.abs(sol.u.values - u_ex.values)) <= 2 * g.spacing
 
@@ -244,6 +244,28 @@ def test_qp_multiplier_matches_transport_density():
     assert lam_half == pytest.approx(0.5, abs=0.05)
     bench = analytic_mk_1d(1.0)
     assert np.max(np.abs(sol.u.values - bench.sample(g)[0].values)) <= 3 * g.spacing
+
+
+def test_qp_names_why_it_stopped_on_a_partially_degenerate_operator():
+    # A = 0 on the right half of the box, c = 0: the QP does not certify its
+    # gap within a short budget, and says so
+    g = grid_1d(64)
+    op = isotropic_operator(g, a=np.where(g.axis() > 0, 0.0, 1.0))
+    sol = brute_force_qp(op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0, tol=1e-8, max_outer=200)
+    assert not sol.converged
+    assert sol.iterations == 200
+    assert sol.notes == ("stop=budget", "mass-ridge-1e-8")
+
+
+def test_qp_matches_pdhg_in_2d():
+    # two gradient components: the QP's multiplier weighs both alike
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)
+    op, src, thr = isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0)
+    qp = brute_force_qp(op, src, thr, 0.7, tol=1e-8)
+    pd = pdhg_solve(op, src, thr, 0.7, tol=1e-8)
+    assert qp.notes == ("stop=certified",) and pd.converged
+    assert np.max(qp.lam.values) > 0.1  # the constraint binds
+    assert rel_l2(qp.u.values, pd.u.values) <= 1e-6
 
 
 def test_oracle_triangle_small_fractional():

@@ -23,7 +23,6 @@ from fracmk.forms import (
 )
 from fracmk.penalty import (
     PenaltyFn,
-    _gradient_matrix,
     _LaggedInverse,
     _omega_fft,
     _PenaltyProblem,
@@ -295,26 +294,40 @@ def test_2d_solve_smoke():
     assert sol.lam.values.min() >= 0.0
 
 
-# -- dense assembly: G columns, weighted-Gram Jacobian -------------------------
+# -- dense assembly: G columns, column-block Jacobian ---------------------------
 
 
 def grid_2d(n=16):
     return GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
 
 
-@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def _reference_gradient_matrix(grid, s):
+    """The dense G, (d, N, m): spectral gradients of the Omega unit fields."""
+    nodes = np.flatnonzero(grid.masks().inside.ravel())
+    G = np.empty((grid.dim, grid.points_per_axis**grid.dim, nodes.size))
+    for i, node in enumerate(nodes):
+        e = np.zeros(G.shape[1])
+        e[node] = 1.0
+        G[:, :, i] = frac_gradient_spectral(ScalarField(grid, e.reshape(grid.shape)), s).values.reshape(grid.dim, -1)
+    return G
+
+
+# 2D n=32 (m = 193) takes 7 blocks of columns, the last one partial
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=32)], ids=["1d", "2d", "2d-blocks"])
 def test_gradient_matrix_columns_are_spectral_gradients_of_unit_fields(grid):
     s = 0.7
-    G = _gradient_matrix(grid, s)
-    nodes = np.flatnonzero(grid.masks().inside.ravel())
-    assert G.shape == (grid.dim, grid.points_per_axis**grid.dim, nodes.size)
-    for i, node in enumerate(nodes):
-        e = np.zeros(grid.points_per_axis**grid.dim)
-        e[node] = 1.0
-        du = frac_gradient_spectral(ScalarField(grid, e.reshape(grid.shape)), s).values
-        assert np.max(np.abs(G[:, :, i] - du.reshape(grid.dim, -1))) <= 1e-13 * np.max(np.abs(G))
-    assert not G.flags.writeable
-    assert _gradient_matrix(grid, s) is G
+    fft = _omega_fft(grid, s)
+    G = _reference_gradient_matrix(grid, s)
+    blocks = list(fft.column_blocks())
+    # consecutive slices that cover every node once
+    assert [j.start for j, _ in blocks] == [0] + [j.stop for j, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == G.shape[2]
+    cols = np.concatenate([P for _, P in blocks])
+    assert cols.shape == (G.shape[2], grid.dim, G.shape[1])
+    assert np.max(np.abs(np.moveaxis(cols, 0, -1) - G)) <= 1e-13 * np.max(np.abs(G))
+    # the blocks are fresh arrays: writing one leaves the kernel and the next block alone
+    blocks[0][1][...] = 0.0
+    assert np.array_equal(next(fft.column_blocks())[1], cols[: blocks[0][1].shape[0]])
 
 
 def _reference_jacobian(prob, u):
@@ -326,7 +339,7 @@ def _reference_jacobian(prob, u):
     kp = prob.fn.derivative(mag - prob.g_flat)
     apen = k + prob.eps * magf ** (prob.q - 2)
     aniso = kp / magf + prob.eps * (prob.q - 2) * magf ** (prob.q - 4)
-    G, unk = prob.fft.G, prob.unk_box_index
+    G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.unk_box_index
     J = np.zeros((prob.m, prob.m))
     for a in range(prob.d):
         for b in range(prob.d):
@@ -379,13 +392,29 @@ def _active_problem(grid, kind, seed=0):
 
 
 @pytest.mark.parametrize("kind", ["isotropic", "anisotropic", "nonsymmetric", "degenerate"])
-@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=32)], ids=["1d", "2d", "2d-blocks"])
 def test_jacobian_matches_reference_loop(grid, kind):
     prob, u = _active_problem(grid, kind)
     assert prob.symmetric == (kind != "nonsymmetric")
     J = prob.jacobian(u)
     ref = _reference_jacobian(prob, u)
     assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_jacobian_assembly_never_holds_the_dense_gradient_matrix():
+    import tracemalloc
+
+    prob, u = _active_problem(grid_2d(n=64), "isotropic")
+    p = prob.grad(u)
+    G_bytes = 8 * prob.d * prob.N * prob.m  # 52 MB, m = 793
+    tracemalloc.start()
+    try:
+        J = prob.jacobian(u, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (prob.m, prob.m)
+    assert peak < G_bytes / 2
 
 
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
@@ -625,7 +654,7 @@ def test_inexact_newton_matches_direct_newton(name):
 def test_fft_pair_is_the_gradient_matrix(grid):
     s = 0.7
     fft = _omega_fft(grid, s)
-    G = _gradient_matrix(grid, s)
+    G = _reference_gradient_matrix(grid, s)
     d, N, m = G.shape
     rng = np.random.default_rng(4)
     v = rng.normal(size=m)
@@ -636,6 +665,9 @@ def test_fft_pair_is_the_gradient_matrix(grid):
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Gv) * np.linalg.norm(w)
     GTw = w.ravel() @ G.reshape(d * N, m)
     assert np.linalg.norm(fft.adjoint(w) - GTw) <= 1e-13 * np.linalg.norm(GTw)
+    # a leading batch axis applies the adjoint to each field
+    W = rng.normal(size=(3, d, N))
+    assert np.linalg.norm(fft.adjoint(W) - W.reshape(3, -1) @ G.reshape(d * N, m)) <= 1e-13 * np.linalg.norm(GTw) * 3
     assert _omega_fft(grid, s) is fft
 
 

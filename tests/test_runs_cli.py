@@ -123,6 +123,22 @@ def test_pdhg_solve_loads_no_scipy():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_kernel_verification_loads_no_scipy():
+    # scipy is a test-only dependency: the verify suite's kernel-norm check
+    # integrates with numpy's Gauss-Legendre rule
+    out = _fresh_python(
+        "import json, sys\n"
+        "from fracmk.runs import _verify_kernel_norms\n"
+        "rows = []\n"
+        "_verify_kernel_norms(rows, None)\n"
+        "print(json.dumps([len(rows), all(r[-1] for r in rows)]))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    *_, checks, loaded = out.splitlines()
+    assert json.loads(checks) == [18, True]
+    assert json.loads(loaded) == []
+
+
 def test_importing_the_cli_loads_no_numpy():
     # --threads sets the BLAS/FFT thread variables in main(); they only take
     # effect if numpy has not been loaded by then
@@ -169,15 +185,15 @@ def test_package_exports_resolve_to_their_submodule_objects():
         fracmk.no_such_name
 
 def test_run_localize_builds_each_gradient_matrix_once():
-    from fracmk.penalty import _gradient_matrix
+    from fracmk.penalty import _omega_fft
 
     s_list = [0.5, 0.6, 0.7, 0.8, 0.9]
     cfg = config_from_mapping(base_mapping(s_list=s_list))
-    _gradient_matrix.cache_clear()
+    _omega_fft.cache_clear()
     run_localize(cfg)
     # every stage and cold-start step of the 4 concurrent sweep points finds
-    # its matrix cached: one build per s, plus s = 1
-    assert _gradient_matrix.cache_info().misses == len(s_list) + 1
+    # its operator cached: one build per s, plus s = 1
+    assert _omega_fft.cache_info().misses == len(s_list) + 1
 
 
 def test_load_config_round_trip(tmp_path):
