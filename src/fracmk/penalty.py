@@ -276,8 +276,6 @@ class _PenaltyProblem:
         self.dvec_flat = op.dvec.reshape(self.d, -1)
         self.c_at = op.c[self.mask]
         self.unk_box_index = self.fft.nodes
-        # where b and dvec vanish on Omega their terms add only zeros: skip them
-        self.convective = bool(np.any(self.b_at) or np.any(self.dvec_flat[:, self.unk_box_index]))
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
@@ -295,12 +293,10 @@ class _PenaltyProblem:
 
         u (..., m), p and flux (..., d, N) may share leading batch axes.
         """
-        if self.convective:
-            flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[..., None, :]
+        flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[..., None, :]
         out = self.fft.adjoint(flux)
-        if self.convective:
-            out += np.sum(self.b_at * p[..., self.unk_box_index], axis=-2)
-        return self.hd * (out + self.c_at * u)
+        out = out + np.sum(self.b_at * p[..., self.unk_box_index], axis=-2) + self.c_at * u
+        return self.hd * out
 
     def weak_residual(self, u: np.ndarray, p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """h^d [G^T (A p + coeff p + dvec u) + b . p + c u] - rhs on the Omega nodes.

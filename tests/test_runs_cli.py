@@ -124,7 +124,7 @@ def test_pdhg_solve_loads_no_scipy():
 
 
 def test_kernel_verification_loads_no_scipy():
-    # scipy is a test-only dependency: the verify suite's kernel-norm check
+    # the library imports numpy only: the verify suite's kernel-norm check
     # integrates with numpy's Gauss-Legendre rule
     out = _fresh_python(
         "import json, sys\n"
