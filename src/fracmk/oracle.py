@@ -147,8 +147,7 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     unk = fft.nodes
     Q[np.diag_indices_from(Q)] += op.c.ravel()[unk]
     Q *= hd
-    degenerate = np.all(op.A.reshape(d * d, N)[:, unk] == 0.0, axis=0) & (op.c.ravel()[unk] == 0.0)
-    ridge_added = bool(degenerate.any())
+    ridge_added = op.has_degenerate_node()
     if ridge_added:
         Q[np.diag_indices_from(Q)] += 1e-8 * hd
     return Q, _assemble_rhs(src, fft, hd), K, unk, ridge_added

@@ -33,6 +33,13 @@ That assembly applies the same weak form to blocks of unit vectors e_j,
 with D^s e_j read off the kernel, so the dense J and the Krylov J v share
 one definition.
 
+A cold start at u = 0 suits a coercive operator.  Where the principal part
+degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
+u = 0 is the damping alone there (condition ~1e18), and Newton can stagnate
+from it.  Such a solve starts instead at t* w, w the solution of the
+s-Laplacian system h^d G^T G w = rhs, scaled into the constraint set where
+the penalty vanishes and J is regular.
+
 This path imports numpy only: importing scipy.linalg alone costs ~28 MB of
 resident memory and ~0.3 s, more than some whole solves.
 """
@@ -177,8 +184,9 @@ class _OmegaFFT:
     G^T w = sum_a kern_a correlated with w_a, gathered on the nodes: both
     are products with sigma_a = rfftn(kern_a).  The diagonal of
     G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered the
-    same way.  Immutable but for the KKT battery, which is built on first
-    use, so concurrent solves can share one.
+    same way, and gram reads G^T G off the kernel's autocorrelation as
+    column_blocks reads the columns.  Immutable but for the KKT battery,
+    which is built on first use, so concurrent solves can share one.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -217,7 +225,11 @@ class _OmegaFFT:
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """G v, shape (d, N), for nodal values v of shape (m,)."""
-        vhat = np.fft.rfftn(_scatter(v, self.nodes, self.N).reshape(self.shape))
+        return self.box_grad(_scatter(v, self.nodes, self.N))
+
+    def box_grad(self, v_box: np.ndarray) -> np.ndarray:
+        """G v, shape (d, N), for v scattered onto the box, shape (N,)."""
+        vhat = np.fft.rfftn(v_box.reshape(self.shape))
         return np.fft.irfftn(self.sigma * vhat, s=self.shape, axes=self.axes).reshape(self.d, -1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
@@ -230,6 +242,24 @@ class _OmegaFFT:
         sym = np.stack([C[a, a] if a == b else C[a, b] + C[b, a] for a, b in self.pairs])
         chat = np.fft.rfftn(sym.reshape((len(self.pairs),) + self.shape), axes=self.axes)
         return self._gather(np.sum(chat * self.prod_conj, axis=0))
+
+    def gram(self) -> np.ndarray:
+        """G^T G on the nodes, (m, m), built a block of columns at a time.
+
+        Its entry (i, j) is R(x_i - x_j), R = sum_a kern_a correlated with
+        itself, read from a 2x-tiled copy of R as column_blocks reads G e_j:
+        no FFT per column, and no index array larger than a block.
+        """
+        R = np.fft.irfftn(np.sum(np.abs(self.sigma) ** 2, axis=0), s=self.shape, axes=self.axes)
+        tiled = np.tile(R, (2,) * self.d)
+        coords = np.unravel_index(self.nodes, self.shape)
+        m = self.nodes.size
+        T = np.empty((m, m))
+        step = max(1, _BLOCK_VALUES // m)
+        for j0 in range(0, m, step):
+            j = slice(j0, min(j0 + step, m))
+            T[:, j] = tiled[tuple(x[:, None] + o[None, j] for x, o in zip(coords, self._offsets))]
+        return T
 
     @cached_property
     def battery(self) -> tuple[np.ndarray, np.ndarray]:
@@ -275,6 +305,10 @@ class _PenaltyProblem:
         self.b_at = op.b[:, self.mask]  # (d, m)
         self.dvec_flat = op.dvec.reshape(self.d, -1)
         self.c_at = op.c[self.mask]
+        # the weak form's coefficients, h^d folded in
+        self.hb_at = self.hd * self.b_at
+        self.hdvec = self.hd * self.dvec_flat
+        self.hc_at = self.hd * self.c_at
         self.unk_box_index = self.fft.nodes
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
@@ -288,15 +322,17 @@ class _PenaltyProblem:
         apen = k + self.eps * np.maximum(mag, 1e-150) ** (self.q - 2)
         return k, apen
 
-    def _weak_form(self, u: np.ndarray, p: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    def _weak_form(self, u: np.ndarray, p: np.ndarray, hflux: np.ndarray, u_box: np.ndarray | None = None):
         """h^d [G^T (flux + dvec u) + b . p + c u] on the Omega nodes, p = D^s u.
 
-        u (..., m), p and flux (..., d, N) may share leading batch axes.
+        hflux is h^d flux; u_box, if given, is u scattered onto the box.  u
+        (..., m), p and hflux (..., d, N) may share leading batch axes.
         """
-        flux = flux + self.dvec_flat * _scatter(u, self.unk_box_index, self.N)[..., None, :]
-        out = self.fft.adjoint(flux)
-        out = out + np.sum(self.b_at * p[..., self.unk_box_index], axis=-2) + self.c_at * u
-        return self.hd * out
+        u_box = _scatter(u, self.unk_box_index, self.N) if u_box is None else u_box
+        out = self.fft.adjoint(hflux + self.hdvec * u_box[..., None, :])
+        out += np.einsum("aj,...aj->...j", self.hb_at, p[..., self.unk_box_index])
+        out += self.hc_at * u
+        return out
 
     def weak_residual(self, u: np.ndarray, p: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """h^d [G^T (A p + coeff p + dvec u) + b . p + c u] - rhs on the Omega nodes.
@@ -306,6 +342,7 @@ class _PenaltyProblem:
         is L(u, v) + <coeff D^s u, D^s v> - F(v).
         """
         flux = np.einsum("abN,bN->aN", self.A_flat, p) + coeff[None] * p
+        flux *= self.hd
         return self._weak_form(u, p, flux) - self.rhs
 
     # residual, energy and jacobian take p = D^s u when the caller has it
@@ -344,6 +381,7 @@ class _PenaltyProblem:
         form at e_j, with D^s e_j a column of G, taken a block at a time."""
         p = self.grad(u) if p is None else p
         C = self.flux_derivative(p)
+        C *= self.hd
         J = np.empty((self.m, self.m))
         for j, P in self.fft.column_blocks():
             E = np.zeros((P.shape[0], self.m))
@@ -360,13 +398,15 @@ class _PenaltyProblem:
     def linearization(self, p: np.ndarray):
         """v -> J v and diag(J) at a point with D^s u = p, without forming J."""
         C = self.flux_derivative(p)
+        C *= self.hd
         # the convection and b terms put G_a[node i, i] = kern_a(0) on the
         # diagonal, which is 0: the symbol is odd
-        diag = self.hd * (self.fft.gram_diag(C) + self.c_at)
+        diag = self.fft.gram_diag(C) + self.hc_at
 
         def apply(v: np.ndarray) -> np.ndarray:
-            pv = self.fft.grad(v)
-            return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv))
+            v_box = _scatter(v, self.unk_box_index, self.N)
+            pv = self.fft.box_grad(v_box)
+            return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv), v_box)
 
         return apply, diag
 
@@ -466,14 +506,16 @@ def _pcg(apply, b: np.ndarray, M: np.ndarray, eta: float, budget: int):
         alpha = rz / dq
         x += alpha * d
         res -= alpha * q
-        rn = _norm(res)
-        if not np.isfinite(rn):
+        rr = res @ res
+        if not np.isfinite(rr):
             return None, k
-        if rn <= eta:
-            return nb * x, k
+        if rr <= eta**2:
+            x *= nb
+            return x, k
         z = M @ res
         rz, rz_old = res @ z, rz
-        d = z + (rz / rz_old) * d
+        d *= rz / rz_old
+        d += z
     return None, budget
 
 
@@ -518,7 +560,11 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
     min(0.1, max(0.9 (|r_k| / |r_{k-1}|)^2, 1e-10)) |r_k|.  Without an
     inverse, or when the Krylov solve fails, the damped Jacobian is
     assembled and inverted at the current point and the step is exact.
-    stop is converged, stagnated, damping or budget.
+    stop is converged, stagnated, damping or budget.  Stagnated means 15
+    accepted steps in a row made no progress: none cut |r| 1% below its
+    best, and, in the symmetric case, none lowered the energy by more than
+    its rounding granularity.  Energy descent counts because Armijo steps
+    may raise |r| for a while, as from a start where r is already small.
     """
     u = u0.copy()
     scale = 1.0 + float(np.linalg.norm(prob.rhs))
@@ -562,26 +608,32 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
         t = 1.0
         accepted = False
         slope = float(r @ step)
+        e_new = None
         while t >= cfg.min_step:
             cand = u + t * step
             p_new = prob.grad(cand)
+            if prob.symmetric:
+                # Armijo on the convex energy keeps the iteration monotone;
+                # once energy differences fall below float granularity the
+                # residual-decrease fallback takes over.  A trial that
+                # neither test can accept is rejected before its residual.
+                e_new = prob.energy(cand, p_new)
+                tiny = 1e-12 * (1 + abs(energy))
+                armijo = e_new <= energy + 1e-4 * t * slope + 0.1 * tiny
+                if not (armijo or e_new <= energy + tiny):
+                    t *= 0.5
+                    continue
             r_new = prob.residual(cand, p_new)
             rn = _norm(r_new)
             if not np.isfinite(rn):
                 t *= 0.5
                 continue
-            e_new = None
             if prob.symmetric:
-                # Armijo on the convex energy keeps the iteration monotone;
-                # once energy differences fall below float granularity the
-                # residual-decrease fallback takes over
-                e_new = prob.energy(cand, p_new)
-                tiny = 1e-12 * (1 + abs(energy))
-                ok = e_new <= energy + 1e-4 * t * slope + 0.1 * tiny
-                ok = ok or (rn <= (1 - 1e-4 * t) * rnorm and e_new <= energy + tiny)
+                ok = armijo or rn <= (1 - 1e-4 * t) * rnorm
             else:
                 ok = rn <= (1 - 1e-4 * t) * rnorm or rn <= 0.5 * cfg.newton_tol * scale
             if ok:
+                descended = prob.symmetric and e_new < energy - tiny
                 u, p, r, rprev, rnorm, energy = cand, p_new, r_new, rnorm, rn, e_new
                 accepted = True
                 break
@@ -597,11 +649,28 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
             hist.append(energy)
         if rnorm < 0.99 * best:
             best, since_best = rnorm, 0
+        elif descended:
+            since_best = 0
         else:
             since_best += 1
     if rnorm <= cfg.newton_tol * scale:
         stop = "converged"
     return u, stop, it, rnorm, tuple(hist)
+
+
+def _feasible_start(prob: _PenaltyProblem) -> np.ndarray:
+    """u0 = t* w inside the constraint set, where the penalty vanishes.
+
+    w solves the s-Laplacian system h^d G^T G w = rhs on the Omega nodes, and
+    t* = min(1, min_x g / |D^s w|).  The s-Laplacian is regular where the
+    operator degenerates, so D^s u0 is nonzero almost everywhere and so is
+    the eps |D^s u|^(q-2) term of the Jacobian; at u = 0 that term vanishes.
+    """
+    T = prob.fft.gram()
+    T *= prob.hd
+    w = np.linalg.solve(T, prob.rhs)
+    over = np.max(np.sqrt(np.sum(prob.grad(w) ** 2, axis=0)) / prob.g_flat)
+    return w / over if over > 1.0 else w
 
 
 def solve_fixed_eps(
@@ -618,11 +687,14 @@ def solve_fixed_eps(
 
     Inexact Newton (see _run_newton) with an energy line search when the
     form is symmetric (Armijo on the convex discrete energy), a
-    residual-reduction line search otherwise.  A cold start at small eps
-    first walks a short internal geometric eps chain down from 0.1, since
-    the exponential wall defeats plain Newton from zero.  `lagged` carries
-    the preconditioner from the solve that gave warm_start (continuation_solve
-    passes it); without it the first Newton step assembles the Jacobian.
+    residual-reduction line search otherwise.  Without warm_start, Newton
+    starts at u = 0, or, when the operator has a degenerate node (A = 0 and
+    c = 0 there), at the feasible s-Laplacian start of _feasible_start.  A
+    cold start at small eps first walks a short internal geometric eps chain
+    down from 0.1, since the exponential wall defeats plain Newton from
+    there.  `lagged` carries the preconditioner from the solve that gave
+    warm_start (continuation_solve passes it); without it the first Newton
+    step assembles the Jacobian.
 
     Returns the last accepted iterate, with converged=False if Newton stops
     before the tolerance.  notes holds "stop=<reason>" (converged,
@@ -644,8 +716,10 @@ def solve_fixed_eps(
     mask = grid.masks().inside
     if warm_start is not None:
         u0 = warm_start.u.values[mask]
+    elif op.has_degenerate_node():
+        u0 = _feasible_start(prob)
     else:
-        u0 = np.zeros(int(mask.sum()))
+        u0 = np.zeros(prob.m)
     u, stop, iters, rnorm, hist = _run_newton(prob, u0, cfg, lagged)
 
     p = prob.grad(u)
