@@ -138,6 +138,8 @@ class Threshold:
     def __post_init__(self):
         if self.g.shape != self.grid.shape:
             raise ValueError("g must live on the grid")
+        if not np.isfinite(self.g).all():
+            raise ValueError("g must be finite")
         if not (self.g_star > 0 and self.g_upper >= self.g_star):
             raise ValueError("need 0 < g_star <= g_upper")
         if self.g.min() < self.g_star - 1e-14 or self.g.max() > self.g_upper + 1e-14:

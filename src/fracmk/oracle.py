@@ -153,15 +153,14 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     return Q, _assemble_rhs(src, fft, hd), K, unk, ridge_added
 
 
-def _package(grid, s, uvec, lam_flat, unk, K, converged, iters, gap, notes=()):
+def _package(grid, s, uvec, du, lam_flat, unk, converged, iters, gap, notes=()):
+    """Solution from u on the Omega nodes, its D^s u (flat, d N) and lambda."""
     N = int(np.prod(grid.shape))
-    u_field = ScalarField(grid, _scatter(uvec, unk, N).reshape(grid.shape))
-    du = (K @ uvec).reshape((grid.dim,) + grid.shape)
     lam = lam_flat.reshape(grid.shape)
     return Solution(
-        u=u_field,
+        u=ScalarField(grid, _scatter(uvec, unk, N).reshape(grid.shape)),
         lam=ScalarField(grid, lam),
-        psi=VectorField(grid, lam[None] * du),
+        psi=VectorField(grid, lam[None] * du.reshape((grid.dim,) + grid.shape)),
         eps=0.0,
         q=0.0,
         s=s,
@@ -179,6 +178,12 @@ def direct_linear_solve(op: OperatorData, src: SourceData, s) -> ScalarField:
     uvec = np.linalg.solve(Q, rhs)
     N = int(np.prod(op.grid.shape))
     return ScalarField(op.grid, _scatter(uvec, unk, N).reshape(op.grid.shape))
+
+
+def _mag(p: np.ndarray, d: int) -> np.ndarray:
+    """Nodewise Euclidean norm of a (d, N) or flat (d N) lattice vector."""
+    p = p.reshape(d, -1)
+    return np.sqrt(np.einsum("kn,kn->n", p, p))
 
 
 def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
@@ -205,11 +210,11 @@ def pdhg_solve(
     lambda = |y| / (h^d g).  step_ratio skews tau/sigma toward the primal,
     which accelerates the strongly convex cases considerably.
 
-    Both linear operators the loop needs are formed once, before it starts,
-    with numpy alone: (I + tau Q)^{-1}, so each primal prox step is one
-    matrix-vector product, and chol(Q)^{-1}, which gives the dual value
-    -1/2 |chol(Q)^{-1} w|^2 at every gap check.  Raises ValueError when Q
-    is not positive definite.
+    The loop runs in z = V^T u, where Q = V diag(mu) V^T comes from one
+    numpy eigh: the prox (I + tau Q)^{-1} is the diagonal 1/(1 + tau mu),
+    the dual value -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's
+    (K V)^T y, and an iteration is two dense products with K V.  Raises
+    ValueError when Q is not positive definite.
     """
     sv = _as_s(s)
     grid = op.grid
@@ -230,60 +235,56 @@ def pdhg_solve(
     tau = step_ratio / Knorm
     sigma = 0.9 / (step_ratio * Knorm)
 
-    # numpy only: importing scipy.linalg for cho_factor would add ~28 MB
+    # numpy only: importing scipy.linalg would add ~28 MB to the process
     try:
-        Lq_inv = np.linalg.inv(np.linalg.cholesky(Q))
+        mu, V = np.linalg.eigh(Q)
     except np.linalg.LinAlgError:
-        raise ValueError("the discrete energy is not strictly convex: Q is not positive definite") from None
-    Minv = np.eye(m)
-    Minv += tau * Q
-    Minv = np.linalg.inv(Minv)
+        mu = None
+    if mu is None or not mu[0] > 0:
+        raise ValueError("the discrete energy is not strictly convex: Q is not positive definite")
+    KV = K @ V
+    rhat = V.T @ rhs
+    del Q, K
+    prox = 1.0 / (1.0 + tau * mu)
+    sigma_g, tau_rhat = sigma * g_flat, tau * rhat
 
-    def dual_value(y):
-        w = rhs - K.T @ y
-        t = Lq_inv @ w
-        return -0.5 * float(t @ t) - float(np.sum(g_flat * _mag(y)))
+    def primal_and_gap(zf, w, y):
+        # w = KV^T y; both values are those of the u-basis problem
+        primal = 0.5 * float(mu @ zf**2) - float(rhat @ zf)
+        r = rhat - w
+        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _mag(y, d))
+        return primal, primal - dual
 
-    def _mag(y):
-        return np.sqrt(np.sum(y.reshape(d, N) ** 2, axis=0))
-
-    u = np.zeros(m)
-    ubar = u.copy()
-    y = np.zeros(d * N)
+    z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(d * N)
     gap, primal = np.inf, 0.0
     it = 0
-    check_every = 50
     while it < max_iters:
         it += 1
-        ytil = y + sigma * (K @ ubar)
-        magy = _mag(ytil)
-        shrink = np.maximum(0.0, 1.0 - sigma * g_flat / np.maximum(magy, 1e-300))
-        y = (ytil.reshape(d, N) * shrink[None]).reshape(d * N)
-        u_old = u
-        u = Minv @ (u - tau * (K.T @ y) + tau * rhs)
-        ubar = 2 * u - u_old
-        if it % check_every == 0:
-            p = (K @ u).reshape(d, N)
-            tstar = _feasible_scaling(np.sqrt(np.sum(p**2, axis=0)), g_flat)
-            uf = tstar * u
-            primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
-            gap = primal - dual_value(y)
+        ytil = KV @ zbar
+        ytil *= sigma
+        ytil += y
+        shrink = np.maximum(0.0, 1.0 - sigma_g / np.maximum(_mag(ytil, d), 1e-300))
+        y = (ytil.reshape(d, N) * shrink).reshape(d * N)
+        w = KV.T @ y
+        z, z_old = (z - tau * w + tau_rhat) * prox, z
+        zbar = 2 * z - z_old
+        if it % 50 == 0:
+            zf = _feasible_scaling(_mag(KV @ z, d), g_flat) * z
+            primal, gap = primal_and_gap(zf, w, y)
             # tol = 0 disables the gap stop (the gap floor is float noise
             # around 1e-14; run the full budget for machine-accurate u)
             if tol > 0 and gap <= tol * (1.0 + abs(primal)):
                 break
 
-    p = (K @ u).reshape(d, N)
-    tstar = _feasible_scaling(np.sqrt(np.sum(p**2, axis=0)), g_flat)
-    uvec = tstar * u
+    p = KV @ z
+    tstar = _feasible_scaling(_mag(p, d), g_flat)
+    zf = tstar * z
     if not np.isfinite(gap):
-        uf = tstar * u
-        primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
-        gap = primal - dual_value(y)
-    lam_flat = _mag(y) / (hd * g_flat)
+        primal, gap = primal_and_gap(zf, w, y)
+    lam_flat = _mag(y, d) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
-    return _package(grid, sv, uvec, lam_flat, unk, K, converged, it, float(gap), notes)
+    return _package(grid, sv, V @ zf, tstar * p, lam_flat, unk, converged, it, float(gap), notes)
 
 
 def brute_force_qp(
@@ -347,8 +348,7 @@ def brute_force_qp(
                 break
             continue
         if it % 20 == 0:
-            mag = np.sqrt(np.sum(p**2, axis=0))
-            tstar = _feasible_scaling(mag, g_flat)
+            tstar = _feasible_scaling(_mag(p, d), g_flat)
             uf = tstar * uvec
             primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
             gap = primal - dual
@@ -356,8 +356,8 @@ def brute_force_qp(
                 stop = "certified"
                 break
 
-    mag = np.sqrt(np.sum(p**2, axis=0))
-    tstar = _feasible_scaling(mag, g_flat)
+    tstar = _feasible_scaling(_mag(p, d), g_flat)
     notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
     converged = gap <= tol * (1 + abs(primal))
-    return _package(grid, sv, tstar * uvec, lam, unk, K, converged, it, float(gap), notes)
+    uf = tstar * uvec
+    return _package(grid, sv, uf, K @ uf, lam, unk, converged, it, float(gap), notes)

@@ -477,18 +477,20 @@ def _verify_poincare(rows):
 def _verify_oracle_triangle(rows):
     from .forms import constant_source, constant_threshold, isotropic_operator
 
-    grid = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)
-    op = isotropic_operator(grid, a=1.0)
-    src = constant_source(grid, 2.0)
-    thr = constant_threshold(grid, 1.0)
-    for s in (1.0, 0.7):
+    grid_1d = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)
+    # the disc row checks the oracles with two components of D^s
+    grid_2d = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
+    for grid, s, params in ((grid_1d, 1.0, "s=1.0,n=64"), (grid_1d, 0.7, "s=0.7,n=64"), (grid_2d, 0.7, "d=2,s=0.7,n=32")):
+        op = isotropic_operator(grid, a=1.0)
+        src = constant_source(grid, 2.0)
+        thr = constant_threshold(grid, 1.0)
         pen = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3)))[-1][1]
         pd = pdhg_solve(op, src, thr, s, tol=1e-8)
         qp = brute_force_qp(op, src, thr, s, tol=1e-8)
         worst = 0.0
         for a, b in ((pen, pd), (pen, qp), (pd, qp)):
             worst = max(worst, float(np.linalg.norm(a.u.values - b.u.values) / np.linalg.norm(b.u.values)))
-        rows.append(("oracle_triangle", f"s={s},n=64", worst, 1e-3, worst <= 1e-3))
+        rows.append(("oracle_triangle", params, worst, 1e-3, worst <= 1e-3))
 
 
 _VERIFY_CHECKS = {

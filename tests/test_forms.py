@@ -84,6 +84,16 @@ def test_threshold_validation():
         Threshold(g, np.full(g.shape, 2.0), g_star=0.5, g_upper=1.0)
 
 
+def test_threshold_rejects_non_finite_values():
+    # NaN compares false against both bounds, so the bounds check alone lets it through
+    g = grid_1d()
+    for bad in (np.nan, np.inf):
+        vals = np.full(g.shape, 1.0)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="g must be finite"):
+            Threshold(g, vals, g_star=1.0, g_upper=1.0)
+
+
 def test_bilinear_pure_gradient_term():
     g = grid_1d()
     op = isotropic_operator(g, a=1.0)

@@ -122,8 +122,9 @@ def test_pdhg_matches_analytic_torsion():
 
 
 def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.0):
-    """The PDHG loop with per-iteration triangular solves, as it was before
-    pdhg_solve factored its operators once; returns (u on Omega, iterations)."""
+    """The PDHG loop in the u basis, with per-iteration triangular solves on
+    the Cholesky factors of I + tau Q and Q, independent of pdhg_solve's
+    eigenbasis of Q; returns (u on Omega, iterations)."""
     Q, rhs, K, unk, _ = _quadratic_pieces(op, src, s)
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
@@ -164,14 +165,15 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
 
 
 @pytest.mark.parametrize(
-    "n, a, f, s",
-    [(128, 1.0, 2.0, 1.0), (64, 1.0, 2.0, 0.7), (32, 0.0, 1.0, 1.0)],
-    ids=["torsion-s1-n128", "torsion-s0.7-n64", "degenerate-a0-n32"],
+    "dim, n, a, f, s",
+    [(1, 128, 1.0, 2.0, 1.0), (1, 64, 1.0, 2.0, 0.7), (1, 32, 0.0, 1.0, 1.0), (2, 16, 1.0, 2.0, 0.7)],
+    ids=["torsion-s1-n128", "torsion-s0.7-n64", "degenerate-a0-n32", "disc-s0.7-n16"],
 )
-def test_pdhg_matches_per_iteration_solves(n, a, f, s):
-    # factoring once changes only the rounding of each prox/dual solve: the
-    # gap checks stop at the same iteration and u agrees to rounding level
-    g = grid_1d(n)
+def test_pdhg_matches_per_iteration_solves(dim, n, a, f, s):
+    # the eigenbasis of Q changes only the rounding of each prox step and
+    # dual value: the gap checks stop at the same iteration and u agrees to
+    # rounding level
+    g = grid_1d(n) if dim == 1 else GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
     op = isotropic_operator(g, a=a)
     src, thr = constant_source(g, f), constant_threshold(g, 1.0)
     sol = pdhg_solve(op, src, thr, s, tol=1e-8)
