@@ -38,12 +38,11 @@ _EXPORTS = {
     ),
     "oracle": (
         "AnalyticBenchmark", "analytic_mk_1d", "analytic_torsion_1d", "brute_force_qp",
-        "direct_linear_solve", "pdhg_solve",
+        "pdhg_solve",
     ),
     "penalty": (
         "KKTReport", "PenaltyFn", "Solution", "SolverConfig", "continuation_solve",
-        "discrete_energy", "kkt_report", "penalized_residual", "penalty_value",
-        "solve_fixed_eps",
+        "kkt_report", "solve_fixed_eps",
     ),
     "runs": (
         "RunConfig", "config_from_mapping", "load_config", "run_dependence",

@@ -40,9 +40,6 @@ class OmegaShape:
             return self.radius
         return float(np.linalg.norm(self.halfwidths))
 
-    def diameter(self) -> float:
-        return 2.0 * self.outer_radius()
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of strict membership; points has shape (d, ...)."""
         if self.kind == "ball":
@@ -270,11 +267,11 @@ def bump(grid: GridSpec, radius: float | None = None, center: tuple[float, ...] 
     return ScalarField(grid, out)
 
 
-def random_bumps(grid: GridSpec, count: int, seed: int = 0, modes: int = 4) -> list[ScalarField]:
+def random_bumps(grid: GridSpec, count: int, seed: int = 0) -> list[ScalarField]:
     """Ensemble of random smooth fields compactly supported in Omega.
 
-    Low-frequency random cosine profiles windowed by the Omega bump; used to
-    estimate embedding constants and as test fields.
+    Sums of four low-frequency random cosines windowed by the Omega bump;
+    used to estimate embedding constants and as test fields.
     """
     rng = np.random.default_rng(seed)
     window = bump(grid).values
@@ -283,7 +280,7 @@ def random_bumps(grid: GridSpec, count: int, seed: int = 0, modes: int = 4) -> l
     fields = []
     for _ in range(count):
         profile = np.zeros(grid.shape)
-        for _ in range(modes):
+        for _ in range(4):
             kvec = rng.integers(-3, 4, size=grid.dim)
             phase = rng.uniform(0, 2 * np.pi)
             amp = rng.normal()

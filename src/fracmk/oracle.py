@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
-from .grid import GridSpec, ScalarField, VectorField
-from .penalty import Solution, _assemble_rhs, _omega_fft, _scatter
+from .grid import GridSpec, ScalarField
+from .penalty import Solution, _assemble_rhs, _omega_fft, _solution
 from .riesz import _as_s
 
 
@@ -153,33 +153,6 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
     return Q, _assemble_rhs(src, fft, hd), K, unk, ridge_added
 
 
-def _package(grid, s, uvec, du, lam_flat, unk, converged, iters, gap, notes=()):
-    """Solution from u on the Omega nodes, its D^s u (flat, d N) and lambda."""
-    N = int(np.prod(grid.shape))
-    lam = lam_flat.reshape(grid.shape)
-    return Solution(
-        u=ScalarField(grid, _scatter(uvec, unk, N).reshape(grid.shape)),
-        lam=ScalarField(grid, lam),
-        psi=VectorField(grid, lam[None] * du.reshape((grid.dim,) + grid.shape)),
-        eps=0.0,
-        q=0.0,
-        s=s,
-        converged=converged,
-        iterations=iters,
-        residual_norm=gap,
-        notes=tuple(notes),
-    )
-
-
-def direct_linear_solve(op: OperatorData, src: SourceData, s) -> ScalarField:
-    """Unconstrained solve L u = F (symmetric case), as a cross-check."""
-    sv = _as_s(s)
-    Q, rhs, _, unk, _ = _quadratic_pieces(op, src, sv)
-    uvec = np.linalg.solve(Q, rhs)
-    N = int(np.prod(op.grid.shape))
-    return ScalarField(op.grid, _scatter(uvec, unk, N).reshape(op.grid.shape))
-
-
 def _mag(p: np.ndarray, d: int) -> np.ndarray:
     """Nodewise Euclidean norm of a (d, N) or flat (d N) lattice vector."""
     p = p.reshape(d, -1)
@@ -193,6 +166,11 @@ def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
     return float(min(1.0, np.min(g[active] / p_mag[active])))
 
 
+# PDHG's tau/sigma: skewed toward the primal, which accelerates the strongly
+# convex cases considerably
+_STEP_RATIO = 10.0
+
+
 def pdhg_solve(
     op: OperatorData,
     src: SourceData,
@@ -200,15 +178,14 @@ def pdhg_solve(
     s,
     tol: float = 1e-8,
     max_iters: int = 200_000,
-    step_ratio: float = 10.0,
 ) -> Solution:
     """Primal-dual hybrid gradient for the gradient-constrained minimization.
 
     Stops when the duality gap, evaluated at the feasibility-scaled primal
     point and the always-dual-feasible shrunken y, drops below
     tol * (1 + |energy|).  The dual variable yields the multiplier estimate
-    lambda = |y| / (h^d g).  step_ratio skews tau/sigma toward the primal,
-    which accelerates the strongly convex cases considerably.
+    lambda = |y| / (h^d g).  tau/sigma is skewed toward the primal by
+    _STEP_RATIO.
 
     The loop runs in z = V^T u, where Q = V diag(mu) V^T comes from one
     numpy eigh: the prox (I + tau Q)^{-1} is the diagonal 1/(1 + tau mu),
@@ -232,8 +209,8 @@ def pdhg_solve(
             break
         v = w / nw
     Knorm = max(float(np.sqrt(np.linalg.norm(K.T @ (K @ v)))), 1e-30)
-    tau = step_ratio / Knorm
-    sigma = 0.9 / (step_ratio * Knorm)
+    tau = _STEP_RATIO / Knorm
+    sigma = 0.9 / (_STEP_RATIO * Knorm)
 
     # numpy only: importing scipy.linalg would add ~28 MB to the process
     try:
@@ -284,7 +261,10 @@ def pdhg_solve(
     lam_flat = _mag(y, d) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
-    return _package(grid, sv, V @ zf, tstar * p, lam_flat, unk, converged, it, float(gap), notes)
+    return _solution(
+        grid, unk, V @ zf, tstar * p, lam_flat,
+        eps=0.0, q=0.0, s=sv, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+    )
 
 
 def brute_force_qp(
@@ -360,4 +340,7 @@ def brute_force_qp(
     notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec
-    return _package(grid, sv, uf, K @ uf, lam, unk, converged, it, float(gap), notes)
+    return _solution(
+        grid, unk, uf, K @ uf, lam,
+        eps=0.0, q=0.0, s=sv, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+    )

@@ -48,7 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import ceil
+from math import ceil, isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -66,14 +67,16 @@ class SolverConfig:
     eps_schedule: tuple[float, ...] = ()
     newton_tol: float = 1e-8
     max_iters: int = 120
-    damping: float = 1e-11
-    min_step: float = 1e-7
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
         if self.q is not None and self.q <= 2:
             raise ValueError("q must exceed 2")
+        if not (isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be finite and positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral) or self.max_iters < 0:
+            raise ValueError("max_iters must be an integer >= 0")
         sched = tuple(float(e) for e in self.eps_schedule)
         if sched:
             if any(not 0 < e < 1 for e in sched):
@@ -130,12 +133,6 @@ class PenaltyFn:
         if np.any(over):
             out = out + np.where(over, ks * (r**2 - (g + tc) ** 2) / 2, 0.0)
         return out
-
-
-def penalty_value(eps: float, t):
-    """k_eps(t) and its derivative (vectorized)."""
-    fn = PenaltyFn(eps)
-    return fn.value(t), fn.derivative(t)
 
 
 @dataclass(frozen=True)
@@ -289,12 +286,10 @@ class _PenaltyProblem:
     def __init__(self, op: OperatorData, src: SourceData, thr: Threshold, s: float, eps: float, q: float):
         grid = op.grid
         self.grid = grid
-        self.mask = grid.masks().inside
         self.hd = grid.cell_volume
         self.fft = _omega_fft(grid, s)
-        self.d, self.N, self.m = grid.dim, self.mask.size, self.fft.nodes.size
-        self.op = op
-        self.thr = thr
+        nodes = self.fft.nodes
+        self.d, self.N, self.m = grid.dim, self.fft.N, nodes.size
         self.s = s
         self.eps = eps
         self.q = q
@@ -302,14 +297,13 @@ class _PenaltyProblem:
         self.g_flat = thr.g.ravel()
         self.rhs = _assemble_rhs(src, self.fft, self.hd)
         self.A_flat = op.A.reshape(self.d, self.d, -1)
-        self.b_at = op.b[:, self.mask]  # (d, m)
+        self.b_at = op.b.reshape(self.d, -1)[:, nodes]  # (d, m)
         self.dvec_flat = op.dvec.reshape(self.d, -1)
-        self.c_at = op.c[self.mask]
+        self.c_at = op.c.ravel()[nodes]
         # the weak form's coefficients, h^d folded in
         self.hb_at = self.hd * self.b_at
         self.hdvec = self.hd * self.dvec_flat
         self.hc_at = self.hd * self.c_at
-        self.unk_box_index = self.fft.nodes
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
@@ -328,9 +322,9 @@ class _PenaltyProblem:
         hflux is h^d flux; u_box, if given, is u scattered onto the box.  u
         (..., m), p and hflux (..., d, N) may share leading batch axes.
         """
-        u_box = _scatter(u, self.unk_box_index, self.N) if u_box is None else u_box
+        u_box = _scatter(u, self.fft.nodes, self.N) if u_box is None else u_box
         out = self.fft.adjoint(hflux + self.hdvec * u_box[..., None, :])
-        out += np.einsum("aj,...aj->...j", self.hb_at, p[..., self.unk_box_index])
+        out += np.einsum("aj,...aj->...j", self.hb_at, p[..., self.fft.nodes])
         out += self.hc_at * u
         return out
 
@@ -355,7 +349,7 @@ class _PenaltyProblem:
         p = self.grad(u) if p is None else p
         mag = np.sqrt(np.sum(p**2, axis=0))
         quad = 0.5 * np.sum(np.einsum("abN,bN->aN", self.A_flat, p) * p)
-        conv = np.sum(self.dvec_flat[:, self.unk_box_index] * p[:, self.unk_box_index] * u[None])
+        conv = np.sum(self.dvec_flat[:, self.fft.nodes] * p[:, self.fft.nodes] * u[None])
         low = 0.5 * np.sum(self.c_at * u**2)
         pen = np.sum(self.fn.antiderivative_radial(mag, self.g_flat))
         reg = (self.eps / self.q) * np.sum(np.maximum(mag, 0.0) ** self.q)
@@ -404,7 +398,7 @@ class _PenaltyProblem:
         diag = self.fft.gram_diag(C) + self.hc_at
 
         def apply(v: np.ndarray) -> np.ndarray:
-            v_box = _scatter(v, self.unk_box_index, self.N)
+            v_box = _scatter(v, self.fft.nodes, self.N)
             pv = self.fft.box_grad(v_box)
             return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv), v_box)
 
@@ -417,47 +411,25 @@ def _scatter(u: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def penalized_residual(
-    u: ScalarField,
-    op: OperatorData,
-    src: SourceData,
-    thr: Threshold,
-    s,
-    cfg: SolverConfig,
-) -> ScalarField:
-    """Weak residual of the penalized equation against the nodal basis.
-
-    The returned field holds, at each Omega node, the partial derivative of
-    the discrete energy with respect to that nodal value (zero elsewhere);
-    it vanishes at the solution.
-    """
-    sv = _as_s(s)
-    q = cfg.q if cfg.q is not None else default_q(op.grid.dim, sv)
-    prob = _PenaltyProblem(op, src, thr, sv, cfg.eps, q)
-    mask = op.grid.masks().inside
-    r = prob.residual(u.values[mask])
-    if not np.isfinite(r).all():
-        raise FloatingPointError("non-finite penalized flux")
-    out = np.zeros(op.grid.shape)
-    out[mask] = r
-    return ScalarField(op.grid, out)
+def _solution(
+    grid: GridSpec, nodes: np.ndarray, u: np.ndarray, p: np.ndarray, lam: np.ndarray, **diagnostics
+) -> Solution:
+    """The Solution of u on the Omega nodes, p = D^s u on the box ((d, N) or
+    flat) and lambda per box node: u is scattered onto the box, and the flux
+    is psi = lambda D^s u.  diagnostics are the remaining Solution fields."""
+    lam = lam.reshape(grid.shape)
+    return Solution(
+        u=ScalarField(grid, _scatter(u, nodes, lam.size).reshape(grid.shape)),
+        lam=ScalarField(grid, lam),
+        psi=VectorField(grid, lam * p.reshape((grid.dim,) + grid.shape)),
+        **diagnostics,
+    )
 
 
-def discrete_energy(
-    u: ScalarField,
-    op: OperatorData,
-    src: SourceData,
-    thr: Threshold,
-    s,
-    cfg: SolverConfig,
-) -> float:
-    """Discrete energy whose gradient is the penalized weak residual
-    (meaningful as a merit function in the symmetric case)."""
-    sv = _as_s(s)
-    q = cfg.q if cfg.q is not None else default_q(op.grid.dim, sv)
-    prob = _PenaltyProblem(op, src, thr, sv, cfg.eps, q)
-    return prob.energy(u.values[op.grid.masks().inside])
-
+# Newton damps the Jacobian diagonal by at least _DAMPING (1 + |J_ii|), and
+# rejects a search direction once the line search falls below _MIN_STEP
+_DAMPING = 1e-11
+_MIN_STEP = 1e-7
 
 # Krylov iterations a Newton step may take before the Jacobian is assembled again
 _KRYLOV_BUDGET = 40
@@ -569,7 +541,7 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
     u = u0.copy()
     scale = 1.0 + float(np.linalg.norm(prob.rhs))
     hist = []
-    damping = cfg.damping
+    damping = _DAMPING
     p = prob.grad(u)
     r = prob.residual(u, p)
     rnorm = _norm(r)
@@ -609,7 +581,7 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
         accepted = False
         slope = float(r @ step)
         e_new = None
-        while t >= cfg.min_step:
+        while t >= _MIN_STEP:
             cand = u + t * step
             p_new = prob.grad(cand)
             if prob.symmetric:
@@ -644,7 +616,7 @@ def _run_newton(prob: _PenaltyProblem, u0: np.ndarray, cfg: SolverConfig, lagged
                 stop = "damping"
                 break
             continue
-        damping = max(cfg.damping, damping / 10)
+        damping = max(_DAMPING, damping / 10)
         if prob.symmetric:
             hist.append(energy)
         if rnorm < 0.99 * best:
@@ -724,10 +696,8 @@ def solve_fixed_eps(
 
     p = prob.grad(u)
     lam, _ = prob.flux_coeff(np.sqrt(np.sum(p**2, axis=0)))
-    return Solution(
-        u=ScalarField(grid, _scatter(u, prob.unk_box_index, prob.N).reshape(grid.shape)),
-        lam=ScalarField(grid, lam.reshape(grid.shape)),
-        psi=VectorField(grid, (lam * p).reshape((grid.dim,) + grid.shape)),
+    return _solution(
+        grid, prob.fft.nodes, u, p, lam,
         eps=cfg.eps,
         q=q,
         s=sv,
@@ -768,11 +738,11 @@ def continuation_solve(
     return out
 
 
-def kkt_battery(grid: GridSpec, count: int = 32, seed: int = 2024) -> list[ScalarField]:
-    """Fixed battery of test fields: random bumps plus low-frequency modes."""
+def kkt_battery(grid: GridSpec) -> list[ScalarField]:
+    """Fixed battery of test fields: 32 random bumps plus low-frequency modes."""
     from .grid import bump
 
-    fields = random_bumps(grid, count, seed=seed)
+    fields = random_bumps(grid, 32, seed=2024)
     window = bump(grid)
     pts = grid.coords()
     L = grid.box_side

@@ -62,9 +62,6 @@ class FracOrder:
         if not 0 < self.sigma < self.s <= 1:
             raise ValueError("need 0 < sigma < s <= 1")
 
-    def mu(self, d: int) -> float:
-        return mu_coeff(d, self.s)
-
 
 def _as_s(s: FracOrder | float) -> float:
     return s.s if isinstance(s, FracOrder) else float(s)
@@ -250,7 +247,15 @@ def _box_exterior_term(grid: GridSpec, s: float, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_1d(u, s, eval_idx, periodic, images, cutoff):
+# The direct path compensates the near field analytically within _CUTOFF of
+# each node; its periodic flavor sums the kernel over this many lattice images
+# per axis (2D sums (2 images + 1)^2 copies of a box-sized table, so fewer)
+_CUTOFF = 0.5
+_IMAGES_1D = 64
+_IMAGES_2D = 8
+
+
+def _direct_1d(u, s, eval_idx, periodic):
     grid = u.grid
     n, h, L = grid.points_per_axis, grid.spacing, grid.box_side
     mu = mu_coeff(1, s)
@@ -258,7 +263,7 @@ def _direct_1d(u, s, eval_idx, periodic, images, cutoff):
     uv = u.values
     du = _fd_gradient(uv, h)[0]
 
-    m_cells = max(int(np.floor(cutoff / h - 0.5)), 1)
+    m_cells = max(int(np.floor(_CUTOFF / h - 0.5)), 1)
     rho = (m_cells + 0.5) * h
 
     Z = x[eval_idx][:, None] - x[None, :]
@@ -275,7 +280,7 @@ def _direct_1d(u, s, eval_idx, periodic, images, cutoff):
 
     if periodic:
         K = np.zeros_like(Z)
-        for mm in range(-images, images + 1):
+        for mm in range(-_IMAGES_1D, _IMAGES_1D + 1):
             K += kern(Zw + mm * L)
     else:
         K = kern(Z)
@@ -301,7 +306,7 @@ def _direct_1d(u, s, eval_idx, periodic, images, cutoff):
     return mu * vals
 
 
-def _direct_2d(u, s, eval_idx, periodic, images, cutoff):
+def _direct_2d(u, s, eval_idx, periodic):
     grid = u.grid
     n, h, L = grid.points_per_axis, grid.spacing, grid.box_side
     mu = mu_coeff(2, s)
@@ -309,7 +314,7 @@ def _direct_2d(u, s, eval_idx, periodic, images, cutoff):
     uv = u.values.ravel()
     du = _fd_gradient(u.values, h).reshape(2, -1)
 
-    m_cells = max(int(np.floor(cutoff / h - 0.5)), 1)
+    m_cells = max(int(np.floor(_CUTOFF / h - 0.5)), 1)
     rho = (m_cells + 0.5) * h
     mom_exact = _cutoff_moment(2, s, rho)
 
@@ -321,8 +326,8 @@ def _direct_2d(u, s, eval_idx, periodic, images, cutoff):
         Z1 = Z1 - L * np.round(Z1 / L)
         T0 = np.zeros_like(Z0)
         T1 = np.zeros_like(Z1)
-        for m0 in range(-images, images + 1):
-            for m1 in range(-images, images + 1):
+        for m0 in range(-_IMAGES_2D, _IMAGES_2D + 1):
+            for m1 in range(-_IMAGES_2D, _IMAGES_2D + 1):
                 A, B = Z0 + m0 * L, Z1 + m1 * L
                 r2 = A**2 + B**2
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -390,15 +395,13 @@ def frac_gradient_direct(
     s: FracOrder | float,
     eval_mask: np.ndarray | None = None,
     periodic: bool = False,
-    images: int = 64,
-    cutoff: float = 0.5,
 ) -> VectorField:
     """Fractional gradient by quadrature of the singular integral (0 < s < 1).
 
     `eval_mask` restricts the O(n^{2d}) evaluation to the requested nodes
     (zeros elsewhere).  With `periodic=True` the kernel is summed over
-    `images` lattice images per axis so the result approximates the same
-    torus operator as the spectral path; otherwise u is treated as a
+    lattice images (64 per axis in 1D, 8 in 2D) so the result approximates
+    the same torus operator as the spectral path; otherwise u is treated as a
     compactly supported function on R^d and the box-exterior contribution
     enters through an analytic boundary term.
     """
@@ -413,9 +416,9 @@ def frac_gradient_direct(
     out = np.zeros((grid.dim,) + (int(np.prod(grid.shape)),))
     if eval_idx.size:
         if grid.dim == 1:
-            out[0, eval_idx] = _direct_1d(u, sv, eval_idx, periodic, images, cutoff)
+            out[0, eval_idx] = _direct_1d(u, sv, eval_idx, periodic)
         else:
-            out[:, eval_idx] = _direct_2d(u, sv, eval_idx, periodic, min(images, 8), cutoff)
+            out[:, eval_idx] = _direct_2d(u, sv, eval_idx, periodic)
     return VectorField(grid, out.reshape((grid.dim,) + grid.shape))
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ class RunConfig:
     solver: SolverConfig
     seed: int
     dependence_cfg: dict = field(default_factory=dict)
-    integrability: dict = field(default_factory=dict)  # documentation only
     raw: dict = field(default_factory=dict)
 
     @property
@@ -109,14 +108,15 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         if not 0 < s <= 1:
             raise ValueError(f"s={s} outside (0, 1]")
     sm = dict(cfg.get("solver", {}))
+    unknown = sorted(set(sm) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ValueError(f"unknown solver keys: {', '.join(unknown)}")
     solver = SolverConfig(
         eps=float(sm.get("eps", 1e-2)),
         q=sm.get("q"),
         eps_schedule=tuple(sm.get("eps_schedule", ())),
         newton_tol=float(sm.get("newton_tol", 1e-8)),
-        max_iters=int(sm.get("max_iters", 120)),
-        damping=float(sm.get("damping", 1e-11)),
-        min_step=float(sm.get("min_step", 1e-7)),
+        max_iters=sm.get("max_iters", 120),
     )
     rc = RunConfig(
         grid=grid,
@@ -127,7 +127,6 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         solver=solver,
         seed=int(cfg.get("seed", 0)),
         dependence_cfg=dict(cfg.get("dependence", {})),
-        integrability=dict(cfg.get("integrability", {})),
         raw=cfg,
     )
     rc.build_operator()
@@ -223,9 +222,9 @@ def run_solve(cfg: RunConfig, outdir: str | Path) -> list[tuple[float, Solution,
     return stages
 
 
-def weak_battery(grid: GridSpec, count: int = 8) -> list[ScalarField]:
-    """Fixed battery of L^inf test functions on Omega: smooth bumps at
-    spread centers plus low-order polynomials restricted to Omega."""
+def weak_battery(grid: GridSpec) -> list[ScalarField]:
+    """Fixed battery of eight L^inf test functions on Omega: four smooth bumps
+    at spread centers plus four low-order polynomials restricted to Omega."""
     mask = grid.masks().inside
     pts = grid.coords()
     out = []
@@ -233,7 +232,7 @@ def weak_battery(grid: GridSpec, count: int = 8) -> list[ScalarField]:
         radius = grid.omega.radius
     else:
         radius = min(grid.omega.halfwidths)
-    centers = np.linspace(-0.5 * radius, 0.5 * radius, max(count - 4, 4))
+    centers = np.linspace(-0.5 * radius, 0.5 * radius, 4)
     for c0 in centers:
         center = (c0,) * grid.dim
         out.append(bump(grid, radius=radius / 2, center=center))
@@ -375,7 +374,7 @@ def run_dependence(cfg: RunConfig, outdir: str | Path | None = None) -> list[dic
 # -- verification suite ---------------------------------------------------------
 
 
-def _verify_kernel_norms(rows, rng):
+def _verify_kernel_norms(rows):
     # Gauss-Legendre on (0, 1), after substitutions that turn each power-law
     # integrand smooth: r = R t^(1/alpha) on the ball, and r = R t^(-1/kappa)
     # on the tail, whose density decays like r^(-1-kappa)
@@ -524,9 +523,7 @@ def run_verify(
         if name not in _VERIFY_CHECKS:
             raise ValueError(f"unknown check {name!r}")
         fn = _VERIFY_CHECKS[name]
-        if name == "kernels":
-            fn(rows, rng)
-        elif name == "adjointness":
+        if name == "adjointness":
             fn(rows, rng, adjoint_s_offset)
         else:
             fn(rows)

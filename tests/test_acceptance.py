@@ -280,7 +280,7 @@ def test_criterion_12_determinism(tmp_path):
         "operator": {"a": 1.0},
         "source": {"f_sharp": 2.0},
         "threshold": {"g": 1.0},
-        "solver": {"eps_schedule": [0.1, 0.03, 0.01], "seed": 5},
+        "solver": {"eps_schedule": [0.1, 0.03, 0.01]},
         "seed": 5,
     }
     cfg = config_from_mapping(mapping)

@@ -21,6 +21,7 @@ from fracmk.forms import (
     isotropic_operator,
     threshold_replace,
 )
+from fracmk import penalty
 from fracmk.oracle import analytic_mk_1d
 from fracmk.penalty import (
     PenaltyFn,
@@ -32,11 +33,8 @@ from fracmk.penalty import (
     SolverConfig,
     Solution,
     continuation_solve,
-    discrete_energy,
     default_q,
     kkt_report,
-    penalized_residual,
-    penalty_value,
     solve_fixed_eps,
 )
 from fracmk.runs import _weak_lambda_error, weak_battery
@@ -60,8 +58,16 @@ def test_config_validation():
         SolverConfig(q=2.0)
     with pytest.raises(ValueError):
         SolverConfig(eps_schedule=(0.1, 0.2))  # not decreasing
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="newton_tol"):
+            SolverConfig(newton_tol=bad)
+    for bad in (-5, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=bad)
     cfg = SolverConfig(eps_schedule=[0.1, 0.01])
     assert cfg.eps_schedule == (0.1, 0.01)
+    # the cold-start and stop-reason tests rely on these edge values
+    assert SolverConfig(max_iters=0, newton_tol=1e-30).max_iters == 0
 
 
 def test_default_q_exceeds_threshold():
@@ -73,19 +79,20 @@ def test_default_q_exceeds_threshold():
 
 def test_penalty_branches():
     eps = 0.3
-    k, kp = penalty_value(eps, -1.0)
+    fn = PenaltyFn(eps)
+    k, kp = fn.value(-1.0), fn.derivative(-1.0)
     assert k == 0.0 and kp == 0.0
     # continuity at the saturation knee t = 1/eps
-    below = penalty_value(eps, 1 / eps - 1e-12)[0]
-    at = penalty_value(eps, 1 / eps)[0]
-    above = penalty_value(eps, 1 / eps + 5.0)[0]
+    below = fn.value(1 / eps - 1e-12)
+    at = fn.value(1 / eps)
+    above = fn.value(1 / eps + 5.0)
     sat = np.expm1(1 / eps**2)
     assert at == pytest.approx(sat, rel=1e-12)
     assert above == pytest.approx(sat, rel=1e-12)
     assert below == pytest.approx(sat, rel=1e-6)
     # midbranch derivative
     t = 0.7
-    assert penalty_value(eps, t)[1] == pytest.approx(np.exp(t / eps) / eps, rel=1e-12)
+    assert fn.derivative(t) == pytest.approx(np.exp(t / eps) / eps, rel=1e-12)
 
 
 def test_penalty_monotone_on_random_pairs():
@@ -124,28 +131,21 @@ def test_flux_monotonicity():
 
 def test_penalized_residual_zero():
     g, op, _, thr = torsion_setup()
-    src0 = constant_source(g, 0.0)
-    u0 = ScalarField(g, np.zeros(g.shape))
-    r = penalized_residual(u0, op, src0, thr, 0.7, SolverConfig(eps=0.1))
-    assert not r.values.any()
+    prob = _PenaltyProblem(op, constant_source(g, 0.0), thr, 0.7, 0.1, default_q(g.dim, 0.7))
+    assert not prob.residual(np.zeros(prob.m)).any()
 
 
 def test_penalized_residual_is_energy_gradient():
+    # the nodal residual is the gradient of the discrete energy
     g, op, src, thr = torsion_setup(n=64)
-    cfg = SolverConfig(eps=0.1)
+    prob = _PenaltyProblem(op, src, thr, 1.0, 0.1, default_q(g.dim, 1.0))
     rng = np.random.default_rng(5)
     mask = g.masks().inside
-    u = ScalarField(g, np.where(mask, 0.3 * rng.normal(size=g.shape), 0.0))
-    delta = np.where(mask, rng.normal(size=g.shape), 0.0)
-    r = penalized_residual(u, op, src, thr, 1.0, cfg)
-    directional = float(np.sum(r.values * delta))
+    u = np.where(mask, 0.3 * rng.normal(size=g.shape), 0.0)[mask]
+    delta = np.where(mask, rng.normal(size=g.shape), 0.0)[mask]
+    directional = float(prob.residual(u) @ delta)
     t = 1e-6
-    up = ScalarField(g, u.values + t * delta)
-    um = ScalarField(g, u.values - t * delta)
-    fd = (
-        discrete_energy(up, op, src, thr, 1.0, cfg)
-        - discrete_energy(um, op, src, thr, 1.0, cfg)
-    ) / (2 * t)
+    fd = (prob.energy(u + t * delta) - prob.energy(u - t * delta)) / (2 * t)
     assert fd == pytest.approx(directional, rel=1e-6)
 
 
@@ -342,7 +342,7 @@ def _reference_jacobian(prob, u):
     kp = prob.fn.derivative(mag - prob.g_flat)
     apen = k + prob.eps * magf ** (prob.q - 2)
     aniso = kp / magf + prob.eps * (prob.q - 2) * magf ** (prob.q - 4)
-    G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.unk_box_index
+    G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.fft.nodes
     J = np.zeros((prob.m, prob.m))
     for a in range(prob.d):
         for b in range(prob.d):
@@ -546,7 +546,8 @@ def test_energy_history_ends_at_discrete_energy_of_solution():
     g, op, src, thr = torsion_setup()
     cfg = SolverConfig(eps=0.01)
     sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
-    assert sol.energy_history[-1] == discrete_energy(sol.u, op, src, thr, 1.0, cfg)
+    prob = _PenaltyProblem(op, src, thr, 1.0, cfg.eps, default_q(g.dim, 1.0))
+    assert sol.energy_history[-1] == prob.energy(sol.u.values[g.masks().inside])
 
 
 # -- inexact Newton: same answers as the direct loop, the FFT pair is G --------
@@ -557,7 +558,7 @@ def _reference_newton(prob, u0, cfg):
     loop that the lagged-inverse Krylov iteration replaced."""
     u = u0.copy()
     scale = 1.0 + float(np.linalg.norm(prob.rhs))
-    damping = cfg.damping
+    damping = penalty._DAMPING
     p = prob.grad(u)
     r = prob.residual(u, p)
     rnorm = float(np.linalg.norm(r))
@@ -578,7 +579,7 @@ def _reference_newton(prob, u0, cfg):
         t = 1.0
         accepted = False
         slope = float(r @ step)
-        while t >= cfg.min_step:
+        while t >= penalty._MIN_STEP:
             cand = u + t * step
             p_new = prob.grad(cand)
             r_new = prob.residual(cand, p_new)
@@ -604,7 +605,7 @@ def _reference_newton(prob, u0, cfg):
             if damping > 1e6:
                 break
             continue
-        damping = max(cfg.damping, damping / 10)
+        damping = max(penalty._DAMPING, damping / 10)
         if rnorm < 0.99 * best:
             best, since_best = rnorm, 0
         else:
@@ -698,7 +699,7 @@ def _count(note: str) -> int:
     return int(note.split("=")[1])
 
 
-def test_solution_notes_name_the_stop_and_the_work():
+def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     g, op, src, thr = torsion_setup()
     sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
     stop, jac, kry = sol.notes
@@ -717,11 +718,13 @@ def test_solution_notes_name_the_stop_and_the_work():
     stops = {
         "budget": SolverConfig(eps=0.1, max_iters=2),
         "stagnated": SolverConfig(eps=0.1, newton_tol=1e-30),  # below the rounding floor
-        "damping": SolverConfig(eps=0.1, min_step=2.0),  # no trial step is ever taken
     }
     for stop, cfg in stops.items():
         sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
         assert sol.notes[0] == f"stop={stop}" and not sol.converged
+    monkeypatch.setattr(penalty, "_MIN_STEP", 2.0)  # no trial step is ever taken
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
+    assert sol.notes[0] == "stop=damping" and not sol.converged
 
 
 def test_failed_continuation_names_its_stop_reason():

@@ -1,5 +1,7 @@
 """Run configs, persistence, sweeps, the verify suite and the CLI surface."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -36,7 +38,7 @@ def base_mapping(**overrides):
         "operator": {"a": 1.0},
         "source": {"f_sharp": 2.0},
         "threshold": {"g": 1.0},
-        "solver": {"eps_schedule": [0.1, 0.03], "seed": 1},
+        "solver": {"eps_schedule": [0.1, 0.03]},
         "seed": 1,
     }
     cfg.update(overrides)
@@ -63,9 +65,27 @@ def test_config_validates_presets_before_solving():
         config_from_mapping(cfg)
 
 
-def test_integrability_block_is_documentation_only():
+def test_config_rejects_unknown_solver_keys():
+    solver = {"newton_tl": 1e-3, "eps_shedule": [0.1, 0.01]}
+    with pytest.raises(ValueError, match="unknown solver keys: eps_shedule, newton_tl"):
+        config_from_mapping(base_mapping(solver=solver))
+    for removed in ({"damping": 1e-11}, {"min_step": 1e-7}, {"seed": 1}):
+        with pytest.raises(ValueError, match="unknown solver keys"):
+            config_from_mapping(base_mapping(solver=removed))
+    every = {"eps": 0.05, "q": 4.0, "eps_schedule": [0.1, 0.01], "newton_tol": 1e-9, "max_iters": 50}
+    cfg = config_from_mapping(base_mapping(solver=every))
+    assert (cfg.solver.eps, cfg.solver.q, cfg.solver.eps_schedule) == (0.05, 4.0, (0.1, 0.01))
+    assert (cfg.solver.newton_tol, cfg.solver.max_iters) == (1e-9, 50)
+    with pytest.raises(ValueError, match="newton_tol"):
+        config_from_mapping(base_mapping(solver={"newton_tol": float("nan")}))
+
+
+def test_integrability_block_is_documentation_only(tmp_path):
+    # no solver reads it; the raw config carries it into the manifest
     cfg = config_from_mapping(base_mapping(integrability={"p1": 4, "q1": 3}))
-    assert cfg.integrability == {"p1": 4, "q1": 3}
+    run_solve(cfg, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["integrability"] == {"p1": 4, "q1": 3}
 
 
 def test_run_solve_outputs_and_reproducibility(tmp_path):
@@ -130,7 +150,7 @@ def test_kernel_verification_loads_no_scipy():
         "import json, sys\n"
         "from fracmk.runs import _verify_kernel_norms\n"
         "rows = []\n"
-        "_verify_kernel_norms(rows, None)\n"
+        "_verify_kernel_norms(rows)\n"
         "print(json.dumps([len(rows), all(r[-1] for r in rows)]))\n"
         "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
     )
@@ -156,9 +176,8 @@ EXPORTS = {
     "forms": "CoercivityReport EmpiricalConstants OperatorData SourceData Threshold bilinear_apply "
     "coercivity_margin constant_source constant_threshold estimate_constants isotropic_operator linear_apply "
     "threshold_replace",
-    "oracle": "AnalyticBenchmark analytic_mk_1d analytic_torsion_1d brute_force_qp direct_linear_solve pdhg_solve",
-    "penalty": "KKTReport PenaltyFn Solution SolverConfig continuation_solve discrete_energy kkt_report "
-    "penalized_residual penalty_value solve_fixed_eps",
+    "oracle": "AnalyticBenchmark analytic_mk_1d analytic_torsion_1d brute_force_qp pdhg_solve",
+    "penalty": "KKTReport PenaltyFn Solution SolverConfig continuation_solve kkt_report solve_fixed_eps",
     "runs": "RunConfig config_from_mapping load_config run_dependence run_localize run_oracle run_solve run_verify",
 }
 
@@ -183,6 +202,26 @@ def test_package_exports_resolve_to_their_submodule_objects():
     assert set(names) <= set(dir(fracmk))
     with pytest.raises(AttributeError):
         fracmk.no_such_name
+
+
+def test_demo_imports_resolve():
+    # tier-1 never runs the demos: an export they import must not vanish unseen
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level or (node.module or "").split(".")[0] != "fracmk":
+                continue
+            for alias in node.names:
+                if node.module == "fracmk":
+                    found = alias.name in fracmk.__all__
+                else:
+                    found = hasattr(importlib.import_module(node.module), alias.name)
+                if not found:
+                    missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert missing == []
+
 
 def test_run_localize_builds_each_gradient_matrix_once():
     from fracmk.penalty import _omega_fft
