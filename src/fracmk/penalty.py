@@ -31,7 +31,11 @@ kept through a continuation and its cold-start eps chain, and the dense J is
 assembled again only when the Krylov solve misses its iteration budget.
 That assembly applies the same weak form to blocks of unit vectors e_j,
 with D^s e_j read off the kernel, so the dense J and the Krylov J v share
-one definition.
+one definition.  Where the flux derivative C is one tensor C0 at every box
+node, as at a cold start from u = 0 with a constant A, h^d G^T C0 G is
+Toeplitz in the node offsets: J is then read off the kernel's
+cross-correlations, one inverse FFT in all, instead of one FFT adjoint per
+block of columns.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -181,9 +185,12 @@ class _OmegaFFT:
     G^T w = sum_a kern_a correlated with w_a, gathered on the nodes: both
     are products with sigma_a = rfftn(kern_a).  The diagonal of
     G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered the
-    same way, and gram reads G^T G off the kernel's autocorrelation as
-    column_blocks reads the columns.  Immutable but for the KKT battery,
-    which is built on first use, so concurrent solves can share one.
+    same way.  For a constant d x d tensor C0, G^T C0 G is Toeplitz in the
+    node offsets: gram reads it off the kernel's cross-correlations, one
+    irfftn, through offset_rows, which reads a tiled copy as column_blocks
+    does, so the s-Laplacian start and a Jacobian at u = 0 take no FFT per
+    column.  Immutable but for the KKT battery, which is built on first
+    use, so concurrent solves can share one.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -240,22 +247,42 @@ class _OmegaFFT:
         chat = np.fft.rfftn(sym.reshape((len(self.pairs),) + self.shape), axes=self.axes)
         return self._gather(np.sum(chat * self.prod_conj, axis=0))
 
-    def gram(self) -> np.ndarray:
-        """G^T G on the nodes, (m, m), built a block of columns at a time.
+    def offset_rows(self, fields: np.ndarray):
+        """Yield (i, F(x_i - x_j) for the nodes i and every node j) over
+        consecutive slices i of the nodes, for box fields F of shape
+        (k,) + grid shape; each block has shape (k, len(i), m).
 
-        Its entry (i, j) is R(x_i - x_j), R = sum_a kern_a correlated with
-        itself, read from a 2x-tiled copy of R as column_blocks reads G e_j:
-        no FFT per column, and no index array larger than a block.
+        The offsets are read from a 2x-tiled copy of F, as column_blocks reads
+        G e_j: no FFT, and no index array larger than a block.
         """
-        R = np.fft.irfftn(np.sum(np.abs(self.sigma) ** 2, axis=0), s=self.shape, axes=self.axes)
-        tiled = np.tile(R, (2,) * self.d)
-        coords = np.unravel_index(self.nodes, self.shape)
-        m = self.nodes.size
-        T = np.empty((m, m))
-        step = max(1, _BLOCK_VALUES // m)
-        for j0 in range(0, m, step):
-            j = slice(j0, min(j0 + step, m))
-            T[:, j] = tiled[tuple(x[:, None] + o[None, j] for x, o in zip(coords, self._offsets))]
+        k, m = fields.shape[0], self.nodes.size
+        tiled_shape = tuple(2 * n for n in self.shape)
+        tiled = np.tile(fields, (1,) + (2,) * self.d).reshape(k, -1)
+        # flat index of x_i + (n - x_j) in the tiled box is rows[i] + cols[j]
+        rows = np.ravel_multi_index(np.unravel_index(self.nodes, self.shape), tiled_shape)
+        cols = np.ravel_multi_index(self._offsets, tiled_shape)
+        step = max(1, _BLOCK_VALUES // (k * m))
+        for i0 in range(0, m, step):
+            i = slice(i0, min(i0 + step, m))
+            yield i, np.take(tiled, rows[i, None] + cols[None, :], axis=1)
+
+    def gram(self, C0: np.ndarray) -> np.ndarray:
+        """sum_ab C0_ab G_a^T G_b on the nodes, (m, m), for a constant (d, d) C0.
+
+        The matrix is Toeplitz in the node offsets: its entry (i, j) is
+        R(x_i - x_j), where R = sum_ab C0_ab kern_a cross-correlated with
+        kern_b is one irfftn of sum_ab C0_ab conj(sigma_a) sigma_b, read
+        through offset_rows.  gram(I) is the s-Laplacian G^T G.
+        """
+        spec = sum(
+            C0[a, b] * (np.abs(self.sigma[a]) ** 2 if a == b else self.sigma_conj[a] * self.sigma[b])
+            for a in range(self.d)
+            for b in range(self.d)
+        )
+        R = np.fft.irfftn(spec, s=self.shape, axes=self.axes)
+        T = np.empty((self.nodes.size,) * 2)
+        for i, block in self.offset_rows(R[None]):
+            T[i] = block[0]
         return T
 
     @cached_property
@@ -371,16 +398,32 @@ class _PenaltyProblem:
         return C
 
     def jacobian(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        """The dense Newton Jacobian, (m, m): column j is the linearized weak
-        form at e_j, with D^s e_j a column of G, taken a block at a time."""
+        """The dense Newton Jacobian, (m, m).
+
+        When the flux derivative C is one tensor C0 at every box node, as at
+        u = 0 with a constant A, h^d G^T C G is Toeplitz in the node offsets
+        and _OmegaFFT.gram reads it off the kernel's cross-correlations.  The
+        b and dvec terms then read kern_a at the same offsets: G_a[x_i, j] is
+        kern_a(x_i - x_j), and G_a[x_j, i] its negative, as the kernel is odd.
+        Otherwise column j is the linearized weak form at e_j, with D^s e_j a
+        column of G, taken a block at a time.
+        """
         p = self.grad(u) if p is None else p
         C = self.flux_derivative(p)
         C *= self.hd
-        J = np.empty((self.m, self.m))
-        for j, P in self.fft.column_blocks():
-            E = np.zeros((P.shape[0], self.m))
-            E[:, j] = np.eye(P.shape[0])
-            J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
+        if np.all(C == C[..., :1]):
+            J = self.fft.gram(C[..., 0])
+            hdvec_at = self.hdvec[:, self.fft.nodes]
+            for i, K in self.fft.offset_rows(self.fft.kern):
+                for a in range(self.d):
+                    J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
+            J[np.diag_indices(self.m)] += self.hc_at
+        else:
+            J = np.empty((self.m, self.m))
+            for j, P in self.fft.column_blocks():
+                E = np.zeros((P.shape[0], self.m))
+                E[:, j] = np.eye(P.shape[0])
+                J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
         if self.symmetric:
             # FFT rounding leaves J asymmetric at 1e-16, which inv(J) can
             # amplify by cond(J) (1e18 at a degenerate cold start): PCG needs
@@ -638,7 +681,7 @@ def _feasible_start(prob: _PenaltyProblem) -> np.ndarray:
     operator degenerates, so D^s u0 is nonzero almost everywhere and so is
     the eps |D^s u|^(q-2) term of the Jacobian; at u = 0 that term vanishes.
     """
-    T = prob.fft.gram()
+    T = prob.fft.gram(np.eye(prob.d))
     T *= prob.hd
     w = np.linalg.solve(T, prob.rhs)
     over = np.max(np.sqrt(np.sum(prob.grad(w) ** 2, axis=0)) / prob.g_flat)
@@ -756,7 +799,8 @@ def kkt_battery(grid: GridSpec) -> list[ScalarField]:
 def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold, s) -> KKTReport:
     """Constraint violation, complementarity and residual diagnostics.
 
-    D^s u is G u on the Omega nodes, so sol.u must vanish off Omega.  The
+    D^s u is G u on the Omega nodes, so sol.u must vanish off Omega, and a
+    non-finite sol.eps or sol.q raises ValueError naming it.  The
     residuals of the limit system (flux coefficient lam) and of the penalized
     equation (lam + eps |D^s u|^(q-2)) are the nodal weak residuals r of
     _PenaltyProblem.  Every kkt_battery field v vanishes off the Omega nodes,
@@ -770,6 +814,10 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     mask = grid.masks().inside
     if np.any(sol.u.values[~mask]):
         raise ValueError("sol.u must vanish outside Omega")
+    # the fields are finite by construction (ScalarField); the scalars are not
+    for name, value in (("sol.eps", sol.eps), ("sol.q", sol.q)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite")
     prob = _PenaltyProblem(op, src, thr, _as_s(s), sol.eps, sol.q)
     hd = prob.hd
     u = sol.u.values[mask]

@@ -78,21 +78,40 @@ class RunConfig:
         return threshold_from_preset(self.grid, self.threshold_cfg)
 
 
+# the keys each config block accepts; "integrability" is only recorded
+_CONFIG_KEYS = {
+    "grid", "s", "s_list", "operator", "source", "threshold", "solver", "dependence", "integrability", "seed",
+}
+_GRID_KEYS = {"dim", "box_side", "points_per_axis", "omega", "buffer"}
+_OMEGA_KEYS = {"interval": "halfwidth", "rectangle": "halfwidths", "ball": "radius"}
+_DEPENDENCE_KEYS = {"tol", "source_shifts", "threshold_shifts"}
+
+
+def _check_keys(block: str, mapping: dict, allowed) -> None:
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {block} keys: {', '.join(unknown)}")
+
+
 def _omega_from_mapping(m: dict):
     kind = m.get("shape", m.get("kind", "interval"))
+    if kind not in _OMEGA_KEYS:
+        raise ValueError(f"unknown Omega shape {kind!r}")
+    _check_keys("grid.omega", m, {"shape", "kind", _OMEGA_KEYS[kind]})
     if kind == "interval":
         return interval(m.get("halfwidth", 1.0))
     if kind == "rectangle":
         return rectangle(*m["halfwidths"])
-    if kind == "ball":
-        return ball(m["radius"])
-    raise ValueError(f"unknown Omega shape {kind!r}")
+    return ball(m["radius"])
 
 
 def config_from_mapping(cfg: dict) -> RunConfig:
     """Validate a config mapping; every module-level invariant is enforced
-    here before any solve starts."""
+    here before any solve starts.  Unknown keys at the top level and in the
+    grid, grid.omega, solver and dependence blocks raise ValueError."""
+    _check_keys("config", cfg, _CONFIG_KEYS)
     gm = cfg["grid"]
+    _check_keys("grid", gm, _GRID_KEYS)
     grid = GridSpec(
         dim=int(gm.get("dim", 1)),
         box_side=float(gm["box_side"]),
@@ -108,9 +127,9 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         if not 0 < s <= 1:
             raise ValueError(f"s={s} outside (0, 1]")
     sm = dict(cfg.get("solver", {}))
-    unknown = sorted(set(sm) - {f.name for f in fields(SolverConfig)})
-    if unknown:
-        raise ValueError(f"unknown solver keys: {', '.join(unknown)}")
+    _check_keys("solver", sm, {f.name for f in fields(SolverConfig)})
+    dm = dict(cfg.get("dependence", {}))
+    _check_keys("dependence", dm, _DEPENDENCE_KEYS)
     solver = SolverConfig(
         eps=float(sm.get("eps", 1e-2)),
         q=sm.get("q"),
@@ -126,7 +145,7 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         threshold_cfg=dict(cfg.get("threshold", {"g": 1.0})),
         solver=solver,
         seed=int(cfg.get("seed", 0)),
-        dependence_cfg=dict(cfg.get("dependence", {})),
+        dependence_cfg=dm,
         raw=cfg,
     )
     rc.build_operator()

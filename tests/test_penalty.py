@@ -542,6 +542,24 @@ def test_kkt_report_rejects_u_outside_omega():
         kkt_report(replace(sol, u=ScalarField(g, u)), op, src, thr, 0.7)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_kkt_report_names_a_non_finite_input(value):
+    g, op, src, thr = torsion_setup(n=64)
+    sol = _fixed_solution(g, op, 0.7, 0.05)
+    # a NaN eps read as an oracle's eps = 0, and a NaN q gave a NaN report
+    for name in ("eps", "q"):
+        with pytest.raises(ValueError, match=f"sol.{name} must be finite"):
+            kkt_report(replace(sol, **{name: value}), op, src, thr, 0.7)
+    # u and lam cannot carry one: a field rejects it when it is built
+    node = np.flatnonzero(g.masks().inside)[3]
+    for field in (sol.u, sol.lam):
+        values = field.values.copy()
+        values[node] = value
+        with pytest.raises(ValueError, match="field values must be finite"):
+            ScalarField(g, values)
+    kkt_report(sol, op, src, thr, 0.7)
+
+
 def test_energy_history_ends_at_discrete_energy_of_solution():
     g, op, src, thr = torsion_setup()
     cfg = SolverConfig(eps=0.01)
@@ -678,9 +696,91 @@ def test_fft_pair_is_the_gradient_matrix(grid):
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(n=64)], ids=["1d", "2d-blocks"])
 def test_gram_is_the_gram_of_the_gradient_columns(grid):
     fft = _omega_fft(grid, 0.7)
-    T = fft.gram()
+    T = fft.gram(np.eye(fft.d))
     ref = np.concatenate([fft.adjoint(P) for _, P in fft.column_blocks()])
     assert np.linalg.norm(T - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+CONSTANT_TENSORS = {
+    "isotropic": [[2.5, 0.0], [0.0, 2.5]],
+    "anisotropic": [[1.3, 0.4], [0.4, 0.7]],
+    "nonsymmetric": [[1.3, 1.1], [-0.3, 0.7]],
+}
+
+
+@pytest.mark.parametrize("kind", list(CONSTANT_TENSORS))
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=64)], ids=["1d", "2d", "2d-blocks"])
+def test_gram_of_a_constant_tensor_is_the_gram_of_the_gradient_columns(grid, kind):
+    fft = _omega_fft(grid, 0.7)
+    C0 = np.array(CONSTANT_TENSORS[kind])[: fft.d, : fft.d]
+    T = fft.gram(C0)
+    # row j of ref is G^T C0 G e_j, so ref is the transpose of the Gram
+    ref = np.concatenate([fft.adjoint(np.einsum("ab,kbN->kaN", C0, P)) for _, P in fft.column_blocks()]).T
+    assert np.linalg.norm(T - ref) <= 1e-12 * np.linalg.norm(ref)
+    # 2D n=64 (m = 793) reads its offsets in 10 blocks of rows
+    blocks = [i for i, _ in fft.offset_rows(np.zeros((1,) + grid.shape))]
+    assert [i.start for i in blocks] == [0] + [i.stop for i in blocks[:-1]] and blocks[-1].stop == fft.nodes.size
+    assert (len(blocks) > 1) == (fft.nodes.size == 793)
+
+
+def _constant_operator(grid, kind):
+    """Operators whose A is one tensor on the whole box; b, dvec and c vanish off Omega."""
+    d, shp = grid.dim, grid.shape
+    mask = grid.masks().inside
+    x = grid.coords()
+    A = np.array(CONSTANT_TENSORS["anisotropic" if kind == "anisotropic" else "isotropic"])[:d, :d]
+    zero_v = np.zeros((d,) + shp)
+    b = dvec = zero_v
+    c = np.where(mask, 0.8, 0.0) if kind in ("c", "convection") else np.zeros(shp)
+    if kind == "convection":
+        if d == 2:
+            A = A + np.array([[0.0, 0.7], [-0.7, 0.0]])  # a skew part
+        b = np.where(mask, 0.5 + x[0], 0.0)[None] * np.ones((d,) + shp)
+        dvec = np.where(mask, -0.3 * x[-1], 0.0)[None] * np.ones((d,) + shp)
+    return OperatorData(grid, A.reshape((d, d) + (1,) * d) * np.ones(shp), b, dvec, c)
+
+
+def _zero_start_problem(grid, op):
+    s = 0.7
+    return _PenaltyProblem(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s, 0.1, default_q(grid.dim, s))
+
+
+def _counting_adjoint(monkeypatch):
+    calls = []
+    adjoint = penalty._OmegaFFT.adjoint
+
+    def counted(self, w):
+        calls.append(w.shape)
+        return adjoint(self, w)
+
+    monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["c", "anisotropic", "convection"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=32)], ids=["1d", "2d", "2d-blocks"])
+def test_jacobian_at_zero_with_constant_A_is_read_off_the_kernel(grid, kind, monkeypatch):
+    prob = _zero_start_problem(grid, _constant_operator(grid, kind))
+    assert prob.symmetric == (kind != "convection")
+    u = np.zeros(prob.m)
+    ref = _reference_jacobian(prob, u)
+    calls = _counting_adjoint(monkeypatch)
+    J = prob.jacobian(u)
+    assert calls == []
+    assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
+    if prob.symmetric:
+        assert np.array_equal(J, J.T)
+
+
+def test_jacobian_at_zero_with_varying_A_takes_the_gradient_columns(monkeypatch):
+    grid = grid_2d()
+    prob = _zero_start_problem(grid, _operator(grid, "isotropic"))
+    u = np.zeros(prob.m)
+    ref = _reference_jacobian(prob, u)
+    calls = _counting_adjoint(monkeypatch)
+    J = prob.jacobian(u)
+    assert len(calls) == sum(1 for _ in prob.fft.column_blocks())
+    assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("kind", ["isotropic", "anisotropic", "nonsymmetric", "degenerate"])

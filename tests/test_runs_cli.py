@@ -80,6 +80,31 @@ def test_config_rejects_unknown_solver_keys():
         config_from_mapping(base_mapping(solver={"newton_tol": float("nan")}))
 
 
+def test_config_rejects_unknown_keys_in_every_checked_block():
+    with pytest.raises(ValueError, match="unknown config keys: dependance, s_lst"):
+        config_from_mapping(base_mapping(s_lst=[0.5], dependance={"tol": 1}))
+    mapping = base_mapping()
+    mapping["grid"]["buffr"] = 9
+    with pytest.raises(ValueError, match="unknown grid keys: buffr"):
+        config_from_mapping(mapping)
+    for omega in ({"shape": "interval", "halfwidht": 1.0}, {"shape": "ball", "radius": 1.0, "halfwidth": 1.0}):
+        mapping = base_mapping()
+        mapping["grid"]["omega"] = omega
+        with pytest.raises(ValueError, match="unknown grid.omega keys: half"):
+            config_from_mapping(mapping)
+    with pytest.raises(ValueError, match="unknown dependence keys: source_shift"):
+        config_from_mapping(base_mapping(dependence={"source_shift": [0.1]}))
+    # every accepted key at once still loads
+    every = base_mapping(
+        s_list=[0.7, 1.0],
+        dependence={"tol": 1e-9, "source_shifts": [0.1], "threshold_shifts": [0.1]},
+        integrability={"p1": 4, "q1": 3},
+    )
+    every["grid"]["omega"] = {"kind": "interval", "halfwidth": 1.0}
+    cfg = config_from_mapping(every)
+    assert cfg.s_list == (0.7, 1.0) and cfg.dependence_cfg["tol"] == 1e-9
+
+
 def test_integrability_block_is_documentation_only(tmp_path):
     # no solver reads it; the raw config carries it into the manifest
     cfg = config_from_mapping(base_mapping(integrability={"p1": 4, "q1": 3}))
@@ -204,12 +229,14 @@ def test_package_exports_resolve_to_their_submodule_objects():
         fracmk.no_such_name
 
 
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
 def test_demo_imports_resolve():
-    # tier-1 never runs the demos: an export they import must not vanish unseen
-    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-    assert demos
+    # an export a demo imports must not vanish unseen
+    assert DEMOS
     missing = []
-    for path in demos:
+    for path in DEMOS:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.ImportFrom) or node.level or (node.module or "").split(".")[0] != "fracmk":
                 continue
@@ -221,6 +248,17 @@ def test_demo_imports_resolve():
                 if not found:
                     missing.append(f"{path.name}: {node.module}.{alias.name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_end_to_end(demo, tmp_path):
+    # each demo exits 0 in a fresh interpreter (about 3.5 s for all five) and
+    # writes nothing into its working directory
+    src = str(Path(fracmk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_localize_builds_each_gradient_matrix_once():
