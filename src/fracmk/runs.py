@@ -85,6 +85,11 @@ _CONFIG_KEYS = {
 _GRID_KEYS = {"dim", "box_side", "points_per_axis", "omega", "buffer"}
 _OMEGA_KEYS = {"interval": "halfwidth", "rectangle": "halfwidths", "ball": "radius"}
 _DEPENDENCE_KEYS = {"tol", "source_shifts", "threshold_shifts"}
+_PRESET_KEYS = {
+    "operator": {"a", "b", "dvec", "c", "a_star"},
+    "source": {"f_sharp", "f_vec"},
+    "threshold": {"g", "replace", "k"},
+}
 
 
 def _check_keys(block: str, mapping: dict, allowed) -> None:
@@ -107,8 +112,9 @@ def _omega_from_mapping(m: dict):
 
 def config_from_mapping(cfg: dict) -> RunConfig:
     """Validate a config mapping; every module-level invariant is enforced
-    here before any solve starts.  Unknown keys at the top level and in the
-    grid, grid.omega, solver and dependence blocks raise ValueError."""
+    here before any solve starts.  Unknown keys at the top level and in
+    every block but integrability, which is only recorded, raise
+    ValueError."""
     _check_keys("config", cfg, _CONFIG_KEYS)
     gm = cfg["grid"]
     _check_keys("grid", gm, _GRID_KEYS)
@@ -130,6 +136,8 @@ def config_from_mapping(cfg: dict) -> RunConfig:
     _check_keys("solver", sm, {f.name for f in fields(SolverConfig)})
     dm = dict(cfg.get("dependence", {}))
     _check_keys("dependence", dm, _DEPENDENCE_KEYS)
+    for block, allowed in _PRESET_KEYS.items():
+        _check_keys(block, cfg.get(block, {}), allowed)
     solver = SolverConfig(
         eps=float(sm.get("eps", 1e-2)),
         q=sm.get("q"),
@@ -492,14 +500,28 @@ def _verify_poincare(rows):
     rows.append(("poincare_scaled_ratio", "p=1,2,inf;s=0.5,0.7,0.9", spread, 3.0, spread <= 3.0))
 
 
+def _anisotropic_operator(grid: GridSpec, diag) -> OperatorData:
+    """A = diag(diag) at every node, no lower-order terms."""
+    A = np.zeros((grid.dim, grid.dim) + grid.shape)
+    for j, a in enumerate(diag):
+        A[j, j] = a
+    zero_v = np.zeros((grid.dim,) + grid.shape)
+    return OperatorData(grid, A, zero_v, zero_v, np.zeros(grid.shape), a_star=float(min(diag)))
+
+
 def _verify_oracle_triangle(rows):
     from .forms import constant_source, constant_threshold, isotropic_operator
 
     grid_1d = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)
-    # the disc row checks the oracles with two components of D^s
+    # the disc rows check the oracles with two components of D^s, the second
+    # with an anisotropic A
     grid_2d = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
-    for grid, s, params in ((grid_1d, 1.0, "s=1.0,n=64"), (grid_1d, 0.7, "s=0.7,n=64"), (grid_2d, 0.7, "d=2,s=0.7,n=32")):
-        op = isotropic_operator(grid, a=1.0)
+    for grid, s, op, params in (
+        (grid_1d, 1.0, isotropic_operator(grid_1d, a=1.0), "s=1.0,n=64"),
+        (grid_1d, 0.7, isotropic_operator(grid_1d, a=1.0), "s=0.7,n=64"),
+        (grid_2d, 0.7, isotropic_operator(grid_2d, a=1.0), "d=2,s=0.7,n=32"),
+        (grid_2d, 0.7, _anisotropic_operator(grid_2d, (2.0, 0.5)), "d=2,A=diag(2;0.5),s=0.7,n=32"),
+    ):
         src = constant_source(grid, 2.0)
         thr = constant_threshold(grid, 1.0)
         pen = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3)))[-1][1]

@@ -31,7 +31,7 @@ from fracmk import (
     sphere_area,
     tail_decay_check,
 )
-from fracmk.forms import constant_source, constant_threshold, isotropic_operator
+from fracmk.forms import OperatorData, constant_source, constant_threshold, isotropic_operator
 from fracmk.oracle import analytic_mk_1d, analytic_torsion_1d, brute_force_qp, pdhg_solve
 from fracmk.penalty import SolverConfig, continuation_solve
 from fracmk.runs import (
@@ -155,10 +155,21 @@ def test_criterion_05_tail_decay_and_far_field():
 def test_criterion_06_oracle_triangle():
     t0 = time.perf_counter()
     worst = {}
-    # the 2D disc row checks the oracles with two components of D^s
+    # the 2D disc rows check the oracles with two components of D^s, the
+    # second with A = diag(2, 0.5)
     g2 = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
     disc = (g2, isotropic_operator(g2, a=1.0), constant_source(g2, 2.0), constant_threshold(g2, 1.0))
-    for key, s, (g, op, src, thr) in (("s=1", 1.0, torsion_problem(256)), ("s=0.7", 0.7, torsion_problem(128)), ("2D n=32 s=0.7", 0.7, disc)):
+    A = np.zeros((2, 2) + g2.shape)
+    A[0, 0], A[1, 1] = 2.0, 0.5
+    zero_v = np.zeros((2,) + g2.shape)
+    aniso = (g2, OperatorData(g2, A, zero_v, zero_v, np.zeros(g2.shape), a_star=0.5)) + disc[2:]
+    rows = (
+        ("s=1", 1.0, torsion_problem(256)),
+        ("s=0.7", 0.7, torsion_problem(128)),
+        ("2D n=32 s=0.7", 0.7, disc),
+        ("2D n=32 s=0.7 A=diag(2,0.5)", 0.7, aniso),
+    )
+    for key, s, (g, op, src, thr) in rows:
         pen = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE))[-1][1]
         pd = pdhg_solve(op, src, thr, s, tol=1e-8)
         qp = brute_force_qp(op, src, thr, s, tol=1e-8)

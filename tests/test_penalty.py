@@ -568,6 +568,79 @@ def test_energy_history_ends_at_discrete_energy_of_solution():
     assert sol.energy_history[-1] == prob.energy(sol.u.values[g.masks().inside])
 
 
+# -- primal-dual Newton: the multiplier equation and its step -----------------
+
+
+def _pd_residual(prob, u, lam):
+    """(R1, R2) of the primal-dual system at (u, lam)."""
+    p = prob.grad(u)
+    mag = np.sqrt(np.sum(p**2, axis=0))
+    return prob.weak_residual(u, p, lam + prob.regularization(mag)), prob.multiplier_equation(mag, lam)[0]
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "nonsymmetric"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
+def test_reduced_step_is_a_newton_direction(grid, kind):
+    # away from the kinks of the active set, F(z + t dz) = (1 - t) F(z) + O(t^2)
+    prob, u = _active_problem(grid, kind)
+    p = prob.grad(u)
+    mag = np.sqrt(np.sum(p**2, axis=0))
+    # lam is off the primal relation, and every node is at least 0.1 from a
+    # kink of min(lam, max(phi, lam - k_sat)): active where t > -0.2, else not
+    t = mag - prob.g_flat
+    lam = np.where(t > -0.2, prob.fn.value(t) + 0.5, 0.05)
+    R2, lam_t, gain = prob.multiplier_equation(mag, lam)
+    phi = prob.eps * np.log1p(lam) - (mag - prob.g_flat)
+    assert np.min(np.abs(phi - lam)) > 0.1 and np.any(gain > 0) and np.any(gain == 0)
+    du = np.linalg.solve(prob.jacobian(u, p, lam, gain), -prob.weak_residual(u, p, lam_t + prob.regularization(mag)))
+    dlam = gain * np.sum(p / mag * prob.grad(du), axis=0) + lam_t - lam
+    F = np.concatenate(_pd_residual(prob, u, lam))
+    errs = []
+    for t in (1e-3, 1e-5):
+        Ft = np.concatenate(_pd_residual(prob, u + t * du, lam + t * dlam))
+        errs.append(np.linalg.norm(Ft - (1 - t) * F) / np.linalg.norm(F))
+    assert errs[0] <= 1e-5 and errs[1] <= 1e-3 * errs[0], errs
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.01], ids=["saturated", "clamped"])
+def test_multiplier_equation_holds_on_the_primal_relation(eps):
+    # every branch of k_eps: zero, the exponential, and saturation past
+    # t_cap (1/eps, or EXP_CAP eps where the clamp engages)
+    g, op, src, thr = torsion_setup(n=64)
+    prob = _PenaltyProblem(op, src, thr, 1.0, eps, default_q(1, 1.0))
+    fn = prob.fn
+    t = np.linspace(-1.0, 2 * fn.t_cap, prob.N)
+    mag = t + prob.g_flat
+    lam = fn.value(t)
+    R2, lam_t, gain = prob.multiplier_equation(mag, lam)
+    assert np.all(np.abs(R2) <= 1e-12 * (1 + np.abs(t)))
+    # the Newton target is lam itself, and the gain is k'_eps
+    assert np.allclose(lam_t, lam, rtol=1e-12, atol=0.0)
+    assert np.allclose(gain, fn.derivative(t), rtol=1e-12, atol=0.0)
+    sat = t > fn.t_cap
+    assert np.any(sat) and np.all(lam[sat] == fn.k_sat) and not np.any(gain[sat])
+    # below k_sat the log1p branch governs and drives lam up, towards the
+    # cap to which the line search projects it
+    half = np.where(sat, 0.5 * fn.k_sat, lam)
+    R2, lam_t, gain = prob.multiplier_equation(mag, half)
+    assert np.all(R2[sat] < 0) and np.all(gain[sat] > 0) and np.all(lam_t[sat] > half[sat])
+
+
+def test_solve_into_the_saturated_branch():
+    # at eps = 0.5, k_eps saturates at k_sat = e^4 - 1 past |D^s u| = g + 2;
+    # f = 400 drives the torsion solution past it on part of Omega
+    g, op, src, thr = torsion_setup(n=128, f=400.0)
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.5))
+    assert sol.converged
+    fn = PenaltyFn(0.5)
+    mag = frac_gradient_spectral(sol.u, 1.0).magnitude().ravel()
+    sat = mag - thr.g.ravel() > fn.t_cap
+    assert np.count_nonzero(sat) >= 10
+    assert np.all(sol.lam.values.ravel()[sat] == fn.k_sat)
+    rep = kkt_report(sol, op, src, thr, 1.0)
+    assert rep.penalized_residual_sup <= 10 * SolverConfig().newton_tol * (1 + 400.0)
+
+
 # -- inexact Newton: same answers as the direct loop, the FFT pair is G --------
 
 
@@ -867,7 +940,7 @@ def _max_ratio(prob, u):
 @pytest.mark.parametrize(
     "where, n, f, s",
     [("all", 128, 0.5, 0.7), ("all", 256, 1.0, 0.7), ("all", 512, 2.0, 0.7),
-     ("x>0", 128, 2.0, 0.7), ("x>0", 256, 1.0, 1.0), ("x>0", 512, 2.0, 0.7)],
+     ("x>0", 64, 2.0, 1.0), ("x>0", 128, 2.0, 0.7), ("x>0", 256, 1.0, 1.0), ("x>0", 512, 2.0, 0.7)],
 )
 def test_degenerate_cold_start_is_feasible_and_converges(where, n, f, s):
     # a = 0 on all of Omega: from u = 0 the Jacobian is damping only, and
@@ -878,9 +951,15 @@ def test_degenerate_cold_start_is_feasible_and_converges(where, n, f, s):
     op = isotropic_operator(g, a=0.0 if where == "all" else np.where(g.axis() > 0, 0.0, 1.0))
     src, thr = constant_source(g, f), constant_threshold(g, 1.0)
     prob = _PenaltyProblem(op, src, thr, s, 0.1, default_q(1, s))
-    u0 = _feasible_start(prob)
+    u0, lam0 = _feasible_start(prob)
     # |D^s u0| <= g, up to the rounding of the FFT that recomputes D^s u0
     assert np.any(u0) and _max_ratio(prob, u0) <= 1.0 + 1e-12
+    # the constant multiplier 1/t* carries the s-Laplacian flux, which
+    # balances the source: with A = 0 the weak residual vanishes
+    assert np.all(lam0 == lam0[0]) and lam0[0] >= 1.0
+    if where == "all":
+        r = prob.weak_residual(u0, prob.grad(u0), lam0)
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(prob.rhs)
     start = solve_fixed_eps(op, src, thr, s, SolverConfig(eps=0.1, max_iters=0))
     assert np.array_equal(start.u.values[g.masks().inside], u0)
     stages = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE, max_iters=200))
@@ -914,6 +993,19 @@ def test_degenerate_transport_converges_under_mesh_refinement():
     assert max(weaks) <= 1e-2, weaks
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("s", [0.7, 1.0])
+@pytest.mark.parametrize("where", ["all", "x>0"])
+def test_degenerate_transport_converges_on_a_disc(where, s, n):
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
+    op = isotropic_operator(g, a=0.0 if where == "all" else np.where(g.coords()[0] > 0, 0.0, 1.0))
+    src, thr = constant_source(g, 1.0), constant_threshold(g, 1.0)
+    stages = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE, max_iters=200))
+    assert all(sol.converged for _, sol, _ in stages)
+    rep = stages[-1][2]
+    assert rep.violation_sup <= np.sqrt(SCHEDULE[-1]) and rep.v_measure == 0.0
+
+
 def test_feasible_start_never_holds_two_dense_matrices():
     import tracemalloc
 
@@ -923,7 +1015,7 @@ def test_feasible_start_never_holds_two_dense_matrices():
     assert prob.m == 793
     tracemalloc.start()
     try:
-        u0 = _feasible_start(prob)
+        u0, _ = _feasible_start(prob)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

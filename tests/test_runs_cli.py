@@ -105,6 +105,20 @@ def test_config_rejects_unknown_keys_in_every_checked_block():
     assert cfg.s_list == (0.7, 1.0) and cfg.dependence_cfg["tol"] == 1e-9
 
 
+def test_config_rejects_unknown_preset_keys():
+    # {"operator": {"A": 2.0}} once solved with the default a = 1
+    for block, bad in (("operator", {"A": 2.0}), ("source", {"f_sharpe": 5.0}), ("threshold", {"gg": 3.0})):
+        with pytest.raises(ValueError, match=f"unknown {block} keys: {next(iter(bad))}$"):
+            config_from_mapping(base_mapping(**{block: bad}))
+    every = base_mapping(
+        operator={"a": 2.0, "b": "zero", "dvec": "zero", "c": 0.5, "a_star": 2.0},
+        source={"f_sharp": 2.0, "f_vec": "zero"},
+        threshold={"g": 1.0, "replace": True, "k": None},
+    )
+    cfg = config_from_mapping(every)
+    assert float(cfg.build_operator().A.max()) == 2.0
+
+
 def test_integrability_block_is_documentation_only(tmp_path):
     # no solver reads it; the raw config carries it into the manifest
     cfg = config_from_mapping(base_mapping(integrability={"p1": 4, "q1": 3}))
