@@ -20,15 +20,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "grid": (
         "DomainMask", "GridSpec", "OmegaShape", "ScalarField", "VectorField", "ball",
-        "bump", "extend_by_zero", "holder_seminorm", "interval", "lp_norm",
-        "random_bumps", "read_field", "rectangle", "slice_to_csv", "write_field",
+        "bump", "holder_seminorm", "interval", "lp_norm", "random_bumps", "rectangle",
+        "write_field",
     ),
     "riesz": (
-        "FracOrder", "adjointness_residual", "frac_divergence_spectral",
-        "frac_gradient_direct", "frac_gradient_spectral", "gamma_coeff",
-        "kernel_norm_ball", "kernel_norm_tail", "localization_error", "mu_coeff",
-        "poincare_check", "riesz_convolve", "riesz_symbol", "sphere_area",
-        "tail_decay_check",
+        "adjointness_residual", "frac_divergence_spectral", "frac_gradient_direct",
+        "frac_gradient_spectral", "gamma_coeff", "kernel_norm_ball", "kernel_norm_tail",
+        "localization_error", "mu_coeff", "poincare_check", "riesz_convolve",
+        "riesz_symbol", "sphere_area", "tail_decay_check",
     ),
     "forms": (
         "CoercivityReport", "EmpiricalConstants", "OperatorData", "SourceData",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, ScalarField, holder_seminorm, lp_norm, random_bumps
-from .riesz import FracOrder, _as_s, frac_gradient_spectral
+from .riesz import frac_gradient_spectral
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,19 @@ class EmpiricalConstants:
     samples: int
 
 
-def estimate_constants(grid: GridSpec, s: FracOrder | float, samples: int = 64, seed: int = 0) -> EmpiricalConstants:
+def estimate_constants(grid: GridSpec, s: float, samples: int = 64, seed: int = 0) -> EmpiricalConstants:
     """Estimate C_*, C_0 and C_beta over an ensemble of random bumps.
 
     The continuum statements only assert existence; the constants here are
     ensemble maxima of the corresponding Rayleigh quotients.
     """
-    sv = _as_s(s)
     ens = random_bumps(grid, samples, seed=seed)
     mask = grid.masks().inside
     d = grid.dim
-    two_star = np.inf if 2 * sv >= d else 2 * d / (d - 2 * sv)
+    two_star = np.inf if 2 * s >= d else 2 * d / (d - 2 * s)
     c_star = c_0 = c_beta = 0.0
     for v in ens:
-        dv = frac_gradient_spectral(v, sv)
+        dv = frac_gradient_spectral(v, s)
         l2 = lp_norm(dv, 2.0)
         if l2 == 0.0:
             continue
@@ -203,11 +202,11 @@ def estimate_constants(grid: GridSpec, s: FracOrder | float, samples: int = 64, 
         for p in (1.0, 2.0, np.inf):
             dp = lp_norm(dv, p)
             if dp > 0:
-                c_0 = max(c_0, sv * lp_norm(v, p, region=mask) / dp)
+                c_0 = max(c_0, s * lp_norm(v, p, region=mask) / dp)
         dinf = lp_norm(dv, np.inf)
         if dinf > 0:
-            c_beta = max(c_beta, holder_seminorm(v, sv / 2, mask) / dinf)
-    return EmpiricalConstants(s=sv, c_star=c_star, c_0=c_0, c_beta=c_beta, samples=len(ens))
+            c_beta = max(c_beta, holder_seminorm(v, s / 2, mask) / dinf)
+    return EmpiricalConstants(s=s, c_star=c_star, c_0=c_0, c_beta=c_beta, samples=len(ens))
 
 
 @dataclass(frozen=True)
@@ -226,19 +225,18 @@ class CoercivityReport:
     exponent_c: float
 
 
-def coercivity_margin(op: OperatorData, s: FracOrder | float, constants: EmpiricalConstants) -> CoercivityReport:
+def coercivity_margin(op: OperatorData, s: float, constants: EmpiricalConstants) -> CoercivityReport:
     """Coercivity margin of the form with empirical embedding constants.
 
     Exponents are d/s for b+dvec and d/(2s) for c^-; an exponent below 1
     (d=1 with s > 1/2) falls back to the L^1 norm, matching the low-exponent
     variant available when 2s >= d.  Degeneracy is reported, not raised.
     """
-    sv = _as_s(s)
     grid = op.grid
     d = grid.dim
     mask = grid.masks().inside
-    p_bd = max(d / sv, 1.0)
-    p_c = max(d / (2 * sv), 1.0)
+    p_bd = max(d / s, 1.0)
+    p_c = max(d / (2 * s), 1.0)
     bd = np.sqrt(np.sum((op.b + op.dvec) ** 2, axis=0))
     hd = grid.cell_volume
     norm_bd = float((hd * np.sum(bd[mask] ** p_bd)) ** (1 / p_bd))
@@ -259,7 +257,7 @@ def coercivity_margin(op: OperatorData, s: FracOrder | float, constants: Empiric
     )
 
 
-def bilinear_apply(op: OperatorData, u: ScalarField, v: ScalarField, s: FracOrder | float) -> float:
+def bilinear_apply(op: OperatorData, u: ScalarField, v: ScalarField, s: float) -> float:
     """Evaluate L(u, v) by lattice quadrature."""
     if u.grid != op.grid or v.grid != op.grid:
         raise ValueError("fields and operator must share one grid")
@@ -276,7 +274,7 @@ def bilinear_apply(op: OperatorData, u: ScalarField, v: ScalarField, s: FracOrde
     return principal + conv + lower
 
 
-def linear_apply(src: SourceData, v: ScalarField, s: FracOrder | float) -> float:
+def linear_apply(src: SourceData, v: ScalarField, s: float) -> float:
     """Evaluate F(v) = int_Omega f_sharp v + int_box f_vec . D^s v."""
     if v.grid != src.grid:
         raise ValueError("field and source must share one grid")

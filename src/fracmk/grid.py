@@ -10,7 +10,6 @@ the trapezoidal rule and matches spectral differentiation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +38,11 @@ class OmegaShape:
         if self.kind == "ball":
             return self.radius
         return float(np.linalg.norm(self.halfwidths))
+
+    def inner_radius(self) -> float:
+        if self.kind == "ball":
+            return self.radius
+        return min(self.halfwidths)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of strict membership; points has shape (d, ...)."""
@@ -115,11 +119,7 @@ class GridSpec:
 
     def coords(self) -> np.ndarray:
         """Node coordinates, shape (dim, n, ...)."""
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[None, :]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X, Y])
+        return np.stack(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
     def omega_distance(self) -> np.ndarray:
         return self.omega.distance(self.coords())
@@ -188,27 +188,6 @@ class VectorField:
         return np.sqrt(np.sum(self.values**2, axis=0))
 
 
-def extend_by_zero(values: np.ndarray, grid: GridSpec, mask: np.ndarray | None = None) -> ScalarField:
-    """Extend data given on the Omega nodes by zero to the whole box.
-
-    `values` is either a full lattice array (checked to vanish off the mask)
-    or a flat vector of length mask.sum() holding the Omega-node values.
-    """
-    if mask is None:
-        mask = grid.masks().inside
-    out = np.zeros(grid.shape)
-    flat = np.asarray(values, dtype=float)
-    if flat.shape == grid.shape:
-        if np.any(flat[~mask] != 0.0):
-            raise ValueError("input carries nonzero values outside the mask")
-        out[mask] = flat[mask]
-    elif flat.ndim == 1 and flat.size == int(mask.sum()):
-        out[mask] = flat
-    else:
-        raise ValueError("values must match the grid or the mask node count")
-    return ScalarField(grid, out)
-
-
 def lp_norm(f: ScalarField | VectorField, p: float, region: np.ndarray | None = None) -> float:
     """L^p norm by h^d quadrature; p=inf is the sup over region nodes.
 
@@ -253,10 +232,7 @@ def bump(grid: GridSpec, radius: float | None = None, center: tuple[float, ...] 
     lattice outside the ball.
     """
     if radius is None:
-        if grid.omega.kind == "ball":
-            radius = grid.omega.radius
-        else:
-            radius = min(grid.omega.halfwidths)
+        radius = grid.omega.inner_radius()
     pts = grid.coords()
     if center is not None:
         pts = pts - np.asarray(center, dtype=float).reshape((grid.dim,) + (1,) * grid.dim)
@@ -290,7 +266,7 @@ def random_bumps(grid: GridSpec, count: int, seed: int = 0) -> list[ScalarField]
     return fields
 
 
-# -- serialization: raw binary + plain-text header, CSV slices ---------------
+# -- serialization: raw binary + plain-text header -----------------------------
 
 
 def write_field(f: ScalarField | VectorField, path_prefix: str | Path, s: float | None = None) -> None:
@@ -306,34 +282,3 @@ def write_field(f: ScalarField | VectorField, path_prefix: str | Path, s: float 
         f"components={comps}",
     ]
     prefix.with_suffix(".hdr").write_text("\n".join(hdr) + "\n")
-
-
-def read_field(path_prefix: str | Path, grid: GridSpec) -> ScalarField | VectorField:
-    prefix = Path(path_prefix)
-    hdr = dict(
-        line.split("=", 1)
-        for line in prefix.with_suffix(".hdr").read_text().strip().splitlines()
-    )
-    if int(hdr["n"]) != grid.points_per_axis or int(hdr["dim"]) != grid.dim:
-        raise ValueError("header does not match the supplied grid")
-    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
-    comps = int(hdr["components"])
-    if comps == 1:
-        return ScalarField(grid, raw.reshape(grid.shape))
-    return VectorField(grid, raw.reshape((comps,) + grid.shape))
-
-
-def slice_to_csv(f: ScalarField, path: str | Path, axis: int = 0, index: int | None = None) -> None:
-    """Write a 1D slice (x, value) as CSV; 1D fields are written whole."""
-    ax = f.grid.axis()
-    if f.grid.dim == 1:
-        line = f.values
-    else:
-        if index is None:
-            index = f.grid.points_per_axis // 2
-        line = f.values[index, :] if axis == 0 else f.values[:, index]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for x, v in zip(ax, line):
-            w.writerow([repr(float(x)), repr(float(v))])

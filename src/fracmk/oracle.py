@@ -24,7 +24,6 @@ import numpy as np
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
 from .penalty import Solution, _assemble_rhs, _omega_fft, _solution
-from .riesz import _as_s
 
 
 # -- analytic benchmarks -------------------------------------------------------
@@ -193,10 +192,9 @@ def pdhg_solve(
     (K V)^T y, and an iteration is two dense products with K V.  Raises
     ValueError when Q is not positive definite.
     """
-    sv = _as_s(s)
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, sv)
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, s)
     g_flat = thr.g.ravel()
     d, N, m = grid.dim, g_flat.size, rhs.size
 
@@ -263,7 +261,7 @@ def pdhg_solve(
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return _solution(
         grid, unk, V @ zf, tstar * p, lam_flat,
-        eps=0.0, q=0.0, s=sv, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+        eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )
 
 
@@ -287,10 +285,9 @@ def brute_force_qp(
     budget (max_outer iterations ran out) or step (the ascent step fell
     below 1e-14 without raising the dual).
     """
-    sv = _as_s(s)
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, sv)
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, s)
     g_flat = thr.g.ravel()
     d, N = grid.dim, g_flat.size
 
@@ -342,5 +339,5 @@ def brute_force_qp(
     uf = tstar * uvec
     return _solution(
         grid, unk, uf, K @ uf, lam,
-        eps=0.0, q=0.0, s=sv, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+        eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )

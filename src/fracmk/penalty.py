@@ -73,7 +73,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField, lp_norm, random_bumps
-from .riesz import EXP_CAP, _as_s, riesz_symbol
+from .riesz import EXP_CAP, riesz_symbol
 
 
 @dataclass(frozen=True)
@@ -799,9 +799,8 @@ def solve_fixed_eps(
     stagnated, damping or budget) and the dense Jacobians and Krylov
     iterations this call took, its cold-start chain included.
     """
-    sv = _as_s(s)
     grid = op.grid
-    q = cfg.q if cfg.q is not None else default_q(grid.dim, sv)
+    q = cfg.q if cfg.q is not None else default_q(grid.dim, s)
     lagged = _LaggedInverse() if lagged is None else lagged
     jac0, kry0 = lagged.jacobians, lagged.krylov
     if warm_start is None and cfg.eps < 0.1:
@@ -810,7 +809,7 @@ def solve_fixed_eps(
             chain_cfg = replace(cfg, eps=e, eps_schedule=())
             warm_start = solve_fixed_eps(op, src, thr, s, chain_cfg, warm_start, lagged=lagged)
             e = max(cfg.eps, 0.25 * e)
-    prob = _PenaltyProblem(op, src, thr, sv, cfg.eps, q)
+    prob = _PenaltyProblem(op, src, thr, s, cfg.eps, q)
     mask = grid.masks().inside
     lam0 = None
     if warm_start is not None:
@@ -828,7 +827,7 @@ def solve_fixed_eps(
         grid, prob.fft.nodes, u, p, lam,
         eps=cfg.eps,
         q=q,
-        s=sv,
+        s=s,
         converged=stop == "converged",
         iterations=iters,
         residual_norm=rnorm,
@@ -903,7 +902,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     for name, value in (("sol.eps", sol.eps), ("sol.q", sol.q)):
         if not isfinite(value):
             raise ValueError(f"{name} must be finite")
-    prob = _PenaltyProblem(op, src, thr, _as_s(s), sol.eps, sol.q)
+    prob = _PenaltyProblem(op, src, thr, s, sol.eps, sol.q)
     hd = prob.hd
     u = sol.u.values[mask]
     p = prob.grad(u)

@@ -6,19 +6,20 @@ Two independent discretizations of the fractional gradient of order s:
   on the periodic box, which for s=1 reduces to the classical spectral
   gradient, and whose divergence is exactly skew-adjoint to it;
 * a direct path: quadrature of the vector-valued singular integral
-  mu_s * int (u(x)-u(y)) (x-y) / |x-y|^(d+s+1) dy, with the near-singular
-  first-order flux compensated in closed form.
+  mu_s * int (u(x)-u(y)) (x-y) / |x-y|^(d+s+1) dy, one lattice sum for
+  d = 1 and 2, with the near-singular first-order flux compensated in
+  closed form.
 
 The direct path exists in two flavors: `periodic=False` treats u as a
 compactly supported function on R^d (box-exterior contribution added
 analytically), which is the object the far-field and tail estimates bound;
-`periodic=True` sums the kernel over lattice images so that both paths
-discretize the same torus operator and can be compared tightly.
+`periodic=True` sums the kernel over lattice images, once, into a table over
+the node offsets wrapped into (-L/2, L/2], so that both paths discretize the
+same torus operator and can be compared tightly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
 from math import pi
@@ -51,22 +52,6 @@ def mu_coeff(d: int, s: float) -> float:
     return (d + s - 1) * gamma_coeff(d, 1 - s)
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional exponent s in (0, 1] with a fixed lower bound sigma < s."""
-
-    s: float
-    sigma: float = 0.25
-
-    def __post_init__(self):
-        if not 0 < self.sigma < self.s <= 1:
-            raise ValueError("need 0 < sigma < s <= 1")
-
-
-def _as_s(s: FracOrder | float) -> float:
-    return s.s if isinstance(s, FracOrder) else float(s)
-
-
 # -- kernel norms (closed forms of the L^1 ball / L^{p'} tail norms) ---------
 
 
@@ -94,13 +79,10 @@ def kernel_norm_tail(d: int, alpha: float, p: float, R: float) -> float:
 def _freq_mesh(grid: GridSpec) -> np.ndarray:
     """Angular wavenumbers 2*pi*k per axis, shape (d,) + grid.shape."""
     k1 = 2 * pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    if grid.dim == 1:
-        return k1[None, :]
-    KX, KY = np.meshgrid(k1, k1, indexing="ij")
-    return np.stack([KX, KY])
+    return np.stack(np.meshgrid(*[k1] * grid.dim, indexing="ij"))
 
 
-def riesz_symbol(grid: GridSpec, s: FracOrder | float) -> np.ndarray:
+def riesz_symbol(grid: GridSpec, s: float) -> np.ndarray:
     """Per-axis multiplier of D^s: i*k_j*|k|^(s-1) (angular k), 0 at k=0.
 
     The j-th component is also zeroed where axis j sits at the Nyquist
@@ -108,7 +90,7 @@ def riesz_symbol(grid: GridSpec, s: FracOrder | float) -> np.ndarray:
     symbol must vanish there for real fields to map to real fields.
     Memoised per (grid, s); the returned array is shared, hence read-only.
     """
-    return _symbol(grid, _as_s(s))
+    return _symbol(grid, float(s))
 
 
 @lru_cache(maxsize=32)
@@ -142,7 +124,7 @@ def riesz_convolve(f: ScalarField, alpha: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def frac_gradient_spectral(u: ScalarField, s: FracOrder | float) -> VectorField:
+def frac_gradient_spectral(u: ScalarField, s: float) -> VectorField:
     """Fractional gradient D^s u on the torus; classical gradient at s=1."""
     grid = u.grid
     m = riesz_symbol(grid, s)
@@ -151,7 +133,7 @@ def frac_gradient_spectral(u: ScalarField, s: FracOrder | float) -> VectorField:
     return VectorField(grid, np.stack(comps))
 
 
-def frac_divergence_spectral(xi: VectorField, s: FracOrder | float) -> ScalarField:
+def frac_divergence_spectral(xi: VectorField, s: float) -> ScalarField:
     """Fractional divergence D^s . xi, exactly skew-adjoint to the gradient."""
     grid = xi.grid
     m = riesz_symbol(grid, s)
@@ -162,7 +144,7 @@ def frac_divergence_spectral(xi: VectorField, s: FracOrder | float) -> ScalarFie
 
 
 def adjointness_residual(
-    u: ScalarField, xi: VectorField, s: FracOrder | float, div_s_offset: float = 0.0
+    u: ScalarField, xi: VectorField, s: float, div_s_offset: float = 0.0
 ) -> float:
     """Relative integration-by-parts residual of the pairing identity.
 
@@ -172,7 +154,7 @@ def adjointness_residual(
     """
     grid = u.grid
     hd = grid.cell_volume
-    div = frac_divergence_spectral(xi, _as_s(s) + div_s_offset)
+    div = frac_divergence_spectral(xi, s + div_s_offset)
     grad = frac_gradient_spectral(u, s)
     lhs = hd * float(np.sum(u.values * div.values))
     rhs = hd * float(np.sum(grad.values * xi.values))
@@ -253,146 +235,82 @@ def _box_exterior_term(grid: GridSpec, s: float, pts: np.ndarray) -> np.ndarray:
 _CUTOFF = 0.5
 _IMAGES_1D = 64
 _IMAGES_2D = 8
+_CHUNK = 2_000_000  # entries per block of the (node, offset) arrays
 
 
-def _direct_1d(u, s, eval_idx, periodic):
+def _kernel(z: np.ndarray, s: float, h: float) -> np.ndarray:
+    """z / |z|^(d+s+1) for offsets z of shape (d, ...); 0 within h/4 of 0."""
+    r2 = np.sum(z**2, axis=0)
+    with np.errstate(divide="ignore"):
+        w = r2 ** (-(z.shape[0] + s + 1) / 2)
+    return z * np.where(r2 < (h / 4) ** 2, 0.0, w)
+
+
+def _direct(u: ScalarField, s: float, eval_idx: np.ndarray, periodic: bool) -> np.ndarray:
+    """D^s u at the flat node indices eval_idx, shape (d, eval_idx.size)."""
     grid = u.grid
-    n, h, L = grid.points_per_axis, grid.spacing, grid.box_side
-    mu = mu_coeff(1, s)
-    x = grid.axis()
-    uv = u.values
-    du = _fd_gradient(uv, h)[0]
-
-    m_cells = max(int(np.floor(_CUTOFF / h - 0.5)), 1)
-    rho = (m_cells + 0.5) * h
-
-    Z = x[eval_idx][:, None] - x[None, :]
-    if periodic:
-        Zw = Z - L * np.round(Z / L)
-    else:
-        Zw = Z
-    self_mask = np.abs(Zw) < h / 2
-
-    def kern(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.sign(z) * np.abs(z) ** (-1 - s)
-        return np.where(np.abs(z) < h / 4, 0.0, k)
-
-    if periodic:
-        K = np.zeros_like(Z)
-        for mm in range(-_IMAGES_1D, _IMAGES_1D + 1):
-            K += kern(Zw + mm * L)
-    else:
-        K = kern(Z)
-    K[self_mask] = 0.0
-
-    diff = uv[eval_idx][:, None] - uv[None, :]
-    plain = h * np.sum(diff * K, axis=1)
-
-    K0 = kern(Zw)
-    K0[self_mask] = 0.0
-    near = (np.abs(Zw) <= rho + h / 4) & ~self_mask
-    mom_mid = h * np.sum(np.where(near, Zw * K0, 0.0), axis=1)
-    comp = du[eval_idx] * (_cutoff_moment(1, s, rho) - mom_mid)
-
-    vals = plain + comp
-    if not periodic:
-        # exterior term carries a factor u(x): skip the support-free nodes
-        # (the flux integrand is singular at the box edge itself)
-        carrier = np.flatnonzero(uv[eval_idx] != 0.0)
-        if carrier.size:
-            tail = _box_exterior_term(grid, s, x[eval_idx[carrier]][None, :])[0]
-            vals[carrier] += uv[eval_idx[carrier]] * tail
-    return mu * vals
-
-
-def _direct_2d(u, s, eval_idx, periodic):
-    grid = u.grid
-    n, h, L = grid.points_per_axis, grid.spacing, grid.box_side
-    mu = mu_coeff(2, s)
-    pts = grid.coords().reshape(2, -1)
+    d, n, h, L = grid.dim, grid.points_per_axis, grid.spacing, grid.box_side
+    hd = grid.cell_volume
+    pts = grid.coords().reshape(d, -1)
     uv = u.values.ravel()
-    du = _fd_gradient(u.values, h).reshape(2, -1)
+    du = _fd_gradient(u.values, h).reshape(d, -1)
 
     m_cells = max(int(np.floor(_CUTOFF / h - 0.5)), 1)
     rho = (m_cells + 0.5) * h
-    mom_exact = _cutoff_moment(2, s, rho)
+    mom_exact = _cutoff_moment(d, s, rho)
+
+    def near_moment(z, K):
+        """h^d sum over the offsets within the cutoff cell of z (x) K."""
+        near = np.max(np.abs(z), axis=0) <= rho + h / 4
+        return hd * np.einsum("i...n,j...n->ij...", z, np.where(near, K, 0.0))
 
     if periodic:
-        # kernel table over wrapped index offsets, images summed once
-        ax = grid.axis() + L / 2  # offsets 0..L-h
-        Z0, Z1 = np.meshgrid(ax, ax, indexing="ij")
-        Z0 = Z0 - L * np.round(Z0 / L)
-        Z1 = Z1 - L * np.round(Z1 / L)
-        T0 = np.zeros_like(Z0)
-        T1 = np.zeros_like(Z1)
-        for m0 in range(-_IMAGES_2D, _IMAGES_2D + 1):
-            for m1 in range(-_IMAGES_2D, _IMAGES_2D + 1):
-                A, B = Z0 + m0 * L, Z1 + m1 * L
-                r2 = A**2 + B**2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    w = r2 ** (-(3 + s) / 2)
-                w = np.where(r2 < (h / 4) ** 2, 0.0, w)
-                T0 += A * w
-                T1 += B * w
+        # kernel table over the node offsets wrapped into (-L/2, L/2], with
+        # the lattice images summed in once; translation invariance makes
+        # the near moment one (d, d) matrix
+        off = pts + L / 2
+        off = off - L * np.round(off / L)
+        images = _IMAGES_1D if d == 1 else _IMAGES_2D
+        shifts = np.meshgrid(*[L * np.arange(-images, images + 1)] * d, indexing="ij")
+        shifts = np.stack(shifts).reshape(d, 1, -1)
+        step = max(1, _CHUNK // shifts.shape[-1])
+        blocks = [
+            _kernel(off[:, lo : lo + step, None] + shifts, s, h).sum(axis=-1)
+            for lo in range(0, off.shape[1], step)
+        ]
+        table = np.concatenate(blocks, axis=1)
+        M = near_moment(off, _kernel(off, s, h))[..., None]
+        node = np.unravel_index(np.arange(uv.size), grid.shape)
 
-    idx_all = np.arange(n * n)
-    out = np.zeros((2, eval_idx.size))
-    exterior = np.zeros((2, eval_idx.size))
-    if not periodic:
-        carrier = np.flatnonzero(uv[eval_idx] != 0.0)
-        if carrier.size:
-            exterior[:, carrier] = _box_exterior_term(grid, s, pts[:, eval_idx[carrier]])
-
-    chunk = max(1, int(2e6) // (n * n))
+    out = np.empty((d, eval_idx.size))
+    chunk = max(1, _CHUNK // uv.size)
     for lo in range(0, eval_idx.size, chunk):
         sel = eval_idx[lo : lo + chunk]
         if periodic:
-            i0, j0 = np.divmod(sel, n)
-            i1, j1 = np.divmod(idx_all, n)
-            o0 = (i0[:, None] - i1[None, :]) % n
-            o1 = (j0[:, None] - j1[None, :]) % n
-            K0c, K1c = T0[o0, o1], T1[o0, o1]
-            Zw0 = Z0[o0, o1]
-            Zw1 = Z1[o0, o1]
+            o = np.ravel_multi_index(tuple((a[sel, None] - a[None, :]) % n for a in node), grid.shape)
+            K = table[:, o]
         else:
-            Zw0 = pts[0, sel][:, None] - pts[0][None, :]
-            Zw1 = pts[1, sel][:, None] - pts[1][None, :]
-            r2 = Zw0**2 + Zw1**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = r2 ** (-(3 + s) / 2)
-            w = np.where(r2 < (h / 4) ** 2, 0.0, w)
-            K0c, K1c = Zw0 * w, Zw1 * w
-
-        diff = uv[sel][:, None] - uv[None, :]
-        acc0 = h * h * np.sum(diff * K0c, axis=1)
-        acc1 = h * h * np.sum(diff * K1c, axis=1)
-
-        # near-field compensation against the principal (m=0) kernel
-        r2w = Zw0**2 + Zw1**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w0 = r2w ** (-(3 + s) / 2)
-        w0 = np.where(r2w < (h / 4) ** 2, 0.0, w0)
-        near = (np.maximum(np.abs(Zw0), np.abs(Zw1)) <= rho + h / 4) & (r2w > (h / 4) ** 2)
-        w0n = np.where(near, w0, 0.0)
-        m00 = h * h * np.sum(Zw0 * Zw0 * w0n, axis=1)
-        m01 = h * h * np.sum(Zw0 * Zw1 * w0n, axis=1)
-        m11 = h * h * np.sum(Zw1 * Zw1 * w0n, axis=1)
-        g0, g1 = du[0, sel], du[1, sel]
-        acc0 += g0 * (mom_exact - m00) - g1 * m01
-        acc1 += g1 * (mom_exact - m11) - g0 * m01
-
+            z = pts[:, sel, None] - pts[:, None, :]
+            K = _kernel(z, s, h)
+            M = near_moment(z, K)
+        diff = uv[sel, None] - uv[None, :]
+        acc = hd * np.sum(diff * K, axis=-1)
+        # near-field compensation of the first-order flux: exact moment of
+        # the cutoff cell minus its lattice sum
+        g = du[:, sel]
+        acc += g * mom_exact - np.sum(M * g, axis=1)
         if not periodic:
-            acc0 += uv[sel] * exterior[0, lo : lo + chunk]
-            acc1 += uv[sel] * exterior[1, lo : lo + chunk]
-        out[0, lo : lo + chunk] = acc0
-        out[1, lo : lo + chunk] = acc1
-    return mu * out
+            # exterior term carries a factor u(x): skip the support-free
+            # nodes (the flux integrand is singular at the box edge itself)
+            live = uv[sel] != 0.0
+            acc[:, live] += uv[sel[live]] * _box_exterior_term(grid, s, pts[:, sel[live]])
+        out[:, lo : lo + chunk] = acc
+    return mu_coeff(d, s) * out
 
 
 def frac_gradient_direct(
     u: ScalarField,
-    s: FracOrder | float,
+    s: float,
     eval_mask: np.ndarray | None = None,
     periodic: bool = False,
 ) -> VectorField:
@@ -405,20 +323,13 @@ def frac_gradient_direct(
     compactly supported function on R^d and the box-exterior contribution
     enters through an analytic boundary term.
     """
-    sv = _as_s(s)
-    if not 0 < sv < 1:
+    if not 0 < s < 1:
         raise ValueError("the singular-integral form needs 0 < s < 1")
     grid = u.grid
-    if eval_mask is None:
-        eval_idx = np.arange(int(np.prod(grid.shape)))
-    else:
-        eval_idx = np.flatnonzero(eval_mask.ravel())
-    out = np.zeros((grid.dim,) + (int(np.prod(grid.shape)),))
+    out = np.zeros((grid.dim, u.values.size))
+    eval_idx = np.arange(u.values.size) if eval_mask is None else np.flatnonzero(eval_mask.ravel())
     if eval_idx.size:
-        if grid.dim == 1:
-            out[0, eval_idx] = _direct_1d(u, sv, eval_idx, periodic)
-        else:
-            out[:, eval_idx] = _direct_2d(u, sv, eval_idx, periodic)
+        out[:, eval_idx] = _direct(u, float(s), eval_idx, periodic)
     return VectorField(grid, out.reshape((grid.dim,) + grid.shape))
 
 
@@ -435,14 +346,13 @@ def localization_error(w: ScalarField, s_list) -> np.ndarray:
     return np.asarray(errs)
 
 
-def tail_decay_check(u: ScalarField, s: FracOrder | float, p: float, R_list) -> dict:
+def tail_decay_check(u: ScalarField, s: float, p: float, R_list) -> dict:
     """Tail integrals of |D^s u|^p outside Omega_R against the decay estimate.
 
     Returns the measured integrals over box \\ Omega_R and their ratios to
     mu_s^p ||u||_1^p / R^((p-1)d + ps); the estimate asserts the ratios are
     bounded by one constant for all R >= 1.
     """
-    sv = _as_s(s)
     grid = u.grid
     d = grid.dim
     dist = grid.omega_distance()
@@ -453,16 +363,16 @@ def tail_decay_check(u: ScalarField, s: FracOrder | float, p: float, R_list) -> 
         region = dist >= R
         if not region.any():
             raise ValueError(f"R={R} exceeds the box")
-        ds = frac_gradient_direct(u, sv, eval_mask=region, periodic=False)
+        ds = frac_gradient_direct(u, s, eval_mask=region, periodic=False)
         tail = hd * float(np.sum(ds.magnitude()[region] ** p))
-        envelope = mu_coeff(d, sv) ** p * l1**p / R ** ((p - 1) * d + p * sv)
+        envelope = mu_coeff(d, s) ** p * l1**p / R ** ((p - 1) * d + p * s)
         out["R"].append(float(R))
         out["tail"].append(tail)
         out["ratio"].append(tail / envelope if envelope > 0 else 0.0)
     return out
 
 
-def poincare_check(u: ScalarField, s: FracOrder | float, p: float) -> float:
+def poincare_check(u: ScalarField, s: float, p: float) -> float:
     """Ratio ||u||_{L^p(Omega)} / ||D^s u||_{L^p(box)}; 0/0 resolves to 0."""
     from .grid import lp_norm
 

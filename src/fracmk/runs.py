@@ -255,10 +255,7 @@ def weak_battery(grid: GridSpec) -> list[ScalarField]:
     mask = grid.masks().inside
     pts = grid.coords()
     out = []
-    if grid.omega.kind == "ball":
-        radius = grid.omega.radius
-    else:
-        radius = min(grid.omega.halfwidths)
+    radius = grid.omega.inner_radius()
     centers = np.linspace(-0.5 * radius, 0.5 * radius, 4)
     for c0 in centers:
         center = (c0,) * grid.dim
@@ -555,14 +552,16 @@ def run_verify(
     Returns (rows, all_pass); each row is (check, params, measured, bound,
     pass).  `selection` restricts to named checks (empty list = no checks,
     vacuously passing); `adjoint_s_offset` is the fault-injection hook that
-    perturbs s on the divergence side of the adjointness identity.
+    perturbs s on the divergence side of the adjointness identity.  An
+    unknown name raises ValueError before any check runs.
     """
     rng = np.random.default_rng(seed)
     names = list(_VERIFY_CHECKS) if selection is None else list(selection)
+    unknown = [name for name in names if name not in _VERIFY_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s): {unknown}")
     rows: list[tuple] = []
     for name in names:
-        if name not in _VERIFY_CHECKS:
-            raise ValueError(f"unknown check {name!r}")
         fn = _VERIFY_CHECKS[name]
         if name == "adjointness":
             fn(rows, rng, adjoint_s_offset)

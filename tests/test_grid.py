@@ -9,12 +9,9 @@ from fracmk import (
     VectorField,
     ball,
     bump,
-    extend_by_zero,
     holder_seminorm,
     interval,
     lp_norm,
-    read_field,
-    slice_to_csv,
     write_field,
 )
 
@@ -60,39 +57,10 @@ def test_fields_reject_nonfinite():
         ScalarField(g, bad)
 
 
-def test_extend_by_zero_cases():
-    g = grid_1d()
-    mask = g.masks().inside
-    zero = extend_by_zero(np.zeros(int(mask.sum())), g)
-    assert not zero.values.any()
-
-    indicator = extend_by_zero(np.ones(int(mask.sum())), g)
-    assert np.all(indicator.values[mask] == 1.0)
-    assert np.all(indicator.values[~mask] == 0.0)
-
-    with pytest.raises(ValueError):
-        extend_by_zero(np.ones(int(mask.sum()) + 3), g)
-    full = np.ones(g.shape)  # nonzero outside the mask
-    with pytest.raises(ValueError):
-        extend_by_zero(full, g)
-
-
-def test_extend_by_zero_isometry():
-    g = grid_1d(n=128)
-    mask = g.masks().inside
-    rng = np.random.default_rng(3)
-    inner = rng.normal(size=int(mask.sum()))
-    f = extend_by_zero(inner, g)
-    for p in (1.0, 2.0, 3.5, np.inf):
-        restricted = lp_norm(f, p, region=mask)
-        whole = lp_norm(f, p)
-        assert whole == pytest.approx(restricted, rel=1e-14)
-
-
 def test_lp_norm_indicator_measure():
     g = grid_1d(n=256)
     mask = g.masks().inside
-    one = extend_by_zero(np.ones(int(mask.sum())), g)
+    one = ScalarField(g, mask.astype(float))
     # measure of Omega = (-1, 1)
     assert lp_norm(one, 1.0) == pytest.approx(2.0, abs=2 * g.spacing)
 
@@ -169,19 +137,21 @@ def test_holder_seminorm_sqrt_profile():
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
-def test_field_round_trip_and_csv(tmp_path):
+def read_back(prefix):
+    """The header as a dict and the values of a write_field dump."""
+    hdr = dict(line.split("=", 1) for line in prefix.with_suffix(".hdr").read_text().splitlines())
+    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
+    shape = (int(hdr["components"]),) + (int(hdr["n"]),) * int(hdr["dim"])
+    return hdr, raw.reshape(shape)
+
+
+def test_field_round_trip(tmp_path):
     g = grid_1d()
     f = bump(g)
     write_field(f, tmp_path / "u", s=0.7)
-    back = read_field(tmp_path / "u", g)
-    assert np.array_equal(back.values, f.values)
-    hdr = (tmp_path / "u.hdr").read_text()
-    assert "n=64" in hdr and "s=0.7" in hdr
-
-    slice_to_csv(f, tmp_path / "u.csv")
-    lines = (tmp_path / "u.csv").read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == g.points_per_axis + 1
+    hdr, back = read_back(tmp_path / "u")
+    assert np.array_equal(back[0], f.values)
+    assert hdr == {"dim": "1", "n": "64", "L": "4.0", "s": "0.7", "components": "1"}
 
 
 def test_vector_field_round_trip(tmp_path):
@@ -189,8 +159,9 @@ def test_vector_field_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     v = VectorField(g, rng.normal(size=(2,) + g.shape))
     write_field(v, tmp_path / "xi")
-    back = read_field(tmp_path / "xi", g)
-    assert np.array_equal(back.values, v.values)
+    hdr, back = read_back(tmp_path / "xi")
+    assert np.array_equal(back, v.values)
+    assert hdr["s"] == "none" and hdr["components"] == "2"
 
 
 def test_bump_support_and_smoothness():

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from fracmk import (
-    FracOrder,
     GridSpec,
     ScalarField,
     VectorField,
@@ -52,14 +51,6 @@ def test_mu_vanishes_towards_one():
     assert mu_coeff(1, 0.999) < mu_coeff(1, 0.9)
     assert mu_coeff(2, 0.999) < mu_coeff(2, 0.9)
     assert mu_coeff(1, 1.0) == 0.0
-
-
-def test_frac_order_validation():
-    FracOrder(0.7)
-    with pytest.raises(ValueError):
-        FracOrder(1.2)
-    with pytest.raises(ValueError):
-        FracOrder(0.2, sigma=0.5)
 
 
 # -- kernel norms (closed forms vs quadrature oracles) -------------------------
@@ -141,7 +132,6 @@ def test_symbol_oddness_and_magnitude():
 def test_symbol_memoised_and_read_only():
     g = grid_1d(n=64)
     m = riesz_symbol(g, 0.6)
-    assert riesz_symbol(g, FracOrder(0.6)) is m
     assert riesz_symbol(g, np.float64(0.6)) is m
     assert riesz_symbol(g, 0.7) is not m
     assert not m.flags.writeable
@@ -250,6 +240,61 @@ def test_direct_eval_mask_restriction():
     d = frac_gradient_direct(u, 0.5, eval_mask=mask, periodic=True)
     assert not d.values[0][~mask].any()
     assert d.values[0][mask].any()
+
+
+def _reference_direct(u, s, eval_idx, periodic):
+    """Per-node, per-image sum of the singular integral: offsets wrap into
+    (-L/2, L/2], the near field is compensated against the principal image."""
+    from fracmk.riesz import _CUTOFF, _IMAGES_1D, _IMAGES_2D, _box_exterior_term, _cutoff_moment, _fd_gradient
+
+    g = u.grid
+    d, h, L = g.dim, g.spacing, g.box_side
+    pts = g.coords().reshape(d, -1)
+    uv = u.values.ravel()
+    du = _fd_gradient(u.values, h).reshape(d, -1)
+    rho = (max(int(np.floor(_CUTOFF / h - 0.5)), 1) + 0.5) * h
+    images = (_IMAGES_1D if d == 1 else _IMAGES_2D) if periodic else 0
+    shifts = [np.array(m, dtype=float) * L for m in np.ndindex(*(2 * images + 1,) * d)]
+
+    def kern(z):
+        r = np.sqrt(np.sum(z**2, axis=0))
+        return np.where(r < h / 4, 0.0, z / np.maximum(r, h / 4) ** (d + s + 1))
+
+    out = np.zeros((d, eval_idx.size))
+    for c, i in enumerate(eval_idx):
+        z0 = pts[:, [i]] - pts
+        if periodic:
+            z0 = z0 - L * np.ceil(z0 / L - 0.5)
+        for shift in shifts:
+            k = kern(z0 + (shift - images * L)[:, None])
+            out[:, c] += g.cell_volume * np.sum((uv[i] - uv) * k, axis=1)
+        near = np.max(np.abs(z0), axis=0) <= rho + h / 4
+        k0 = kern(z0) * near
+        M = g.cell_volume * (z0 @ k0.T)
+        out[:, c] += du[:, i] * _cutoff_moment(d, s, rho) - M @ du[:, i]
+        if not periodic and uv[i] != 0.0:
+            out[:, c] += uv[i] * _box_exterior_term(g, s, pts[:, [i]])[:, 0]
+    return mu_coeff(d, s) * out
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_direct_matches_reference_loop(dim, periodic):
+    if dim == 1:
+        g = GridSpec(dim=1, box_side=4.0, points_per_axis=32, omega=interval(1.0), buffer=0.5)
+    else:
+        g = GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(0.8), buffer=0.5)
+    u = random_bumps(g, 1, seed=3)[0]
+    s = 0.4
+    # nodes inside Omega, in the buffer, outside it and next to the box edge
+    mask = np.zeros(g.shape, dtype=bool)
+    mask.flat[:: 5 if dim == 1 else 17] = True
+    mask.flat[-1] = True
+    idx = np.flatnonzero(mask)
+    got = frac_gradient_direct(u, s, eval_mask=mask, periodic=periodic).values.reshape(dim, -1)[:, idx]
+    ref = _reference_direct(u, s, idx, periodic)
+    assert np.abs(ref).max() > 0
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_two_path_agreement_1d():

@@ -207,9 +207,9 @@ def test_importing_the_cli_loads_no_numpy():
 
 # the package's exports, by the submodule that defines them
 EXPORTS = {
-    "grid": "DomainMask GridSpec OmegaShape ScalarField VectorField ball bump extend_by_zero holder_seminorm "
-    "interval lp_norm random_bumps read_field rectangle slice_to_csv write_field",
-    "riesz": "FracOrder adjointness_residual frac_divergence_spectral frac_gradient_direct frac_gradient_spectral "
+    "grid": "DomainMask GridSpec OmegaShape ScalarField VectorField ball bump holder_seminorm interval lp_norm "
+    "random_bumps rectangle write_field",
+    "riesz": "adjointness_residual frac_divergence_spectral frac_gradient_direct frac_gradient_spectral "
     "gamma_coeff kernel_norm_ball kernel_norm_tail localization_error mu_coeff poincare_check riesz_convolve "
     "riesz_symbol sphere_area tail_decay_check",
     "forms": "CoercivityReport EmpiricalConstants OperatorData SourceData Threshold bilinear_apply "
@@ -346,6 +346,17 @@ def test_run_verify_empty_selection(tmp_path):
 def test_run_verify_rejects_unknown_check():
     with pytest.raises(ValueError):
         run_verify(selection=["spectral-unicorns"])
+
+
+def test_cli_verify_rejects_a_typo_before_running_any_check(tmp_path, monkeypatch):
+    from fracmk import runs
+
+    called = []
+    monkeypatch.setitem(runs._VERIFY_CHECKS, "kernels", called.append)
+    with pytest.raises(ValueError, match="typo"):
+        main(["--output-root", str(tmp_path), "verify-kernels", "--select", "kernels,typo"])
+    assert called == []
+    assert not list(tmp_path.rglob("verify.csv"))
 
 
 def test_run_verify_fault_injection_fails_adjointness():
