@@ -80,13 +80,18 @@ def main(argv=None) -> int:
     _apply_threads(args.threads)
 
     # imports deferred so --threads can cap the pools before numpy spins up
-    from .runs import run_dependence, run_localize, run_oracle, run_solve, run_verify
+    from .runs import _verify_names, run_dependence, run_localize, run_oracle, run_solve, run_verify
 
     if args.command == "verify-kernels":
         if args.select is None:
             selection = None
         else:
             selection = [s for s in args.select.split(",") if s]
+        try:
+            _verify_names(selection)
+        except ValueError as exc:
+            print(f"verify-kernels: {exc}", file=sys.stderr)
+            return 2
         outdir = _run_dir(args, "verify", {"select": selection, "seed": args.seed or 0})
         rows, ok = run_verify(
             outdir=outdir,

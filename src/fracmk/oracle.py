@@ -165,8 +165,8 @@ def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
     return float(min(1.0, np.min(g[active] / p_mag[active])))
 
 
-# PDHG's tau/sigma: skewed toward the primal, which accelerates the strongly
-# convex cases considerably
+# PDHG's tau = _STEP_RATIO / sqrt(h^d): skewed toward the primal, which
+# accelerates the strongly convex cases considerably
 _STEP_RATIO = 10.0
 
 
@@ -183,43 +183,46 @@ def pdhg_solve(
     Stops when the duality gap, evaluated at the feasibility-scaled primal
     point and the always-dual-feasible shrunken y, drops below
     tol * (1 + |energy|).  The dual variable yields the multiplier estimate
-    lambda = |y| / (h^d g).  tau/sigma is skewed toward the primal by
-    _STEP_RATIO.
+    lambda = |y| / (h^d g).
 
-    The loop runs in z = V^T u, where Q = V diag(mu) V^T comes from one
-    numpy eigh: the prox (I + tau Q)^{-1} is the diagonal 1/(1 + tau mu),
-    the dual value -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's
-    (K V)^T y, and an iteration is two dense products with K V.  Raises
-    ValueError when Q is not positive definite.
+    The primal metric is the Gram K^T K / tau (Pock & Chambolle, ICCV
+    2011), and the loop runs in z = V^-1 u for the generalized eigenvectors
+    of the pencil (Q, K^T K): V^T Q V = diag(mu), V^T K^T K V = I, with
+    V = L^-T W from the Cholesky factor L of the Toeplitz s-Laplacian Gram
+    K^T K and one numpy eigh, L^-1 Q L^-T = W diag(mu) W^T.  K V is
+    orthonormal, so tau sigma = 0.9 meets the step condition with no norm
+    estimate; the prox is the diagonal 1/(1 + tau mu), the dual value
+    -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's (K V)^T y, and
+    an iteration is two dense products with K V.  tau = _STEP_RATIO /
+    sqrt(h^d): h^d scales both the primal curvature (mu = a h^d for A = a I)
+    and the dual (|y| = h^d lambda g), so the step ignores the mass ridge of
+    a degenerate operator.  Raises ValueError when Q is not positive
+    definite.
     """
     grid = op.grid
     hd = grid.cell_volume
     Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, s)
     g_flat = thr.g.ravel()
     d, N, m = grid.dim, g_flat.size, rhs.size
+    tau = _STEP_RATIO / np.sqrt(hd)
+    sigma = 0.9 / tau
 
-    # power iteration for ||K||
-    v = np.ones(m) / np.sqrt(m)
-    for _ in range(50):
-        w = K.T @ (K @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    Knorm = max(float(np.sqrt(np.linalg.norm(K.T @ (K @ v)))), 1e-30)
-    tau = _STEP_RATIO / Knorm
-    sigma = 0.9 / (_STEP_RATIO * Knorm)
-
-    # numpy only: importing scipy.linalg would add ~28 MB to the process
+    # numpy only (no scipy eigh(Q, T)): importing scipy.linalg adds ~28 MB
+    L = np.linalg.cholesky(_omega_fft(grid, s).gram(np.eye(d)))
+    # L^-1 Q L^-T, rebound so that Q is freed before eigh
+    Q = np.linalg.solve(L, np.linalg.solve(L, Q).T)
     try:
-        mu, V = np.linalg.eigh(Q)
+        mu, W = np.linalg.eigh(Q)
     except np.linalg.LinAlgError:
         mu = None
     if mu is None or not mu[0] > 0:
         raise ValueError("the discrete energy is not strictly convex: Q is not positive definite")
+    del Q
+    V = np.linalg.solve(L.T, W)
+    del L, W
     KV = K @ V
+    del K
     rhat = V.T @ rhs
-    del Q, K
     prox = 1.0 / (1.0 + tau * mu)
     sigma_g, tau_rhat = sigma * g_flat, tau * rhat
 

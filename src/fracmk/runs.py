@@ -195,7 +195,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            # float(x): numpy scalars are float subclasses whose repr is np.float64(...)
+            w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
 
 
 def _kkt_row(eps: float, sol: Solution, rep: KKTReport) -> list:
@@ -541,6 +542,15 @@ _VERIFY_CHECKS = {
 }
 
 
+def _verify_names(selection: list[str] | None) -> list[str]:
+    """The check names to run; raises ValueError naming any unknown one."""
+    names = list(_VERIFY_CHECKS) if selection is None else list(selection)
+    unknown = [name for name in names if name not in _VERIFY_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s): {unknown}")
+    return names
+
+
 def run_verify(
     outdir: str | Path | None = None,
     seed: int = 0,
@@ -556,10 +566,7 @@ def run_verify(
     unknown name raises ValueError before any check runs.
     """
     rng = np.random.default_rng(seed)
-    names = list(_VERIFY_CHECKS) if selection is None else list(selection)
-    unknown = [name for name in names if name not in _VERIFY_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check(s): {unknown}")
+    names = _verify_names(selection)
     rows: list[tuple] = []
     for name in names:
         fn = _VERIFY_CHECKS[name]
