@@ -40,15 +40,19 @@ Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
 FFTs.  The preconditioner is the inverse of the last assembled, damped
-Jacobian; it is kept through a continuation and its cold-start eps chain,
-and the dense J is assembled again only when the Krylov solve misses its
-iteration budget.  That assembly applies the same weak form to blocks of
-unit vectors e_j, with D^s e_j read off the kernel, so the dense J and the
-Krylov J v share one definition.  Where the flux derivative C is one
-tensor C0 at every box node, as at a cold start from u = 0 with a constant
-A, h^d G^T C0 G is Toeplitz in the node offsets: J is then read off the
-kernel's cross-correlations, one inverse FFT in all, instead of one FFT
-adjoint per block of columns.
+matrix P; it is kept through a continuation and its cold-start eps chain,
+and P is assembled again only when the Krylov solve misses its iteration
+budget: an approximate Jacobian inside a Krylov solve with the exact J v
+(Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
+Where A is one positive definite tensor A0 on the box, P is the Toeplitz
+h^d G^T A0 G, read off the kernel's cross-correlations in one inverse FFT,
+plus the exact rows of the multiplier's active set S, read off the kernel,
+and the diagonal of the O(eps) q-power term elsewhere; P = J at u = 0.
+Otherwise (A varying, or A = 0 in transport) P is J, and its assembly
+applies the same weak form to blocks of unit vectors e_j, with D^s e_j read
+off the kernel, so the dense J and the Krylov J v share one definition;
+where C is one tensor at every box node, J is Toeplitz and read off the
+kernel as P is.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -188,6 +192,24 @@ class KKTReport:
 _BLOCK_VALUES = 1 << 16
 
 
+# numpy's n-d transforms spend as long checking their arguments as a 1D
+# transform of a few thousand points takes; these run the sequence rfftn and
+# irfftn run inside, on the last d axes, so the results are bit-identical
+def _rfft_box(x: np.ndarray, d: int) -> np.ndarray:
+    """np.fft.rfftn of x over its last d axes."""
+    out = np.fft.rfft(x, axis=-1)
+    for axis in range(-2, -d - 1, -1):
+        out = np.fft.fft(out, axis=axis)
+    return out
+
+
+def _irfft_box(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """np.fft.irfftn of spectrum over its last len(shape) axes, to that shape."""
+    for axis in range(-len(shape), -1):
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.fft.irfft(spectrum, shape[-1], axis=-1)
+
+
 class _OmegaFFT:
     """D^s of nodal values on the Omega nodes, and its adjoint, by FFT.
 
@@ -203,7 +225,8 @@ class _OmegaFFT:
     node offsets: gram reads it off the kernel's cross-correlations, one
     irfftn, through offset_rows, which reads a tiled copy as column_blocks
     does, so the s-Laplacian start and a Jacobian at u = 0 take no FFT per
-    column.  Immutable but for the KKT battery, which is built on first
+    column; offset_rows of the kernel itself gives rows of G at any box
+    nodes.  Immutable but for the KKT battery, which is built on first
     use, so concurrent solves can share one.
     """
 
@@ -217,12 +240,11 @@ class _OmegaFFT:
         self.kern = kern
         self.shape = grid.shape
         self.N = kern[0].size
-        self.axes = tuple(range(-d, 0))
         self.nodes = np.flatnonzero(grid.masks().inside.ravel())
-        self.sigma = np.fft.rfftn(kern, axes=self.axes)
+        self.sigma = _rfft_box(kern, d)
         self.sigma_conj = self.sigma.conj()
         self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        self.prod_conj = np.stack([np.fft.rfftn(kern[a] * kern[b]) for a, b in self.pairs]).conj()
+        self.prod_conj = np.stack([_rfft_box(kern[a] * kern[b], d) for a, b in self.pairs]).conj()
         # the window at offset n - x of the tiled kernel is the kernel rolled onto x
         tiled = np.tile(np.moveaxis(kern, 0, -1), (2,) * d + (1,))
         self._windows = np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=tuple(range(d)))
@@ -238,7 +260,7 @@ class _OmegaFFT:
             yield j, np.ascontiguousarray(self._windows[tuple(o[j] for o in self._offsets)]).reshape(-1, self.d, self.N)
 
     def _gather(self, spectrum: np.ndarray) -> np.ndarray:
-        box = np.fft.irfftn(spectrum, s=self.shape, axes=self.axes)
+        box = _irfft_box(spectrum, self.shape)
         return box.reshape(box.shape[: -self.d] + (self.N,))[..., self.nodes]
 
     def grad(self, v: np.ndarray) -> np.ndarray:
@@ -247,37 +269,40 @@ class _OmegaFFT:
 
     def box_grad(self, v_box: np.ndarray) -> np.ndarray:
         """G v, shape (d, N), for v scattered onto the box, shape (N,)."""
-        vhat = np.fft.rfftn(v_box.reshape(self.shape))
-        return np.fft.irfftn(self.sigma * vhat, s=self.shape, axes=self.axes).reshape(self.d, -1)
+        vhat = _rfft_box(v_box.reshape(self.shape), self.d)
+        return _irfft_box(self.sigma * vhat, self.shape).reshape(self.d, -1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """G^T w on the nodes, shape (..., m), for box vector fields w of shape (..., d, N)."""
-        what = np.fft.rfftn(w.reshape(w.shape[:-1] + self.shape), axes=self.axes)
+        what = _rfft_box(w.reshape(w.shape[:-1] + self.shape), self.d)
         return self._gather(np.sum(self.sigma_conj * what, axis=-self.d - 1))
 
     def gram_diag(self, C: np.ndarray) -> np.ndarray:
         """diag(sum_ab G_a^T diag(C_ab) G_b), shape (m,), for C of shape (d, d, N)."""
         sym = np.stack([C[a, a] if a == b else C[a, b] + C[b, a] for a, b in self.pairs])
-        chat = np.fft.rfftn(sym.reshape((len(self.pairs),) + self.shape), axes=self.axes)
+        chat = _rfft_box(sym.reshape((len(self.pairs),) + self.shape), self.d)
         return self._gather(np.sum(chat * self.prod_conj, axis=0))
 
-    def offset_rows(self, fields: np.ndarray):
-        """Yield (i, F(x_i - x_j) for the nodes i and every node j) over
-        consecutive slices i of the nodes, for box fields F of shape
-        (k,) + grid shape; each block has shape (k, len(i), m).
+    def offset_rows(self, fields: np.ndarray, points: np.ndarray | None = None):
+        """Yield (i, F(x_i - x_j) for the box nodes x_i of points[i] and every
+        Omega node x_j) over consecutive slices i of points (flat box indices,
+        the Omega nodes by default), for box fields F of shape (k,) + grid
+        shape; each block has shape (k, len(i), m).  With F = kern, the block
+        holds the rows points[i] of G.
 
         The offsets are read from a 2x-tiled copy of F, as column_blocks reads
         G e_j: no FFT, and no index array larger than a block.
         """
+        points = self.nodes if points is None else points
         k, m = fields.shape[0], self.nodes.size
         tiled_shape = tuple(2 * n for n in self.shape)
         tiled = np.tile(fields, (1,) + (2,) * self.d).reshape(k, -1)
         # flat index of x_i + (n - x_j) in the tiled box is rows[i] + cols[j]
-        rows = np.ravel_multi_index(np.unravel_index(self.nodes, self.shape), tiled_shape)
+        rows = np.ravel_multi_index(np.unravel_index(points, self.shape), tiled_shape)
         cols = np.ravel_multi_index(self._offsets, tiled_shape)
         step = max(1, _BLOCK_VALUES // (k * m))
-        for i0 in range(0, m, step):
-            i = slice(i0, min(i0 + step, m))
+        for i0 in range(0, points.size, step):
+            i = slice(i0, min(i0 + step, points.size))
             yield i, np.take(tiled, rows[i, None] + cols[None, :], axis=1)
 
     def gram(self, C0: np.ndarray) -> np.ndarray:
@@ -293,7 +318,7 @@ class _OmegaFFT:
             for a in range(self.d)
             for b in range(self.d)
         )
-        R = np.fft.irfftn(spec, s=self.shape, axes=self.axes)
+        R = _irfft_box(spec, self.shape)
         T = np.empty((self.nodes.size,) * 2)
         for i, block in self.offset_rows(R[None]):
             T[i] = block[0]
@@ -348,6 +373,11 @@ class _PenaltyProblem:
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
+        # A as one tensor A0 on the whole box whose symmetric part is positive
+        # definite, else None: then preconditioner has a Toeplitz principal part
+        A0 = self.A_flat[..., 0].copy()
+        constant = np.all(self.A_flat == A0[..., None])
+        self.A0 = A0 if constant and np.all(np.linalg.eigvalsh(A0 + A0.T) > 0) else None
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         return self.fft.grad(u)
@@ -440,35 +470,89 @@ class _PenaltyProblem:
         """The dense Newton Jacobian, (m, m), with flux_derivative(p, lam, gain).
 
         When the flux derivative C is one tensor C0 at every box node, as at
-        u = 0 with a constant A, h^d G^T C G is Toeplitz in the node offsets
-        and _OmegaFFT.gram reads it off the kernel's cross-correlations.  The
-        b and dvec terms then read kern_a at the same offsets: G_a[x_i, j] is
-        kern_a(x_i - x_j), and G_a[x_j, i] its negative, as the kernel is odd.
-        Otherwise column j is the linearized weak form at e_j, with D^s e_j a
-        column of G, taken a block at a time.
+        u = 0 with a constant A, J is _toeplitz(h^d C0).  Otherwise column j
+        is the linearized weak form at e_j, with D^s e_j a column of G, taken
+        a block at a time.
         """
         p = self.grad(u) if p is None else p
         C = self.flux_derivative(p, lam, gain)
         C *= self.hd
         if np.all(C == C[..., :1]):
-            J = self.fft.gram(C[..., 0])
-            hdvec_at = self.hdvec[:, self.fft.nodes]
-            for i, K in self.fft.offset_rows(self.fft.kern):
-                for a in range(self.d):
-                    J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
-            J[np.diag_indices(self.m)] += self.hc_at
+            J = self._toeplitz(C[..., 0])
         else:
             J = np.empty((self.m, self.m))
             for j, P in self.fft.column_blocks():
                 E = np.zeros((P.shape[0], self.m))
                 E[:, j] = np.eye(P.shape[0])
                 J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
+        return self._symmetrized(J)
+
+    def preconditioner(self, u: np.ndarray, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        """The matrix a Newton refresh inverts, (m, m): jacobian(u, p, lam, gain)
+        itself unless A is one positive definite tensor A0 on the box.  Then
+
+            P = h^d [G^T A0 G + G_S^T dC_S G_S + diag(G^T dC_S' G)] + the b, dvec and c terms,
+
+        with dC = C - A0 for C = flux_derivative(p, lam, gain), S = {lam > 0}
+        u {gain > 0} the multiplier's active set and S' the other box nodes.
+        Off S, dC is the O(eps) q-power term, and P keeps only its diagonal:
+        P - J is symmetric, with a zero diagonal, and P = J where S is empty
+        and C = A0, as at u = 0.  The first term and the b, dvec and c terms
+        are _toeplitz(h^d A0); the rows G_S are read off the kernel a block at
+        a time, so P takes no FFT per column.  Where A varies or is not
+        definite (A = 0 in transport), no such principal part exists.
+        """
+        if self.A0 is None:
+            return self.jacobian(u, p, lam, gain)
+        dC = self.flux_derivative(p, lam, gain)
+        dC -= self.A_flat
+        dC *= self.hd
+        P = self._toeplitz(self.hd * self.A0)
+        S = np.flatnonzero((lam > 0) | (gain > 0))
+        rows = max(1, _BLOCK_VALUES // self.m)
+        for i, K in self.fft.offset_rows(self.fft.kern, S):
+            # K[a] holds the rows S[i] of G_a, and Y[a] those of sum_b dC_ab G_b
+            Y = np.einsum("abk,bkj->akj", dC[..., S[i]], K).reshape(-1, self.m)
+            K = K.reshape(-1, self.m)
+            for j in range(0, self.m, rows):
+                P[j : j + rows] += K[:, j : j + rows].T @ Y
+        dC[..., S] = 0.0
+        P[np.diag_indices(self.m)] += self.fft.gram_diag(dC)
+        return self._symmetrized(P)
+
+    def _toeplitz(self, C0: np.ndarray) -> np.ndarray:
+        """h^d G^T C0 G plus the b, dvec and c terms of J, (m, m), for one
+        (d, d) tensor C0 with h^d folded in.
+
+        The Gram is Toeplitz in the node offsets, and _OmegaFFT.gram reads it
+        off the kernel's cross-correlations.  The b and dvec terms read kern_a
+        at the same offsets: G_a[x_i, j] is kern_a(x_i - x_j), and G_a[x_j, i]
+        its negative, as the kernel is odd.
+        """
+        J = self.fft.gram(C0)
+        hdvec_at = self.hdvec[:, self.fft.nodes]
+        for i, K in self.fft.offset_rows(self.fft.kern):
+            for a in range(self.d):
+                J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
+        J[np.diag_indices(self.m)] += self.hc_at
+        return J
+
+    def _symmetrized(self, J: np.ndarray) -> np.ndarray:
+        """J, made exactly symmetric in place when the form is symmetric.
+
+        FFT rounding leaves J asymmetric at 1e-16, which inv(J) can amplify
+        by cond(J) (1e18 at a degenerate cold start): PCG needs an exactly
+        symmetric preconditioner.  The mean (J + J^T) / 2 is taken a block of
+        rows at a time, so no second (m, m) array is held.
+        """
         if self.symmetric:
-            # FFT rounding leaves J asymmetric at 1e-16, which inv(J) can
-            # amplify by cond(J) (1e18 at a degenerate cold start): PCG needs
-            # an exactly symmetric preconditioner
-            J += J.T
-            J *= 0.5
+            rows = max(1, _BLOCK_VALUES // self.m)
+            for i0 in range(0, self.m, rows):
+                i, rest = slice(i0, i0 + rows), slice(i0, None)
+                mean = J[i, rest] + J[rest, i].T
+                mean *= 0.5
+                J[i, rest] = mean
+                J[rest, i] = mean.T
         return J
 
     def linearization(self, p: np.ndarray, lam=None, gain=None):
@@ -531,7 +615,7 @@ _KRYLOV_BUDGET = 40
 
 
 class _LaggedInverse:
-    """The inverse of the last assembled, damped Newton Jacobian, and counts.
+    """The inverse of the last assembled, damped Newton preconditioner, and counts.
 
     One object serves one continuation, its stages and their cold-start eps
     chains, so concurrent solves never share one.
@@ -541,7 +625,7 @@ class _LaggedInverse:
 
     def __init__(self):
         self.inv = None
-        self.jacobians = 0  # dense Jacobians assembled and inverted
+        self.jacobians = 0  # preconditioners (_PenaltyProblem.preconditioner) assembled and inverted
         self.krylov = 0  # Krylov iterations
 
 
@@ -638,8 +722,11 @@ def _run_newton(
     preconditioned by lagged.inv, to the Eisenstat-Walker tolerance
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
-    or when the Krylov solve fails, the damped J is assembled and inverted
-    at the current point and the step is exact.  The line search is one
+    or when the Krylov solve fails, the damped preconditioner(u, p, lam,
+    gain) is assembled and inverted at the current point, and the step is
+    its inverse applied to the right-hand side: exact where P = J (A not
+    one definite tensor, or an empty active set at u = 0), else off by the
+    O(eps) couplings P leaves out.  The line search is one
     Armijo test on the merit M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with
     lam projected onto [0, k_sat].  When it fails and lam is off
     k_eps(|D^s u| - g), lam restarts there; otherwise the damping rises.
@@ -690,17 +777,17 @@ def _run_newton(
             step, k = krylov(lambda v: apply(v) + damp * v, b, lagged.inv, eta, _KRYLOV_BUDGET)
             lagged.krylov += k
         if step is None:
-            lagged.inv = None  # free the old inverse before assembling J
-            J = prob.jacobian(u, p, lam, gain)
-            J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
+            lagged.inv = None  # free the old inverse before assembling P
+            P = prob.preconditioner(u, p, lam, gain)
+            P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
             lagged.jacobians += 1
             try:
-                lagged.inv = np.linalg.inv(J)
+                lagged.inv = np.linalg.inv(P)
             except np.linalg.LinAlgError:
                 damping = max(damping * 100, 1e-8)
                 continue
             finally:
-                del J
+                del P
             step = lagged.inv @ b
         dlam = gain * np.sum(p / np.maximum(mag, 1e-150) * prob.grad(step), axis=0) + lam_t - lam
         t = 1.0
@@ -791,13 +878,15 @@ def solve_fixed_eps(
     down from 0.1, since the exponential wall defeats plain Newton from
     there.  `lagged` carries the preconditioner from the solve that gave
     warm_start (continuation_solve passes it); without it the first Newton
-    step assembles the Jacobian.
+    step assembles one.
 
     Returns the last accepted iterate, with converged=False if Newton stops
     before the tolerance; its lam is k_eps(|D^s u| - g) at that u, not
     Newton's multiplier iterate.  notes holds "stop=<reason>" (converged,
-    stagnated, damping or budget) and the dense Jacobians and Krylov
-    iterations this call took, its cold-start chain included.
+    stagnated, damping or budget), "jacobians=<n>", the preconditioners
+    assembled and inverted (the exact J where A is not one positive
+    definite tensor), and the Krylov iterations this call took, its
+    cold-start chain included.
     """
     grid = op.grid
     q = cfg.q if cfg.q is not None else default_q(grid.dim, s)

@@ -19,6 +19,7 @@ from fracmk.forms import (
     constant_source,
     constant_threshold,
     isotropic_operator,
+    operator_from_preset,
     threshold_replace,
 )
 from fracmk import penalty
@@ -766,6 +767,18 @@ def test_fft_pair_is_the_gradient_matrix(grid):
     assert _omega_fft(grid, s) is fft
 
 
+@pytest.mark.parametrize("shape", [(63,), (16, 9)], ids=["1d", "2d"])
+def test_box_transforms_are_numpy_rfftn_and_irfftn(shape):
+    d = len(shape)
+    axes = tuple(range(-d, 0))
+    rng = np.random.default_rng(6)
+    for lead in [(), (3,), (2, 3)]:
+        x = rng.normal(size=lead + shape)
+        spec = penalty._rfft_box(x, d)
+        assert np.array_equal(spec, np.fft.rfftn(x, axes=axes))
+        assert np.array_equal(penalty._irfft_box(spec, shape), np.fft.irfftn(spec, s=shape, axes=axes))
+
+
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(n=64)], ids=["1d", "2d-blocks"])
 def test_gram_is_the_gram_of_the_gradient_columns(grid):
     fft = _omega_fft(grid, 0.7)
@@ -866,6 +879,115 @@ def test_matrix_free_linearization_is_the_jacobian(grid, kind):
     assert np.linalg.norm(diag - J.diagonal()) <= 1e-12 * np.linalg.norm(J.diagonal())
     v = np.random.default_rng(5).normal(size=prob.m)
     assert np.linalg.norm(apply(v) - J @ v) <= 1e-12 * np.linalg.norm(J @ v)
+
+
+# -- the refresh preconditioner: Toeplitz principal part plus the active rows --
+
+
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d-a=0", "2d-a=0-for-x>0"])
+def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
+    x = grid.coords()[0]
+    op = isotropic_operator(grid, a=0.0 if grid.dim == 1 else np.where(x > 0, 0.0, 1.0))
+    prob = _zero_start_problem(grid, op)
+    assert prob.A0 is None
+    u = np.random.default_rng(7).normal(size=prob.m)
+    u *= 1.3 / _max_ratio(prob, u)
+    p = prob.grad(u)
+    t = np.sqrt(np.sum(p**2, axis=0)) - prob.g_flat
+    lam, gain = prob.fn.value(t), prob.fn.derivative(t)
+    assert np.any(lam > 0)
+    assert np.array_equal(prob.preconditioner(u, p, lam, gain), prob.jacobian(u, p, lam, gain))
+
+
+@pytest.mark.parametrize("kind", ["c", "anisotropic", "convection"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=32)], ids=["1d", "2d", "2d-blocks"])
+def test_preconditioner_at_zero_with_constant_A_is_the_jacobian(grid, kind, monkeypatch):
+    prob = _zero_start_problem(grid, _constant_operator(grid, kind))
+    assert prob.A0 is not None
+    u, zero = np.zeros(prob.m), np.zeros(prob.N)
+    # k_eps and k'_eps vanish at u = 0, so jacobian's default multiplier is zero
+    J = prob.jacobian(u)
+    calls = _counting_adjoint(monkeypatch)
+    assert np.array_equal(prob.preconditioner(u, prob.grad(u), zero, zero), J)
+    assert calls == []
+
+
+DISC_B = {"b=0": None, "b=(0.5,-0.3)": [0.5, -0.3]}
+
+
+def _disc(n, b):
+    """The solve-2d disc (a = 1, f = 2, g = 1), with b on Omega if given."""
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
+    op = operator_from_preset(g, {"a": 1.0} if b is None else {"a": 1.0, "b": b})
+    return op, constant_source(g, 2.0), constant_threshold(g, 1.0)
+
+
+def _stage_point(op, src, thr, eps, sol):
+    """The problem at eps, and (u, p, lam, gain) at the converged sol."""
+    prob = _PenaltyProblem(op, src, thr, 0.7, eps, default_q(2, 0.7))
+    u = sol.u.values[op.grid.masks().inside]
+    p = prob.grad(u)
+    lam = sol.lam.values.ravel()
+    gain = prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), lam)[2]
+    return prob, (u, p, lam, gain)
+
+
+@pytest.mark.parametrize("b", list(DISC_B.values()), ids=list(DISC_B))
+def test_disc_continuation_refreshes_without_gradient_columns(b, monkeypatch):
+    # b != 0 makes the form non-symmetric, so the Krylov solves are GMRES
+    op, src, thr = _disc(32, b)
+    assert _zero_start_problem(op.grid, op).symmetric == (b is None)
+    calls = []
+    column_blocks = penalty._OmegaFFT.column_blocks
+
+    def counted(self):
+        calls.append(1)
+        return column_blocks(self)
+
+    monkeypatch.setattr(penalty._OmegaFFT, "column_blocks", counted)
+    stages = continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE))
+    assert calls == []
+    assert all(sol.converged for _, sol, _ in stages)
+    assert sum(_count(sol.notes[1]) for _, sol, _ in stages) >= 2
+    eps, _, rep = stages[-1]
+    assert rep.violation_sup <= np.sqrt(eps) + eps
+
+
+@pytest.mark.parametrize("b", list(DISC_B.values()), ids=list(DISC_B))
+def test_preconditioner_differs_from_the_jacobian_by_eps_off_the_diagonal(b):
+    op, src, thr = _disc(32, b)
+    for eps, sol, _ in continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE)):
+        prob, point = _stage_point(op, src, thr, eps, sol)
+        u, p, lam, _ = point
+        assert np.any(lam > 0)  # the active set is not empty
+        # a multiplier iterate off its relation: lam = 0, active (gain > 0) where |p| > g
+        zero = np.zeros_like(lam)
+        off = (u, p, zero, prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), zero)[2])
+        for point in (point, off):
+            J = prob.jacobian(*point)
+            D = prob.preconditioner(*point) - J
+            norm_J = np.linalg.norm(J)
+            assert np.max(np.abs(D.diagonal())) <= 1e-12 * np.max(np.abs(J.diagonal()))
+            assert np.linalg.norm(D - D.T) <= 1e-12 * norm_J
+            assert 0 < np.linalg.norm(D) <= eps * norm_J, eps
+
+
+def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks():
+    import tracemalloc
+
+    op, src, thr = _disc(64, None)
+    sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.1))
+    prob, point = _stage_point(op, src, thr, 0.1, sol)
+    assert prob.m == 793 and np.count_nonzero(point[2] > 0) >= 100
+    tracemalloc.start()
+    try:
+        P = prob.preconditioner(*point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rows G_S of all ~200 active nodes at once would take 10 blocks more,
+    # and a symmetrization by J += J.T one more (m, m) array
+    assert peak < P.nbytes + 6 * 8 * penalty._BLOCK_VALUES
 
 
 def _count(note: str) -> int:
