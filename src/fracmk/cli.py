@@ -70,11 +70,6 @@ def main(argv=None) -> int:
     sub.choices["verify-kernels"].add_argument(
         "--select", default=None, help="comma-separated check names; empty string = no checks"
     )
-    # fault-injection hook for the test harness: shifts s on the divergence
-    # side of the adjointness identity
-    sub.choices["verify-kernels"].add_argument(
-        "--adjoint-s-offset", type=float, default=0.0, help=argparse.SUPPRESS
-    )
 
     args = parser.parse_args(argv)
     _apply_threads(args.threads)
@@ -93,12 +88,7 @@ def main(argv=None) -> int:
             print(f"verify-kernels: {exc}", file=sys.stderr)
             return 2
         outdir = _run_dir(args, "verify", {"select": selection, "seed": args.seed or 0})
-        rows, ok = run_verify(
-            outdir=outdir,
-            seed=args.seed or 0,
-            selection=selection,
-            adjoint_s_offset=args.adjoint_s_offset,
-        )
+        rows, ok = run_verify(outdir=outdir, seed=args.seed or 0, selection=selection)
         for check, params, measured, bound, passed in rows:
             print(f"{'PASS' if passed else 'FAIL'} {check:24s} {params:32s} measured={measured:.3e} bound={bound:.3e}")
         print(f"report: {outdir / 'verify.csv'}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
-from .penalty import Solution, _assemble_rhs, _omega_fft, _solution
+from .penalty import Solution, _magnitude, _omega_fft, _PenaltyProblem, _solution
 
 
 # -- analytic benchmarks -------------------------------------------------------
@@ -114,16 +114,18 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 # -- shared quadratic assembly ---------------------------------------------------
 
 
-def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
+def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: float):
     """Q, rhs of the discrete energy 1/2 u'Qu - rhs'u over Omega nodes, and K.
 
-    K is the dense D^s of the Omega-node basis, (d N, m): the oracles apply
-    it and K^T at every iteration, where dense products beat the FFT pair.
-    Q is assembled from the same column blocks as the penalty Jacobian.
-    Requires the symmetric convex case.  Where A and c both vanish at some
-    Omega node, the principal part is degenerate there and Q can be
-    singular, so a 1e-8 mass ridge keeps it positive definite (noted on the
-    returned flag).
+    Q and rhs are the penalty path's: Q is _PenaltyProblem.form_matrix of
+    h^d A, the matrix of the penalty's weak form without the penalty and
+    regularization terms (Toeplitz, read off the kernel, where A is one
+    tensor on the box), and rhs is its right-hand side.  K is the dense D^s
+    of the Omega-node basis, (d N, m): the oracles apply it and K^T at every
+    iteration, where dense products beat the FFT pair.  Requires the
+    symmetric convex case.  Where A and c both vanish at some Omega node,
+    the principal part is degenerate there and Q can be singular, so a 1e-8
+    mass ridge keeps it positive definite (noted on the returned flag).
     """
     if np.any(op.b != 0.0) or np.any(op.dvec != 0.0):
         raise ValueError("oracle solvers require b = dvec = 0")
@@ -131,31 +133,18 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
         raise ValueError("oracle solvers require c >= 0")
     if not np.allclose(op.A, np.swapaxes(op.A, 0, 1)):
         raise ValueError("oracle solvers require symmetric A")
-    grid = op.grid
-    hd = grid.cell_volume
-    fft = _omega_fft(grid, s)
-    d, N, m = grid.dim, fft.N, fft.nodes.size
-    if d * N * m > 6e7:
+    prob = _PenaltyProblem(op, src, thr, s, 0.0, 0.0)
+    fft = prob.fft
+    if prob.d * prob.N * prob.m > 6e7:
         raise ValueError("dense gradient matrix would be too large for this grid")
-    A = op.A.reshape(d, d, N)
-    K = np.empty((d * N, m))
-    Q = np.empty((m, m))
+    Q = prob.form_matrix(prob.hd * prob.A_flat)
+    K = np.empty((prob.d * prob.N, prob.m))
     for j, P in fft.column_blocks():
         K[:, j] = P.reshape(P.shape[0], -1).T
-        Q[:, j] = fft.adjoint(np.einsum("abN,kbN->kaN", A, P)).T
-    unk = fft.nodes
-    Q[np.diag_indices_from(Q)] += op.c.ravel()[unk]
-    Q *= hd
     ridge_added = op.has_degenerate_node()
     if ridge_added:
-        Q[np.diag_indices_from(Q)] += 1e-8 * hd
-    return Q, _assemble_rhs(src, fft, hd), K, unk, ridge_added
-
-
-def _mag(p: np.ndarray, d: int) -> np.ndarray:
-    """Nodewise Euclidean norm of a (d, N) or flat (d N) lattice vector."""
-    p = p.reshape(d, -1)
-    return np.sqrt(np.einsum("kn,kn->n", p, p))
+        Q[np.diag_indices_from(Q)] += 1e-8 * prob.hd
+    return Q, prob.rhs, K, fft.nodes, ridge_added
 
 
 def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
@@ -201,7 +190,7 @@ def pdhg_solve(
     """
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, s)
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, thr, s)
     g_flat = thr.g.ravel()
     d, N, m = grid.dim, g_flat.size, rhs.size
     tau = _STEP_RATIO / np.sqrt(hd)
@@ -230,7 +219,7 @@ def pdhg_solve(
         # w = KV^T y; both values are those of the u-basis problem
         primal = 0.5 * float(mu @ zf**2) - float(rhat @ zf)
         r = rhat - w
-        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _mag(y, d))
+        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _magnitude(y.reshape(d, N)))
         return primal, primal - dual
 
     z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(d * N)
@@ -241,25 +230,25 @@ def pdhg_solve(
         ytil = KV @ zbar
         ytil *= sigma
         ytil += y
-        shrink = np.maximum(0.0, 1.0 - sigma_g / np.maximum(_mag(ytil, d), 1e-300))
+        shrink = np.maximum(0.0, 1.0 - sigma_g / np.maximum(_magnitude(ytil.reshape(d, N)), 1e-300))
         y = (ytil.reshape(d, N) * shrink).reshape(d * N)
         w = KV.T @ y
         z, z_old = (z - tau * w + tau_rhat) * prox, z
         zbar = 2 * z - z_old
         if it % 50 == 0:
-            zf = _feasible_scaling(_mag(KV @ z, d), g_flat) * z
+            zf = _feasible_scaling(_magnitude((KV @ z).reshape(d, N)), g_flat) * z
             primal, gap = primal_and_gap(zf, w, y)
             # tol = 0 disables the gap stop (the gap floor is float noise
             # around 1e-14; run the full budget for machine-accurate u)
             if tol > 0 and gap <= tol * (1.0 + abs(primal)):
                 break
 
-    p = KV @ z
-    tstar = _feasible_scaling(_mag(p, d), g_flat)
+    p = (KV @ z).reshape(d, N)
+    tstar = _feasible_scaling(_magnitude(p), g_flat)
     zf = tstar * z
     if not np.isfinite(gap):
         primal, gap = primal_and_gap(zf, w, y)
-    lam_flat = _mag(y, d) / (hd * g_flat)
+    lam_flat = _magnitude(y.reshape(d, N)) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return _solution(
@@ -290,7 +279,7 @@ def brute_force_qp(
     """
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, s)
+    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, thr, s)
     g_flat = thr.g.ravel()
     d, N = grid.dim, g_flat.size
 
@@ -328,7 +317,7 @@ def brute_force_qp(
                 break
             continue
         if it % 20 == 0:
-            tstar = _feasible_scaling(_mag(p, d), g_flat)
+            tstar = _feasible_scaling(_magnitude(p), g_flat)
             uf = tstar * uvec
             primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
             gap = primal - dual
@@ -336,7 +325,7 @@ def brute_force_qp(
                 stop = "certified"
                 break
 
-    tstar = _feasible_scaling(_mag(p, d), g_flat)
+    tstar = _feasible_scaling(_magnitude(p), g_flat)
     notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec

@@ -34,7 +34,8 @@ shifts of one real kernel as columns.  One operator per (grid, s),
 _OmegaFFT, applies G v and G^T w by FFT and hands out blocks of those
 columns; G itself is never stored.  The nodal weak residual is written
 once, in _PenaltyProblem, and the Newton iteration, its Jacobian and the
-KKT report all use it.
+KKT report all use it; its dense matrix is assembled in one place,
+_PenaltyProblem.form_matrix, for the Newton Jacobian and the oracles' Q.
 
 Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
@@ -341,11 +342,6 @@ def _omega_fft(grid: GridSpec, s: float) -> _OmegaFFT:
     return _OmegaFFT(grid, s)
 
 
-def _assemble_rhs(src: SourceData, fft: _OmegaFFT, hd: float) -> np.ndarray:
-    """h^d (f_sharp + (D^s)^T f_vec) on the Omega nodes."""
-    return hd * (src.f_sharp.ravel()[fft.nodes] + fft.adjoint(src.f_vec.reshape(fft.d, -1)))
-
-
 class _PenaltyProblem:
     """Residual/energy/Jacobian of the penalized weak form over Omega nodes."""
 
@@ -361,7 +357,8 @@ class _PenaltyProblem:
         self.q = q
         self.fn = PenaltyFn(eps)
         self.g_flat = thr.g.ravel()
-        self.rhs = _assemble_rhs(src, self.fft, self.hd)
+        # h^d (f_sharp + (D^s)^T f_vec) on the Omega nodes
+        self.rhs = self.hd * (src.f_sharp.ravel()[nodes] + self.fft.adjoint(src.f_vec.reshape(self.d, -1)))
         self.A_flat = op.A.reshape(self.d, self.d, -1)
         self.b_at = op.b.reshape(self.d, -1)[:, nodes]  # (d, m)
         self.dvec_flat = op.dvec.reshape(self.d, -1)
@@ -431,7 +428,7 @@ class _PenaltyProblem:
         flux *= self.hd
         return self._weak_form(u, p, flux) - self.rhs
 
-    # residual, energy and jacobian take p = D^s u when the caller has it
+    # residual and energy take p = D^s u when the caller has it
     def residual(self, u: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         p = self.grad(u) if p is None else p
         _, apen = self.flux_coeff(_magnitude(p))
@@ -447,49 +444,50 @@ class _PenaltyProblem:
         reg = (self.eps / self.q) * np.sum(np.maximum(mag, 0.0) ** self.q)
         return float(self.hd * (quad + conv + low + pen + reg) - self.rhs @ u)
 
-    def flux_derivative(self, p: np.ndarray, lam: np.ndarray | None = None, gain: np.ndarray | None = None) -> np.ndarray:
+    def flux_derivative(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """C = A + (lam + reg) I + (gain/|p| + reg') p p^T per box node,
         (d, d, N): the derivative of the flux in D^s u when the multiplier
-        moves by gain d|D^s u|.  lam and gain default to k_eps(|p| - g) and
-        k'_eps, the primal penalty's.  Positive semidefinite, as A's symmetric
+        lam moves by gain d|D^s u|.  Positive semidefinite, as A's symmetric
         part is and lam, gain >= 0; the outer products are formed first so
         that the added terms are exactly symmetric, and p/sqrt|p| keeps them
         finite for any gain."""
         mag = _magnitude(p)
         magf = np.maximum(mag, 1e-150)
-        if lam is None:
-            lam = self.fn.value(mag - self.g_flat)
-            gain = self.fn.derivative(mag - self.g_flat)
         w = p / np.sqrt(magf)
         C = self.A_flat + gain * (w[:, None] * w[None, :])
         C += self.eps * (self.q - 2) * magf ** (self.q - 4) * (p[:, None] * p[None, :])
         C[np.diag_indices(self.d)] += lam + self.regularization(mag)
         return C
 
-    def jacobian(self, u: np.ndarray, p: np.ndarray | None = None, lam=None, gain=None) -> np.ndarray:
-        """The dense Newton Jacobian, (m, m), with flux_derivative(p, lam, gain).
+    def form_matrix(self, C: np.ndarray) -> np.ndarray:
+        """The linearized weak form as a dense (m, m) matrix,
+        h^d G^T C G plus the b, dvec and c terms, for a flux derivative C of
+        shape (d, d, N) with h^d folded in; not symmetrized.
 
-        When the flux derivative C is one tensor C0 at every box node, as at
-        u = 0 with a constant A, J is _toeplitz(h^d C0).  Otherwise column j
-        is the linearized weak form at e_j, with D^s e_j a column of G, taken
-        a block at a time.
+        When C is one tensor C0 at every box node, as at u = 0 with a
+        constant A, the matrix is _toeplitz(C0).  Otherwise column j is the
+        weak form at e_j, with D^s e_j a column of G, taken a block at a time.
         """
-        p = self.grad(u) if p is None else p
+        if np.all(C == C[..., :1]):
+            return self._toeplitz(C[..., 0])
+        J = np.empty((self.m, self.m))
+        for j, P in self.fft.column_blocks():
+            E = np.zeros((P.shape[0], self.m))
+            E[:, j] = np.eye(P.shape[0])
+            J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
+        return J
+
+    def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        """The dense Newton Jacobian, (m, m), at a point with D^s u = p: the
+        form_matrix of h^d flux_derivative(p, lam, gain), symmetrized."""
         C = self.flux_derivative(p, lam, gain)
         C *= self.hd
-        if np.all(C == C[..., :1]):
-            J = self._toeplitz(C[..., 0])
-        else:
-            J = np.empty((self.m, self.m))
-            for j, P in self.fft.column_blocks():
-                E = np.zeros((P.shape[0], self.m))
-                E[:, j] = np.eye(P.shape[0])
-                J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
-        return self._symmetrized(J)
+        return self._symmetrized(self.form_matrix(C))
 
-    def preconditioner(self, u: np.ndarray, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        """The matrix a Newton refresh inverts, (m, m): jacobian(u, p, lam, gain)
-        itself unless A is one positive definite tensor A0 on the box.  Then
+    def preconditioner(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
+        """The matrix a Newton refresh inverts, (m, m), at a point with
+        D^s u = p: jacobian(p, lam, gain) itself unless A is one positive
+        definite tensor A0 on the box.  Then
 
             P = h^d [G^T A0 G + G_S^T dC_S G_S + diag(G^T dC_S' G)] + the b, dvec and c terms,
 
@@ -503,7 +501,7 @@ class _PenaltyProblem:
         definite (A = 0 in transport), no such principal part exists.
         """
         if self.A0 is None:
-            return self.jacobian(u, p, lam, gain)
+            return self.jacobian(p, lam, gain)
         dC = self.flux_derivative(p, lam, gain)
         dC -= self.A_flat
         dC *= self.hd
@@ -555,9 +553,8 @@ class _PenaltyProblem:
                 J[rest, i] = mean.T
         return J
 
-    def linearization(self, p: np.ndarray, lam=None, gain=None):
-        """v -> J v and diag(J) at a point with D^s u = p, without forming J;
-        lam and gain as for flux_derivative."""
+    def linearization(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray):
+        """v -> J v and diag(J) for J = jacobian(p, lam, gain), without forming J."""
         C = self.flux_derivative(p, lam, gain)
         C *= self.hd
         # the convection and b terms put G_a[node i, i] = kern_a(0) on the
@@ -574,7 +571,7 @@ class _PenaltyProblem:
 
 def _magnitude(p: np.ndarray) -> np.ndarray:
     """|p| per node, for vector fields p of shape (d, ...)."""
-    return np.sqrt(np.sum(p**2, axis=0))
+    return np.sqrt(np.einsum("a...,a...->...", p, p))
 
 
 def _scatter(u: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
@@ -717,13 +714,13 @@ def _run_newton(
 
     d lam is eliminated, its block being diagonal: the reduced system
     J du = -weak_residual(u, p, lam_t + eps |p|^(q-2)) has
-    J = jacobian(u, p, lam, gain), and d lam = gain (p . D^s du)/|p| +
+    J = jacobian(p, lam, gain), and d lam = gain (p . D^s du)/|p| +
     lam_t - lam.  It is solved by PCG (GMRES when the form is not symmetric)
     preconditioned by lagged.inv, to the Eisenstat-Walker tolerance
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
-    or when the Krylov solve fails, the damped preconditioner(u, p, lam,
-    gain) is assembled and inverted at the current point, and the step is
+    or when the Krylov solve fails, the damped preconditioner(p, lam, gain)
+    is assembled and inverted at the current point, and the step is
     its inverse applied to the right-hand side: exact where P = J (A not
     one definite tensor, or an empty active set at u = 0), else off by the
     O(eps) couplings P leaves out.  The line search is one
@@ -778,7 +775,7 @@ def _run_newton(
             lagged.krylov += k
         if step is None:
             lagged.inv = None  # free the old inverse before assembling P
-            P = prob.preconditioner(u, p, lam, gain)
+            P = prob.preconditioner(p, lam, gain)
             P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
             lagged.jacobians += 1
             try:
@@ -949,7 +946,7 @@ def continuation_solve(
                 f"continuation stage eps={eps} failed to converge: {sol.notes[0]} after "
                 f"{sol.iterations} Newton iterations, residual {sol.residual_norm:.3e}"
             )
-        out.append((eps, sol, kkt_report(sol, op, src, thr, s)))
+        out.append((eps, sol, kkt_report(sol, op, src, thr)))
         warm = sol
     return out
 
@@ -969,10 +966,11 @@ def kkt_battery(grid: GridSpec) -> list[ScalarField]:
     return fields
 
 
-def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold, s) -> KKTReport:
+def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold) -> KKTReport:
     """Constraint violation, complementarity and residual diagnostics.
 
-    D^s u is G u on the Omega nodes, so sol.u must vanish off Omega, and a
+    The operator is D^s of order sol.s, the order sol was solved at.  D^s u
+    is G u on the Omega nodes, so sol.u must vanish off Omega, and a
     non-finite sol.eps or sol.q raises ValueError naming it.  The
     residuals of the limit system (flux coefficient lam) and of the penalized
     equation (lam + eps |D^s u|^(q-2)) are the nodal weak residuals r of
@@ -991,7 +989,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold,
     for name, value in (("sol.eps", sol.eps), ("sol.q", sol.q)):
         if not isfinite(value):
             raise ValueError(f"{name} must be finite")
-    prob = _PenaltyProblem(op, src, thr, s, sol.eps, sol.q)
+    prob = _PenaltyProblem(op, src, thr, sol.s, sol.eps, sol.q)
     hd = prob.hd
     u = sol.u.values[mask]
     p = prob.grad(u)

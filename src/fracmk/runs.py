@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,9 @@ def config_from_mapping(cfg: dict) -> RunConfig:
     """Validate a config mapping; every module-level invariant is enforced
     here before any solve starts.  Unknown keys at the top level and in
     every block but integrability, which is only recorded, raise
-    ValueError."""
+    ValueError.  The defaults of the operator, source and threshold blocks
+    live in their preset builders (forms.*_from_preset), and those of the
+    solver block in SolverConfig, so an absent block equals an empty one."""
     _check_keys("config", cfg, _CONFIG_KEYS)
     gm = cfg["grid"]
     _check_keys("grid", gm, _GRID_KEYS)
@@ -138,20 +140,13 @@ def config_from_mapping(cfg: dict) -> RunConfig:
     _check_keys("dependence", dm, _DEPENDENCE_KEYS)
     for block, allowed in _PRESET_KEYS.items():
         _check_keys(block, cfg.get(block, {}), allowed)
-    solver = SolverConfig(
-        eps=float(sm.get("eps", 1e-2)),
-        q=sm.get("q"),
-        eps_schedule=tuple(sm.get("eps_schedule", ())),
-        newton_tol=float(sm.get("newton_tol", 1e-8)),
-        max_iters=sm.get("max_iters", 120),
-    )
     rc = RunConfig(
         grid=grid,
         s_list=s_list,
-        operator_cfg=dict(cfg.get("operator", {"a": 1.0})),
-        source_cfg=dict(cfg.get("source", {"f_sharp": 1.0})),
-        threshold_cfg=dict(cfg.get("threshold", {"g": 1.0})),
-        solver=solver,
+        operator_cfg=dict(cfg.get("operator", {})),
+        source_cfg=dict(cfg.get("source", {})),
+        threshold_cfg=dict(cfg.get("threshold", {})),
+        solver=SolverConfig(**{k: float(v) if k in ("eps", "newton_tol") else v for k, v in sm.items()}),
         seed=int(cfg.get("seed", 0)),
         dependence_cfg=dm,
         raw=cfg,
@@ -173,7 +168,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, cfg_raw: dict, seed: int, extra: dict | None = None) -> None:
+def _write_manifest(outdir: Path, cfg_raw: dict, seed: int) -> None:
     outputs = {}
     for p in sorted(outdir.iterdir()):
         if p.name in ("manifest.json", "timings.json") or p.is_dir():
@@ -185,8 +180,6 @@ def _write_manifest(outdir: Path, cfg_raw: dict, seed: int, extra: dict | None =
         "versions": {"fracmk": __version__, "numpy": np.__version__},
         "outputs": outputs,
     }
-    if extra:
-        manifest.update(extra)
     outdir.joinpath("manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -199,37 +192,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
 
 
-def _kkt_row(eps: float, sol: Solution, rep: KKTReport) -> list:
-    return [
-        eps,
-        sol.iterations,
-        sol.residual_norm,
-        rep.violation_sup,
-        rep.complementarity,
-        rep.equation_residual,
-        rep.penalized_residual_sup,
-        rep.v_measure,
-        rep.k_l1,
-        rep.psi_l1,
-        rep.dsu_lr,
-        rep.r_exponent,
-    ]
-
-
-_KKT_HEADER = [
-    "eps",
-    "iterations",
-    "residual_norm",
-    "violation_sup",
-    "complementarity",
-    "equation_residual",
-    "penalized_residual_sup",
-    "v_measure",
-    "k_l1",
-    "psi_l1",
-    "dsu_lr",
-    "r_exponent",
-]
+# one row per continuation stage: the stage's eps and Newton work, then the report
+_KKT_HEADER = ["eps", "iterations", "residual_norm"] + [f.name for f in fields(KKTReport)]
 
 
 def run_solve(cfg: RunConfig, outdir: str | Path) -> list[tuple[float, Solution, KKTReport]]:
@@ -240,11 +204,12 @@ def run_solve(cfg: RunConfig, outdir: str | Path) -> list[tuple[float, Solution,
     op, src, thr = cfg.build_operator(), cfg.build_source(), cfg.build_threshold()
     stages = continuation_solve(op, src, thr, cfg.s, cfg.solver)
     t1 = time.perf_counter()
-    eps_f, sol, rep = stages[-1]
+    sol = stages[-1][1]
     write_field(sol.u, outdir / "u", s=cfg.s)
     write_field(sol.lam, outdir / "lambda", s=cfg.s)
     write_field(sol.psi, outdir / "psi", s=cfg.s)
-    _write_csv(outdir / "kkt.csv", _KKT_HEADER, [_kkt_row(e, s_, r_) for e, s_, r_ in stages])
+    rows = [[eps, stage.iterations, stage.residual_norm, *astuple(report)] for eps, stage, report in stages]
+    _write_csv(outdir / "kkt.csv", _KKT_HEADER, rows)
     _write_manifest(outdir, cfg.raw, cfg.seed)
     outdir.joinpath("timings.json").write_text(json.dumps({"solve_seconds": t1 - t0}) + "\n")
     return stages
@@ -435,7 +400,7 @@ def _verify_kernel_norms(rows):
     rows.append(("kernel_tail_limit", "alpha->0", tails[-1], tails[0], mono_t))
 
 
-def _verify_adjointness(rows, rng, s_offset):
+def _verify_adjointness(rows, rng):
     for dim, n in ((1, 1024), (2, 128)):
         omega = interval(1.0) if dim == 1 else ball(1.0)
         grid = GridSpec(dim=dim, box_side=8.0, points_per_axis=n, omega=omega, buffer=1.0)
@@ -444,7 +409,7 @@ def _verify_adjointness(rows, rng, s_offset):
             u = ScalarField(grid, rng.normal(size=grid.shape))
             xi = VectorField(grid, rng.normal(size=(dim,) + grid.shape))
             s = rng.uniform(0.2, 1.0)
-            worst = max(worst, adjointness_residual(u, xi, s, div_s_offset=s_offset))
+            worst = max(worst, adjointness_residual(u, xi, s))
         rows.append(("adjointness", f"d={dim},n={n},pairs=100", worst, 1e-12, worst <= 1e-12))
 
 
@@ -555,15 +520,14 @@ def run_verify(
     outdir: str | Path | None = None,
     seed: int = 0,
     selection: list[str] | None = None,
-    adjoint_s_offset: float = 0.0,
 ) -> tuple[list[tuple], bool]:
     """Run the kernel-identity suite plus the oracle agreement triangle.
 
     Returns (rows, all_pass); each row is (check, params, measured, bound,
     pass).  `selection` restricts to named checks (empty list = no checks,
-    vacuously passing); `adjoint_s_offset` is the fault-injection hook that
-    perturbs s on the divergence side of the adjointness identity.  An
-    unknown name raises ValueError before any check runs.
+    vacuously passing); `seed` seeds the random fields of the adjointness
+    check, the only check that draws any.  An unknown name raises
+    ValueError before any check runs.
     """
     rng = np.random.default_rng(seed)
     names = _verify_names(selection)
@@ -571,7 +535,7 @@ def run_verify(
     for name in names:
         fn = _VERIFY_CHECKS[name]
         if name == "adjointness":
-            fn(rows, rng, adjoint_s_offset)
+            fn(rows, rng)
         else:
             fn(rows)
     ok = all(r[4] for r in rows)
@@ -583,7 +547,7 @@ def run_verify(
             ["check", "params", "measured", "bound", "pass"],
             [list(r) for r in rows],
         )
-        _write_manifest(outdir, {"selection": names, "adjoint_s_offset": adjoint_s_offset}, seed)
+        _write_manifest(outdir, {"selection": names}, seed)
     return rows, ok
 
 

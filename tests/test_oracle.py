@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracmk import GridSpec, ball, interval
-from fracmk.forms import constant_source, constant_threshold, isotropic_operator
+from fracmk.forms import OperatorData, constant_source, constant_threshold, isotropic_operator
 from fracmk.oracle import (
     _feasible_scaling,
     _quadratic_pieces,
@@ -13,7 +13,8 @@ from fracmk.oracle import (
     brute_force_qp,
     pdhg_solve,
 )
-from fracmk.penalty import SolverConfig, continuation_solve
+from fracmk import penalty
+from fracmk.penalty import SolverConfig, _omega_fft, continuation_solve
 
 
 def grid_1d(n=128, L=4.0):
@@ -24,10 +25,80 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def linear_solve(op, src, s):
+def linear_solve(op, src, thr, s):
     """The unconstrained minimizer on the Omega nodes, and the nodes' indices."""
-    Q, rhs, _, unk, _ = _quadratic_pieces(op, src, s)
+    Q, rhs, _, unk, _ = _quadratic_pieces(op, src, thr, s)
     return np.linalg.solve(Q, rhs), unk
+
+
+# -- the quadratic pieces: Q is the penalty's form matrix ------------------------
+
+
+def _reference_quadratic(op, s):
+    """Q as a loop of its own: h^d (G^T A G + diag(c)), a block of columns
+    G e_j at a time through the FFT adjoint, plus the mass ridge of a
+    degenerate operator."""
+    grid = op.grid
+    fft = _omega_fft(grid, s)
+    d, N, m = grid.dim, fft.N, fft.nodes.size
+    A = op.A.reshape(d, d, N)
+    Q = np.empty((m, m))
+    for j, P in fft.column_blocks():
+        Q[:, j] = fft.adjoint(np.einsum("abN,kbN->kaN", A, P)).T
+    Q[np.diag_indices_from(Q)] += op.c.ravel()[fft.nodes]
+    Q *= grid.cell_volume
+    if op.has_degenerate_node():
+        Q[np.diag_indices_from(Q)] += 1e-8 * grid.cell_volume
+    return Q
+
+
+def _oracle_operator(grid, kind):
+    """Symmetric convex operators: A constant, A varying and anisotropic, A = 0
+    for x > 0 (degenerate, so Q gets the mass ridge), and A = 1 with c > 0."""
+    x = grid.coords()
+    if kind == "constant":
+        return isotropic_operator(grid, a=1.0)
+    if kind == "half-degenerate":
+        return isotropic_operator(grid, a=np.where(x[0] > 0, 0.0, 1.0))
+    if kind == "c>0":
+        return isotropic_operator(grid, a=1.0, c=np.where(grid.masks().inside, 0.8, 0.0))
+    d, shp = grid.dim, grid.shape
+    A = np.zeros((d, d) + shp)
+    for j in range(d):
+        A[j, j] = 1.0 + 0.3 * x[j] ** 2
+    if d == 2:
+        A[0, 1] = A[1, 0] = 0.4 * np.sin(x[0] + x[1])
+    zero_v = np.zeros((d,) + shp)
+    return OperatorData(grid, A, zero_v, zero_v, np.zeros(shp))
+
+
+@pytest.mark.parametrize("kind", ["constant", "anisotropic", "half-degenerate", "c>0"])
+@pytest.mark.parametrize(
+    "grid",
+    [grid_1d(64), GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)],
+    ids=["1d", "disc"],
+)
+def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
+    op = _oracle_operator(grid, kind)
+    s = 0.7
+    ref = _reference_quadratic(op, s)
+    calls = []
+    adjoint = penalty._OmegaFFT.adjoint
+
+    def counted(self, w):
+        calls.append(w.shape)
+        return adjoint(self, w)
+
+    monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
+    Q, _, _, _, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
+    assert ridge == (kind == "half-degenerate")
+    assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
+    # a constant A takes the Toeplitz route: the only adjoint is the rhs's
+    rhs_call = [(grid.dim, np.prod(grid.shape))]
+    if kind in ("constant", "c>0"):
+        assert calls == rhs_call
+    else:
+        assert len(calls) == 1 + sum(1 for _ in _omega_fft(grid, s).column_blocks())
 
 
 # -- analytic benchmarks ---------------------------------------------------------
@@ -111,7 +182,7 @@ def test_pdhg_unconstrained_matches_linear_solve():
     src = constant_source(g, 2.0)
     thr = constant_threshold(g, 1e3)  # never active
     sol = pdhg_solve(op, src, thr, 1.0, tol=0.0, max_iters=30_000)
-    u_lin, unk = linear_solve(op, src, 1.0)
+    u_lin, unk = linear_solve(op, src, thr, 1.0)
     assert rel_l2(sol.u.values.ravel()[unk], u_lin) <= 1e-8
     assert np.max(np.abs(sol.lam.values)) == 0.0
 
@@ -134,7 +205,7 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
     per-iteration solves on the Cholesky factors of K^T K + tau Q and Q,
     independent of pdhg_solve's generalized eigenbasis of (Q, K^T K); returns
     (u on Omega, iterations)."""
-    Q, rhs, K, unk, _ = _quadratic_pieces(op, src, s)
+    Q, rhs, K, unk, _ = _quadratic_pieces(op, src, thr, s)
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
     tau = step_ratio / np.sqrt(op.grid.cell_volume)
@@ -213,7 +284,7 @@ def test_pdhg_handles_a_partially_degenerate_operator():
     assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
     # a mass term c > 0 on Omega keeps Q definite: no ridge
     c = np.where(g.masks().inside, 1.0, 0.0)
-    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, 1.0)[-1]
+    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, thr, 1.0)[-1]
 
 
 def test_pdhg_names_a_form_that_is_not_positive_definite():
@@ -233,8 +304,9 @@ def test_qp_unconstrained_matches_linear_solve_exactly():
     g = grid_1d(64)
     op = isotropic_operator(g, a=1.0)
     src = constant_source(g, 2.0)
-    sol = brute_force_qp(op, src, constant_threshold(g, 1e3), 1.0, tol=1e-10)
-    u_lin, unk = linear_solve(op, src, 1.0)
+    thr = constant_threshold(g, 1e3)
+    sol = brute_force_qp(op, src, thr, 1.0, tol=1e-10)
+    u_lin, unk = linear_solve(op, src, thr, 1.0)
     # with the constraint never active the first inner solve is already exact
     assert rel_l2(sol.u.values.ravel()[unk], u_lin) <= 1e-12
 

@@ -172,7 +172,7 @@ def test_violation_bounded_by_sqrt_eps():
     g, op, src, thr = torsion_setup(n=128)
     for eps in (0.1, 0.01):
         sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=eps))
-        rep = kkt_report(sol, op, src, thr, 1.0)
+        rep = kkt_report(sol, op, src, thr)
         assert rep.violation_sup <= np.sqrt(eps) + 1e-3
 
 
@@ -215,7 +215,7 @@ def test_kkt_zero_solution_report():
     g, op, _, thr = torsion_setup(n=64)
     src0 = constant_source(g, 0.0)
     sol = solve_fixed_eps(op, src0, thr, 0.7, SolverConfig(eps=0.05))
-    rep = kkt_report(sol, op, src0, thr, 0.7)
+    rep = kkt_report(sol, op, src0, thr)
     assert rep.violation_sup == 0.0
     assert rep.complementarity == 0.0
     assert rep.equation_residual == 0.0
@@ -244,7 +244,7 @@ def test_penalized_equation_residual_small():
     g, op, src, thr = torsion_setup(n=128)
     cfg = SolverConfig(eps=1e-2)
     sol = solve_fixed_eps(op, src, thr, 0.7, cfg)
-    rep = kkt_report(sol, op, src, thr, 0.7)
+    rep = kkt_report(sol, op, src, thr)
     # the solved penalized equation holds against the battery to well below
     # 10x the Newton tolerance; the limit-system residual is O(eps) instead
     assert rep.penalized_residual_sup <= 10 * cfg.newton_tol
@@ -293,7 +293,7 @@ def test_2d_solve_smoke():
     thr = constant_threshold(g, 1.0)
     sol = solve_fixed_eps(op, src, thr, 0.6, SolverConfig(eps=0.01))
     assert sol.converged
-    rep = kkt_report(sol, op, src, thr, 0.6)
+    rep = kkt_report(sol, op, src, thr)
     assert rep.violation_sup <= np.sqrt(0.01) + 1e-3
     assert sol.lam.values.min() >= 0.0
 
@@ -332,6 +332,13 @@ def test_gradient_matrix_columns_are_spectral_gradients_of_unit_fields(grid):
     # the blocks are fresh arrays: writing one leaves the kernel and the next block alone
     blocks[0][1][...] = 0.0
     assert np.array_equal(next(fft.column_blocks())[1], cols[: blocks[0][1].shape[0]])
+
+
+def _primal_multiplier(prob, p):
+    """lam = k_eps(|p| - g) and gain = k'_eps(|p| - g): the primal penalty's
+    multiplier and its derivative, which jacobian takes at a primal point."""
+    t = np.sqrt(np.sum(p**2, axis=0)) - prob.g_flat
+    return prob.fn.value(t), prob.fn.derivative(t)
 
 
 def _reference_jacobian(prob, u):
@@ -400,7 +407,8 @@ def _active_problem(grid, kind, seed=0):
 def test_jacobian_matches_reference_loop(grid, kind):
     prob, u = _active_problem(grid, kind)
     assert prob.symmetric == (kind != "nonsymmetric")
-    J = prob.jacobian(u)
+    p = prob.grad(u)
+    J = prob.jacobian(p, *_primal_multiplier(prob, p))
     ref = _reference_jacobian(prob, u)
     assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -410,10 +418,11 @@ def test_jacobian_assembly_never_holds_the_dense_gradient_matrix():
 
     prob, u = _active_problem(grid_2d(n=64), "isotropic")
     p = prob.grad(u)
+    lam, gain = _primal_multiplier(prob, p)
     G_bytes = 8 * prob.d * prob.N * prob.m  # 52 MB, m = 793
     tracemalloc.start()
     try:
-        J = prob.jacobian(u, p)
+        J = prob.jacobian(p, lam, gain)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,7 +436,8 @@ def test_jacobian_is_derivative_of_residual(grid):
     v = np.random.default_rng(2).normal(size=prob.m)
     t = 1e-6 * np.linalg.norm(u) / np.linalg.norm(v)
     fd = (prob.residual(u + t * v) - prob.residual(u - t * v)) / (2 * t)
-    Jv = prob.jacobian(u) @ v
+    p = prob.grad(u)
+    Jv = prob.jacobian(p, *_primal_multiplier(prob, p)) @ v
     assert np.linalg.norm(fd - Jv) <= 1e-6 * np.linalg.norm(Jv)
 
 
@@ -513,7 +523,7 @@ def test_kkt_report_matches_fft_form_loop(name, kind, eps):
     src = SourceData(grid, np.where(mask, 1.0 + 0.5 * x[0], 0.0), f_vec if kind == "nonsymmetric" else 0 * f_vec)
     thr = constant_threshold(grid, 1.0)
     sol = _fixed_solution(grid, op, s, eps)
-    rep = kkt_report(sol, op, src, thr, s)
+    rep = kkt_report(sol, op, src, thr)
     ref = _reference_kkt(sol, op, src, thr, s)
     assert rep.equation_residual > 0 and rep.violation_sup > 0
     for field, want in ref.items():
@@ -540,7 +550,7 @@ def test_kkt_report_rejects_u_outside_omega():
     u = sol.u.values.copy()
     u[np.flatnonzero(~g.masks().inside)[0]] = 1e-3
     with pytest.raises(ValueError, match="outside Omega"):
-        kkt_report(replace(sol, u=ScalarField(g, u)), op, src, thr, 0.7)
+        kkt_report(replace(sol, u=ScalarField(g, u)), op, src, thr)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -550,7 +560,7 @@ def test_kkt_report_names_a_non_finite_input(value):
     # a NaN eps read as an oracle's eps = 0, and a NaN q gave a NaN report
     for name in ("eps", "q"):
         with pytest.raises(ValueError, match=f"sol.{name} must be finite"):
-            kkt_report(replace(sol, **{name: value}), op, src, thr, 0.7)
+            kkt_report(replace(sol, **{name: value}), op, src, thr)
     # u and lam cannot carry one: a field rejects it when it is built
     node = np.flatnonzero(g.masks().inside)[3]
     for field in (sol.u, sol.lam):
@@ -558,7 +568,7 @@ def test_kkt_report_names_a_non_finite_input(value):
         values[node] = value
         with pytest.raises(ValueError, match="field values must be finite"):
             ScalarField(g, values)
-    kkt_report(sol, op, src, thr, 0.7)
+    kkt_report(sol, op, src, thr)
 
 
 def test_energy_history_ends_at_discrete_energy_of_solution():
@@ -593,7 +603,7 @@ def test_reduced_step_is_a_newton_direction(grid, kind):
     R2, lam_t, gain = prob.multiplier_equation(mag, lam)
     phi = prob.eps * np.log1p(lam) - (mag - prob.g_flat)
     assert np.min(np.abs(phi - lam)) > 0.1 and np.any(gain > 0) and np.any(gain == 0)
-    du = np.linalg.solve(prob.jacobian(u, p, lam, gain), -prob.weak_residual(u, p, lam_t + prob.regularization(mag)))
+    du = np.linalg.solve(prob.jacobian(p, lam, gain), -prob.weak_residual(u, p, lam_t + prob.regularization(mag)))
     dlam = gain * np.sum(p / mag * prob.grad(du), axis=0) + lam_t - lam
     F = np.concatenate(_pd_residual(prob, u, lam))
     errs = []
@@ -638,7 +648,7 @@ def test_solve_into_the_saturated_branch():
     sat = mag - thr.g.ravel() > fn.t_cap
     assert np.count_nonzero(sat) >= 10
     assert np.all(sol.lam.values.ravel()[sat] == fn.k_sat)
-    rep = kkt_report(sol, op, src, thr, 1.0)
+    rep = kkt_report(sol, op, src, thr)
     assert rep.penalized_residual_sup <= 10 * SolverConfig().newton_tol * (1 + 400.0)
 
 
@@ -661,7 +671,7 @@ def _reference_newton(prob, u0, cfg):
         if since_best >= 15:
             break
         it += 1
-        J = prob.jacobian(u, p)
+        J = prob.jacobian(p, *_primal_multiplier(prob, p))
         J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
         try:
             step = np.linalg.solve(J, -r)
@@ -850,8 +860,10 @@ def test_jacobian_at_zero_with_constant_A_is_read_off_the_kernel(grid, kind, mon
     assert prob.symmetric == (kind != "convection")
     u = np.zeros(prob.m)
     ref = _reference_jacobian(prob, u)
+    p = prob.grad(u)
+    lam, gain = _primal_multiplier(prob, p)
     calls = _counting_adjoint(monkeypatch)
-    J = prob.jacobian(u)
+    J = prob.jacobian(p, lam, gain)
     assert calls == []
     assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
     if prob.symmetric:
@@ -863,8 +875,10 @@ def test_jacobian_at_zero_with_varying_A_takes_the_gradient_columns(monkeypatch)
     prob = _zero_start_problem(grid, _operator(grid, "isotropic"))
     u = np.zeros(prob.m)
     ref = _reference_jacobian(prob, u)
+    p = prob.grad(u)
+    lam, gain = _primal_multiplier(prob, p)
     calls = _counting_adjoint(monkeypatch)
-    J = prob.jacobian(u)
+    J = prob.jacobian(p, lam, gain)
     assert len(calls) == sum(1 for _ in prob.fft.column_blocks())
     assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -874,8 +888,9 @@ def test_jacobian_at_zero_with_varying_A_takes_the_gradient_columns(monkeypatch)
 def test_matrix_free_linearization_is_the_jacobian(grid, kind):
     prob, u = _active_problem(grid, kind)
     p = prob.grad(u)
-    J = prob.jacobian(u, p)
-    apply, diag = prob.linearization(p)
+    lam, gain = _primal_multiplier(prob, p)
+    J = prob.jacobian(p, lam, gain)
+    apply, diag = prob.linearization(p, lam, gain)
     assert np.linalg.norm(diag - J.diagonal()) <= 1e-12 * np.linalg.norm(J.diagonal())
     v = np.random.default_rng(5).normal(size=prob.m)
     assert np.linalg.norm(apply(v) - J @ v) <= 1e-12 * np.linalg.norm(J @ v)
@@ -893,10 +908,9 @@ def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
     u = np.random.default_rng(7).normal(size=prob.m)
     u *= 1.3 / _max_ratio(prob, u)
     p = prob.grad(u)
-    t = np.sqrt(np.sum(p**2, axis=0)) - prob.g_flat
-    lam, gain = prob.fn.value(t), prob.fn.derivative(t)
+    lam, gain = _primal_multiplier(prob, p)
     assert np.any(lam > 0)
-    assert np.array_equal(prob.preconditioner(u, p, lam, gain), prob.jacobian(u, p, lam, gain))
+    assert np.array_equal(prob.preconditioner(p, lam, gain), prob.jacobian(p, lam, gain))
 
 
 @pytest.mark.parametrize("kind", ["c", "anisotropic", "convection"])
@@ -904,11 +918,13 @@ def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
 def test_preconditioner_at_zero_with_constant_A_is_the_jacobian(grid, kind, monkeypatch):
     prob = _zero_start_problem(grid, _constant_operator(grid, kind))
     assert prob.A0 is not None
-    u, zero = np.zeros(prob.m), np.zeros(prob.N)
-    # k_eps and k'_eps vanish at u = 0, so jacobian's default multiplier is zero
-    J = prob.jacobian(u)
+    p = prob.grad(np.zeros(prob.m))
+    # k_eps and k'_eps vanish at u = 0: the primal multiplier is zero
+    lam, gain = _primal_multiplier(prob, p)
+    assert not np.any(lam) and not np.any(gain)
+    J = prob.jacobian(p, lam, gain)
     calls = _counting_adjoint(monkeypatch)
-    assert np.array_equal(prob.preconditioner(u, prob.grad(u), zero, zero), J)
+    assert np.array_equal(prob.preconditioner(p, lam, gain), J)
     assert calls == []
 
 
@@ -923,13 +939,12 @@ def _disc(n, b):
 
 
 def _stage_point(op, src, thr, eps, sol):
-    """The problem at eps, and (u, p, lam, gain) at the converged sol."""
+    """The problem at eps, and (p, lam, gain) at the converged sol."""
     prob = _PenaltyProblem(op, src, thr, 0.7, eps, default_q(2, 0.7))
-    u = sol.u.values[op.grid.masks().inside]
-    p = prob.grad(u)
+    p = prob.grad(sol.u.values[op.grid.masks().inside])
     lam = sol.lam.values.ravel()
     gain = prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), lam)[2]
-    return prob, (u, p, lam, gain)
+    return prob, (p, lam, gain)
 
 
 @pytest.mark.parametrize("b", list(DISC_B.values()), ids=list(DISC_B))
@@ -958,11 +973,11 @@ def test_preconditioner_differs_from_the_jacobian_by_eps_off_the_diagonal(b):
     op, src, thr = _disc(32, b)
     for eps, sol, _ in continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE)):
         prob, point = _stage_point(op, src, thr, eps, sol)
-        u, p, lam, _ = point
+        p, lam, _ = point
         assert np.any(lam > 0)  # the active set is not empty
         # a multiplier iterate off its relation: lam = 0, active (gain > 0) where |p| > g
         zero = np.zeros_like(lam)
-        off = (u, p, zero, prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), zero)[2])
+        off = (p, zero, prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), zero)[2])
         for point in (point, off):
             J = prob.jacobian(*point)
             D = prob.preconditioner(*point) - J
@@ -978,7 +993,7 @@ def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks():
     op, src, thr = _disc(64, None)
     sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.1))
     prob, point = _stage_point(op, src, thr, 0.1, sol)
-    assert prob.m == 793 and np.count_nonzero(point[2] > 0) >= 100
+    assert prob.m == 793 and np.count_nonzero(point[1] > 0) >= 100
     tracemalloc.start()
     try:
         P = prob.preconditioner(*point)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import fracmk
 from fracmk.cli import main
+from fracmk.penalty import SolverConfig
 from fracmk.runs import (
     config_from_mapping,
     load_config,
@@ -118,6 +120,22 @@ def test_config_rejects_unknown_preset_keys():
     )
     cfg = config_from_mapping(every)
     assert float(cfg.build_operator().A.max()) == 2.0
+
+
+def test_absent_and_empty_blocks_build_the_same_problem():
+    # the preset builders hold the only defaults (a = 1, f_sharp = 0, g = 1)
+    # and SolverConfig those of the solver block
+    absent = base_mapping()
+    for block in ("operator", "source", "threshold", "solver"):
+        del absent[block]
+    cfg_absent = config_from_mapping(absent)
+    cfg_empty = config_from_mapping(base_mapping(operator={}, source={}, threshold={}, solver={}))
+    assert cfg_absent.solver == cfg_empty.solver == SolverConfig()
+    for build in ("build_operator", "build_source", "build_threshold"):
+        x, y = getattr(cfg_absent, build)(), getattr(cfg_empty, build)()
+        for f in fields(x):
+            assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), (build, f.name)
+    assert not np.any(cfg_absent.build_source().f_sharp)
 
 
 def test_integrability_block_is_documentation_only(tmp_path):
@@ -370,8 +388,18 @@ def test_cli_verify_rejects_a_typo_before_running_any_check(tmp_path, monkeypatc
     assert not list(tmp_path.iterdir())
 
 
-def test_run_verify_fault_injection_fails_adjointness():
-    rows, ok = run_verify(selection=["adjointness"], adjoint_s_offset=1e-3)
+def _shift_divergence_order(monkeypatch):
+    """Inject the fault the adjointness check must catch: a divergence of
+    order s + 1e-3, no longer the gradient's adjoint."""
+    from fracmk import riesz
+
+    div = riesz.frac_divergence_spectral
+    monkeypatch.setattr(riesz, "frac_divergence_spectral", lambda xi, s: div(xi, s + 1e-3))
+
+
+def test_run_verify_fault_injection_fails_adjointness(monkeypatch):
+    _shift_divergence_order(monkeypatch)
+    rows, ok = run_verify(selection=["adjointness"])
     assert not ok
     assert any(r[0] == "adjointness" and not r[4] for r in rows)
 
@@ -442,23 +470,23 @@ def test_cli_seed_override_changes_manifest(tmp_path):
     assert m1["seed"] == 1 and m2["seed"] == 9
 
 
-def test_cli_verify_kernels_selection_and_exit_codes(tmp_path):
+def test_cli_verify_kernels_selection_and_exit_codes(tmp_path, monkeypatch):
     ok = main(["--output-root", str(tmp_path / "v"), "verify-kernels", "--select", "kernels"])
     assert ok == 0
-    bad = main(
-        [
-            "--output-root",
-            str(tmp_path / "v2"),
-            "verify-kernels",
-            "--select",
-            "adjointness",
-            "--adjoint-s-offset",
-            "1e-3",
-        ]
-    )
+    with monkeypatch.context() as patch:
+        _shift_divergence_order(patch)
+        bad = main(["--output-root", str(tmp_path / "v2"), "verify-kernels", "--select", "adjointness"])
     assert bad == 1
     empty = main(["--output-root", str(tmp_path / "v3"), "verify-kernels", "--select", ""])
     assert empty == 0
+
+
+def test_cli_verify_has_no_fault_injection_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--output-root", str(tmp_path), "verify-kernels", "--adjoint-s-offset", "1e-3"])
+    assert exc.value.code == 2
+    assert "--adjoint-s-offset" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_localize_and_depend(tmp_path, capsys):
