@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
-from .penalty import Solution, _magnitude, _omega_fft, _PenaltyProblem, _solution
+from .penalty import Solution, _magnitude, _PenaltyProblem, _solution
 
 
 # -- analytic benchmarks -------------------------------------------------------
@@ -115,17 +115,16 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 
 
 def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: float):
-    """Q, rhs of the discrete energy 1/2 u'Qu - rhs'u over Omega nodes, and K.
+    """The oracles' discrete problem over the Omega nodes: (prob, K, ridge).
 
-    Q and rhs are the penalty path's: Q is _PenaltyProblem.form_matrix of
-    h^d A, the matrix of the penalty's weak form without the penalty and
-    regularization terms (Toeplitz, read off the kernel, where A is one
-    tensor on the box), and rhs is its right-hand side.  K is the dense D^s
-    of the Omega-node basis, (d N, m): the oracles apply it and K^T at every
-    iteration, where dense products beat the FFT pair.  Requires the
-    symmetric convex case.  Where A and c both vanish at some Omega node,
-    the principal part is degenerate there and Q can be singular, so a 1e-8
-    mass ridge keeps it positive definite (noted on the returned flag).
+    prob is the penalty path's _PenaltyProblem at eps = q = 0: the energy is
+    1/2 u'Qu - prob.rhs'u, with Q = _energy_matrix(prob, ridge), on the
+    nodes prob.fft.nodes.  K is the dense D^s of the Omega-node basis,
+    (d N, m): PDHG applies K V at every iteration and the QP applies K,
+    where dense products beat the FFT pair.  Requires the symmetric convex
+    case.  Where A and c both vanish at some Omega node, the principal part
+    is degenerate there and Q can be singular, so ridge is True and Q gets a
+    1e-8 mass ridge that keeps it positive definite.
     """
     if np.any(op.b != 0.0) or np.any(op.dvec != 0.0):
         raise ValueError("oracle solvers require b = dvec = 0")
@@ -134,17 +133,47 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: floa
     if not np.allclose(op.A, np.swapaxes(op.A, 0, 1)):
         raise ValueError("oracle solvers require symmetric A")
     prob = _PenaltyProblem(op, src, thr, s, 0.0, 0.0)
-    fft = prob.fft
     if prob.d * prob.N * prob.m > 6e7:
         raise ValueError("dense gradient matrix would be too large for this grid")
-    Q = prob.form_matrix(prob.hd * prob.A_flat)
     K = np.empty((prob.d * prob.N, prob.m))
-    for j, P in fft.column_blocks():
+    for j, P in prob.fft.column_blocks():
         K[:, j] = P.reshape(P.shape[0], -1).T
-    ridge_added = op.has_degenerate_node()
-    if ridge_added:
+    return prob, K, op.has_degenerate_node()
+
+
+def _energy_matrix(prob: _PenaltyProblem, ridge: bool) -> np.ndarray:
+    """Q, (m, m): the form_matrix of h^d A, the matrix of the penalty's weak
+    form without the penalty and regularization terms (Toeplitz, read off
+    the kernel, where A is one tensor on the box), plus the 1e-8 mass ridge
+    if ridge."""
+    Q = prob.form_matrix(prob.hd * prob.A_flat)
+    if ridge:
         Q[np.diag_indices_from(Q)] += 1e-8 * prob.hd
-    return Q, prob.rhs, K, fft.nodes, ridge_added
+    return Q
+
+
+# _tril_inverse inverts blocks up to this size with LAPACK, larger ones by halves
+_TRIL_LEAF = 64
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a nonsingular lower-triangular L, exactly zero above the diagonal.
+
+    By 2x2 blocks, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
+    above _TRIL_LEAF the only work besides the two half-size inverses is
+    two GEMMs, about 2m^3/3 flops in all, where numpy's inv factors L as a
+    general matrix and inverts the LU, 2m^3.  np.tril drops what a pivoted
+    LU leaves above a leaf's diagonal.
+    """
+    m = L.shape[0]
+    if m <= _TRIL_LEAF:
+        return np.tril(np.linalg.inv(L))
+    k = m // 2
+    Ai, Di = _tril_inverse(L[:k, :k]), _tril_inverse(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k], out[k:, k:] = Ai, Di
+    out[k:, :k] = -(Di @ (L[k:, :k] @ Ai))
+    return out
 
 
 def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
@@ -176,11 +205,14 @@ def pdhg_solve(
 
     The primal metric is the Gram K^T K / tau (Pock & Chambolle, ICCV
     2011), and the loop runs in z = V^-1 u for the generalized eigenvectors
-    of the pencil (Q, K^T K): V^T Q V = diag(mu), V^T K^T K V = I, with
-    V = L^-T W from the Cholesky factor L of the Toeplitz s-Laplacian Gram
-    K^T K and one numpy eigh, L^-1 Q L^-T = W diag(mu) W^T.  K V is
-    orthonormal, so tau sigma = 0.9 meets the step condition with no norm
-    estimate; the prox is the diagonal 1/(1 + tau mu), the dual value
+    of the pencil (Q, K^T K): V^T Q V = diag(mu), V^T K^T K V = I.  The
+    setup takes one Cholesky factor L of the Toeplitz s-Laplacian Gram
+    K^T K and its inverse Li, from _tril_inverse.  Where A is a I for one
+    scalar a > 0 on the box and c = 0, Q = a h^d K^T K exactly: the pencil
+    is trivial, mu = a h^d and V = Li^T, and Q is never assembled.
+    Otherwise one numpy eigh of Li Q Li^T = W diag(mu) W^T gives V = Li^T W.
+    K V is orthonormal, so tau sigma = 0.9 meets the step condition with no
+    norm estimate; the prox is the diagonal 1/(1 + tau mu), the dual value
     -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's (K V)^T y, and
     an iteration is two dense products with K V.  tau = _STEP_RATIO /
     sqrt(h^d): h^d scales both the primal curvature (mu = a h^d for A = a I)
@@ -190,25 +222,31 @@ def pdhg_solve(
     """
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, thr, s)
+    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
+    rhs = prob.rhs
     g_flat = thr.g.ravel()
     d, N, m = grid.dim, g_flat.size, rhs.size
     tau = _STEP_RATIO / np.sqrt(hd)
     sigma = 0.9 / tau
 
     # numpy only (no scipy eigh(Q, T)): importing scipy.linalg adds ~28 MB
-    L = np.linalg.cholesky(_omega_fft(grid, s).gram(np.eye(d)))
-    # L^-1 Q L^-T, rebound so that Q is freed before eigh
-    Q = np.linalg.solve(L, np.linalg.solve(L, Q).T)
-    try:
-        mu, W = np.linalg.eigh(Q)
-    except np.linalg.LinAlgError:
-        mu = None
-    if mu is None or not mu[0] > 0:
-        raise ValueError("the discrete energy is not strictly convex: Q is not positive definite")
-    del Q
-    V = np.linalg.solve(L.T, W)
-    del L, W
+    Li = _tril_inverse(np.linalg.cholesky(prob.fft.gram(np.eye(d))))
+    A0 = prob.A0
+    if A0 is not None and np.array_equal(A0, A0[0, 0] * np.eye(d)) and not np.any(prob.hc_at):
+        # A = a I and c = 0: Q = a h^d K^T K, the trivial pencil
+        mu, V = np.full(m, A0[0, 0] * hd), Li.T
+    else:
+        Q = Li @ _energy_matrix(prob, ridge) @ Li.T
+        try:
+            mu, W = np.linalg.eigh(Q)
+        except np.linalg.LinAlgError:
+            mu = None
+        if mu is None or not mu[0] > 0:
+            raise ValueError("the discrete energy is not strictly convex: Q is not positive definite")
+        del Q
+        V = Li.T @ W
+        del W
+    del Li
     KV = K @ V
     del K
     rhat = V.T @ rhs
@@ -252,7 +290,7 @@ def pdhg_solve(
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return _solution(
-        grid, unk, V @ zf, tstar * p, lam_flat,
+        grid, prob.fft.nodes, V @ zf, tstar * p, lam_flat,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )
 
@@ -279,7 +317,8 @@ def brute_force_qp(
     """
     grid = op.grid
     hd = grid.cell_volume
-    Q, rhs, K, unk, ridge = _quadratic_pieces(op, src, thr, s)
+    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
+    Q, rhs = _energy_matrix(prob, ridge), prob.rhs
     g_flat = thr.g.ravel()
     d, N = grid.dim, g_flat.size
 
@@ -330,6 +369,6 @@ def brute_force_qp(
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec
     return _solution(
-        grid, unk, uf, K @ uf, lam,
+        grid, prob.fft.nodes, uf, K @ uf, lam,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )

@@ -6,8 +6,11 @@ import pytest
 from fracmk import GridSpec, ball, interval
 from fracmk.forms import OperatorData, constant_source, constant_threshold, isotropic_operator
 from fracmk.oracle import (
+    _TRIL_LEAF,
+    _energy_matrix,
     _feasible_scaling,
     _quadratic_pieces,
+    _tril_inverse,
     analytic_mk_1d,
     analytic_torsion_1d,
     brute_force_qp,
@@ -27,8 +30,8 @@ def rel_l2(a, b):
 
 def linear_solve(op, src, thr, s):
     """The unconstrained minimizer on the Omega nodes, and the nodes' indices."""
-    Q, rhs, _, unk, _ = _quadratic_pieces(op, src, thr, s)
-    return np.linalg.solve(Q, rhs), unk
+    prob, _, ridge = _quadratic_pieces(op, src, thr, s)
+    return np.linalg.solve(_energy_matrix(prob, ridge), prob.rhs), prob.fft.nodes
 
 
 # -- the quadratic pieces: Q is the penalty's form matrix ------------------------
@@ -54,10 +57,13 @@ def _reference_quadratic(op, s):
 
 def _oracle_operator(grid, kind):
     """Symmetric convex operators: A constant, A varying and anisotropic, A = 0
-    for x > 0 (degenerate, so Q gets the mass ridge), and A = 1 with c > 0."""
+    for x > 0 or everywhere (degenerate, so Q gets the mass ridge), and A = 1
+    with c > 0."""
     x = grid.coords()
     if kind == "constant":
         return isotropic_operator(grid, a=1.0)
+    if kind == "degenerate":
+        return isotropic_operator(grid, a=0.0)
     if kind == "half-degenerate":
         return isotropic_operator(grid, a=np.where(x[0] > 0, 0.0, 1.0))
     if kind == "c>0":
@@ -90,7 +96,8 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
         return adjoint(self, w)
 
     monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
-    Q, _, _, _, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
+    prob, _, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
+    Q = _energy_matrix(prob, ridge)
     assert ridge == (kind == "half-degenerate")
     assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
     # a constant A takes the Toeplitz route: the only adjoint is the rhs's
@@ -205,7 +212,8 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
     per-iteration solves on the Cholesky factors of K^T K + tau Q and Q,
     independent of pdhg_solve's generalized eigenbasis of (Q, K^T K); returns
     (u on Omega, iterations)."""
-    Q, rhs, K, unk, _ = _quadratic_pieces(op, src, thr, s)
+    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
+    Q, rhs = _energy_matrix(prob, ridge), prob.rhs
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
     tau = step_ratio / np.sqrt(op.grid.cell_volume)
@@ -238,23 +246,81 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
 
 
 @pytest.mark.parametrize(
-    "dim, n, a, f, s",
-    [(1, 128, 1.0, 2.0, 1.0), (1, 64, 1.0, 2.0, 0.7), (1, 32, 0.0, 1.0, 1.0), (2, 16, 1.0, 2.0, 0.7)],
-    ids=["torsion-s1-n128", "torsion-s0.7-n64", "degenerate-a0-n32", "disc-s0.7-n16"],
+    "dim, n, kind, f, s",
+    [
+        (1, 128, "constant", 2.0, 1.0),
+        (1, 64, "constant", 2.0, 0.7),
+        (1, 32, "degenerate", 1.0, 1.0),
+        (2, 16, "constant", 2.0, 0.7),
+        (1, 64, "c>0", 2.0, 0.7),
+        (1, 64, "anisotropic", 2.0, 0.7),
+        (2, 16, "c>0", 4.0, 0.7),
+        (2, 16, "anisotropic", 2.0, 0.7),
+    ],
+    ids=[
+        "torsion-s1-n128",
+        "torsion-s0.7-n64",
+        "degenerate-a0-n32",
+        "disc-s0.7-n16",
+        "c>0-s0.7-n64",
+        "anisotropic-s0.7-n64",
+        "disc-c>0-f4-s0.7-n16",
+        "disc-anisotropic-s0.7-n16",
+    ],
 )
-def test_pdhg_matches_per_iteration_solves(dim, n, a, f, s):
+def test_pdhg_matches_per_iteration_solves(dim, n, kind, f, s):
     # the generalized eigenbasis of (Q, K^T K) changes only the rounding of
     # each prox step and dual value: the gap checks stop at the same
-    # iteration and u agrees to rounding level
+    # iteration and u agrees to rounding level.  A constant A = I with c = 0
+    # takes the trivial pencil (no Q, no eigh); the other kinds take eigh
     g = grid_1d(n) if dim == 1 else GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
-    op = isotropic_operator(g, a=a)
+    op = _oracle_operator(g, kind)
     src, thr = constant_source(g, f), constant_threshold(g, 1.0)
     sol = pdhg_solve(op, src, thr, s, tol=1e-8)
     u_ref, iters = _reference_pdhg(op, src, thr, s, tol=1e-8)
     assert sol.converged
     assert sol.iterations == iters
     assert rel_l2(sol.u.values.ravel()[g.masks().inside.ravel()], u_ref) <= 1e-12
-    assert sol.notes == (("mass-ridge-1e-8",) if a == 0.0 else ())
+    assert sol.notes == (("mass-ridge-1e-8",) if kind == "degenerate" else ())
+
+
+@pytest.mark.parametrize("kind", ["constant", "c>0"])
+def test_pdhg_sets_up_a_trivial_pencil_without_q_or_eigh(kind, monkeypatch):
+    # A = I and c = 0 give Q = h^d K^T K: mu = h^d and V = L^-T need no Q, no
+    # eigh and no solve; c > 0 makes the pencil general, with one eigh
+    g = grid_1d(64)
+    op = _oracle_operator(g, kind)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(
+        penalty._PenaltyProblem, "form_matrix", counted("form_matrix", penalty._PenaltyProblem.form_matrix)
+    )
+    sol = pdhg_solve(op, constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7, tol=1e-8)
+    assert sol.converged
+    assert calls == ([] if kind == "constant" else ["form_matrix", "eigh"])
+
+
+@pytest.mark.parametrize("m", [1, _TRIL_LEAF - 1, _TRIL_LEAF, _TRIL_LEAF + 1, 255])
+def test_tril_inverse_matches_numpy_inv(m):
+    # the Cholesky factor of D S D, for S = X X^T + m I and a graded diagonal
+    # D: its rows outweigh its diagonal, so an LU inverse pivots and leaves
+    # rounding above the diagonal
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(m, m))
+    L = np.geomspace(1.0, 10.0, m)[:, None] * np.linalg.cholesky(X @ X.T + m * np.eye(m))
+    Li = _tril_inverse(L)
+    ref = np.linalg.inv(L)
+    assert np.linalg.norm(Li - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert not np.any(np.triu(Li, 1))
 
 
 def test_pdhg_certifies_fully_degenerate_transport():

@@ -187,8 +187,9 @@ def _fresh_python(code: str) -> str:
 
 
 def test_pdhg_solve_loads_no_scipy():
-    # the oracle's one eigendecomposition of Q uses numpy alone, for the same
-    # memory reason as the solve path
+    # the oracle's setup (Cholesky factor, triangular inverse and, off the
+    # trivial pencil, eigh) uses numpy alone, for the same memory reason as
+    # the solve path
     out = _fresh_python(
         "import json, sys\n"
         "from fracmk import GridSpec, interval\n"
