@@ -115,15 +115,14 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 
 
 def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: float):
-    """The oracles' discrete problem over the Omega nodes: (prob, K, ridge).
+    """The oracles' discrete problem over the Omega nodes: (prob, ridge).
 
     prob is the penalty path's _PenaltyProblem at eps = q = 0: the energy is
     1/2 u'Qu - prob.rhs'u, with Q = _energy_matrix(prob, ridge), on the
-    nodes prob.fft.nodes.  K is the dense D^s of the Omega-node basis,
-    (d N, m): PDHG applies K V at every iteration and the QP applies K,
-    where dense products beat the FFT pair.  Requires the symmetric convex
-    case.  Where A and c both vanish at some Omega node, the principal part
-    is degenerate there and Q can be singular, so ridge is True and Q gets a
+    nodes prob.fft.nodes, and D^s u is prob.grad(u).  Requires the
+    symmetric convex case, and a Q of at most 6e7 entries (480 MB).  Where
+    A and c both vanish at some Omega node, the principal part is
+    degenerate there and Q can be singular, so ridge is True and Q gets a
     1e-8 mass ridge that keeps it positive definite.
     """
     if np.any(op.b != 0.0) or np.any(op.dvec != 0.0):
@@ -133,12 +132,9 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: floa
     if not np.allclose(op.A, np.swapaxes(op.A, 0, 1)):
         raise ValueError("oracle solvers require symmetric A")
     prob = _PenaltyProblem(op, src, thr, s, 0.0, 0.0)
-    if prob.d * prob.N * prob.m > 6e7:
-        raise ValueError("dense gradient matrix would be too large for this grid")
-    K = np.empty((prob.d * prob.N, prob.m))
-    for j, P in prob.fft.column_blocks():
-        K[:, j] = P.reshape(P.shape[0], -1).T
-    return prob, K, op.has_degenerate_node()
+    if prob.m**2 > 6e7:
+        raise ValueError("the dense energy matrix Q would be too large for this grid")
+    return prob, op.has_degenerate_node()
 
 
 def _energy_matrix(prob: _PenaltyProblem, ridge: bool) -> np.ndarray:
@@ -203,29 +199,27 @@ def pdhg_solve(
     tol * (1 + |energy|).  The dual variable yields the multiplier estimate
     lambda = |y| / (h^d g).
 
-    The primal metric is the Gram K^T K / tau (Pock & Chambolle, ICCV
-    2011), and the loop runs in z = V^-1 u for the generalized eigenvectors
-    of the pencil (Q, K^T K): V^T Q V = diag(mu), V^T K^T K V = I.  The
-    setup takes one Cholesky factor L of the Toeplitz s-Laplacian Gram
-    K^T K and its inverse Li, from _tril_inverse.  Where A is a I for one
-    scalar a > 0 on the box and c = 0, Q = a h^d K^T K exactly: the pencil
-    is trivial, mu = a h^d and V = Li^T, and Q is never assembled.
-    Otherwise one numpy eigh of Li Q Li^T = W diag(mu) W^T gives V = Li^T W.
-    K V is orthonormal, so tau sigma = 0.9 meets the step condition with no
-    norm estimate; the prox is the diagonal 1/(1 + tau mu), the dual value
+    With K = D^s on the Omega nodes, the primal metric is the Gram
+    K^T K / tau (Pock & Chambolle, ICCV 2011), and the loop runs in
+    z = V^-1 u for the generalized eigenvectors of the pencil (Q, K^T K):
+    V^T Q V = diag(mu), V^T K^T K V = I.  The setup takes one Cholesky
+    factor L of the Toeplitz s-Laplacian Gram K^T K and its inverse Li,
+    from _tril_inverse.  Where A is a I for one scalar a > 0 on the box and
+    c = 0, Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
+    V = Li^T, and Q is never assembled.  Otherwise one numpy eigh of
+    Li Q Li^T = W diag(mu) W^T gives V = Li^T W.  K V is orthonormal, so
+    tau sigma = 0.9 meets the step condition with no norm estimate; the
+    prox is the diagonal 1/(1 + tau mu), the dual value
     -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's (K V)^T y, and
-    an iteration is two dense products with K V.  tau = _STEP_RATIO /
-    sqrt(h^d): h^d scales both the primal curvature (mu = a h^d for A = a I)
-    and the dual (|y| = h^d lambda g), so the step ignores the mass ridge of
-    a degenerate operator.  Raises ValueError when Q is not positive
-    definite.
+    an iteration applies K V z = prob.grad(V z) and (K V)^T y by the FFT
+    adjoint, never forming K.  tau = _STEP_RATIO / sqrt(h^d): h^d scales
+    both the primal curvature (mu = a h^d for A = a I) and the dual
+    (|y| = h^d lambda g), so the step ignores the mass ridge of a
+    degenerate operator.  Raises ValueError when Q is not positive definite.
     """
-    grid = op.grid
-    hd = grid.cell_volume
-    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
-    rhs = prob.rhs
-    g_flat = thr.g.ravel()
-    d, N, m = grid.dim, g_flat.size, rhs.size
+    prob, ridge = _quadratic_pieces(op, src, thr, s)
+    hd, rhs, g_flat = prob.hd, prob.rhs, prob.g_flat
+    d, N, m = prob.d, prob.N, prob.m
     tau = _STEP_RATIO / np.sqrt(hd)
     sigma = 0.9 / tau
 
@@ -247,50 +241,48 @@ def pdhg_solve(
         V = Li.T @ W
         del W
     del Li
-    KV = K @ V
-    del K
     rhat = V.T @ rhs
     prox = 1.0 / (1.0 + tau * mu)
     sigma_g, tau_rhat = sigma * g_flat, tau * rhat
 
     def primal_and_gap(zf, w, y):
-        # w = KV^T y; both values are those of the u-basis problem
+        # w = (K V)^T y; both values are those of the u-basis problem
         primal = 0.5 * float(mu @ zf**2) - float(rhat @ zf)
         r = rhat - w
-        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _magnitude(y.reshape(d, N)))
+        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _magnitude(y))
         return primal, primal - dual
 
-    z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(d * N)
+    z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros((d, N))
     gap, primal = np.inf, 0.0
     it = 0
     while it < max_iters:
         it += 1
-        ytil = KV @ zbar
+        ytil = prob.grad(V @ zbar)
         ytil *= sigma
         ytil += y
-        shrink = np.maximum(0.0, 1.0 - sigma_g / np.maximum(_magnitude(ytil.reshape(d, N)), 1e-300))
-        y = (ytil.reshape(d, N) * shrink).reshape(d * N)
-        w = KV.T @ y
+        # the projection onto |y| <= sigma g, as g > 0: max(0, 1 - sigma g/|ytil|) ytil
+        y = ytil * (1.0 - sigma_g / np.maximum(_magnitude(ytil), sigma_g))
+        w = V.T @ prob.fft.adjoint(y)
         z, z_old = (z - tau * w + tau_rhat) * prox, z
         zbar = 2 * z - z_old
         if it % 50 == 0:
-            zf = _feasible_scaling(_magnitude((KV @ z).reshape(d, N)), g_flat) * z
+            zf = _feasible_scaling(_magnitude(prob.grad(V @ z)), g_flat) * z
             primal, gap = primal_and_gap(zf, w, y)
             # tol = 0 disables the gap stop (the gap floor is float noise
             # around 1e-14; run the full budget for machine-accurate u)
             if tol > 0 and gap <= tol * (1.0 + abs(primal)):
                 break
 
-    p = (KV @ z).reshape(d, N)
+    p = prob.grad(V @ z)
     tstar = _feasible_scaling(_magnitude(p), g_flat)
     zf = tstar * z
     if not np.isfinite(gap):
         primal, gap = primal_and_gap(zf, w, y)
-    lam_flat = _magnitude(y.reshape(d, N)) / (hd * g_flat)
+    lam_flat = _magnitude(y) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return _solution(
-        grid, prob.fft.nodes, V @ zf, tstar * p, lam_flat,
+        prob.grid, prob.fft.nodes, V @ zf, tstar * p, lam_flat,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )
 
@@ -308,29 +300,27 @@ def brute_force_qp(
     The multiplier lambda >= 0 enters the Lagrangian through the quadratic
     slack (|D^s u|^2 - g^2)/2, so each inner problem is a linear solve; the
     outer loop is gradient ascent on the concave dual, projected onto the
-    nonnegative cone, with adaptive step control.  Implementation shares
-    nothing with the penalty or PDHG iterations beyond the assembled Q and K.
+    nonnegative cone, with adaptive step control.  It shares nothing with
+    the penalty or PDHG iterations beyond Q and D^s, whose rows where
+    lambda > 0 the inner matrix adds to Q (_PenaltyProblem.add_active_rows).
 
     notes starts with "stop=<reason>": certified (the duality gap met tol),
     budget (max_outer iterations ran out) or step (the ascent step fell
     below 1e-14 without raising the dual).
     """
-    grid = op.grid
-    hd = grid.cell_volume
-    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
-    Q, rhs = _energy_matrix(prob, ridge), prob.rhs
-    g_flat = thr.g.ravel()
-    d, N = grid.dim, g_flat.size
+    prob, ridge = _quadratic_pieces(op, src, thr, s)
+    Q, rhs, g_flat = _energy_matrix(prob, ridge), prob.rhs, prob.g_flat
+    hd, d, N = prob.hd, prob.d, prob.N
 
     # a degenerate principal part needs a positive multiplier start, or the
     # first inner solve runs on the 1e-8 ridge alone and explodes
     lam = np.ones(N) if ridge else np.zeros(N)
 
     def inner(lam_vec):
-        # the multiplier weighs every component of D^s u alike: C = lam I
-        Qeff = Q + hd * (K.T @ (np.tile(lam_vec, d)[:, None] * K))
+        # the multiplier weighs every component of D^s u alike: C = h^d lam I
+        Qeff = prob.add_active_rows(Q.copy(), np.eye(d)[..., None] * (hd * lam_vec), np.flatnonzero(lam_vec > 0))
         uvec = np.linalg.solve(Qeff, rhs)
-        p = (K @ uvec).reshape(d, N)
+        p = prob.grad(uvec)
         psi = 0.5 * (np.sum(p**2, axis=0) - g_flat**2)
         # at the inner minimizer Qeff u = rhs, so the Lagrangian collapses
         # to -1/2 rhs.u - (h^d/2) sum lam g^2
@@ -369,6 +359,6 @@ def brute_force_qp(
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec
     return _solution(
-        grid, prob.fft.nodes, uf, K @ uf, lam,
+        prob.grid, prob.fft.nodes, uf, tstar * p, lam,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )

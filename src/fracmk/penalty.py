@@ -496,27 +496,33 @@ class _PenaltyProblem:
         Off S, dC is the O(eps) q-power term, and P keeps only its diagonal:
         P - J is symmetric, with a zero diagonal, and P = J where S is empty
         and C = A0, as at u = 0.  The first term and the b, dvec and c terms
-        are _toeplitz(h^d A0); the rows G_S are read off the kernel a block at
-        a time, so P takes no FFT per column.  Where A varies or is not
-        definite (A = 0 in transport), no such principal part exists.
+        are _toeplitz(h^d A0), and add_active_rows adds the second, so P
+        takes no FFT per column.  Where A varies or is not definite (A = 0 in
+        transport), no such principal part exists.
         """
         if self.A0 is None:
             return self.jacobian(p, lam, gain)
         dC = self.flux_derivative(p, lam, gain)
         dC -= self.A_flat
         dC *= self.hd
-        P = self._toeplitz(self.hd * self.A0)
         S = np.flatnonzero((lam > 0) | (gain > 0))
-        rows = max(1, _BLOCK_VALUES // self.m)
-        for i, K in self.fft.offset_rows(self.fft.kern, S):
-            # K[a] holds the rows S[i] of G_a, and Y[a] those of sum_b dC_ab G_b
-            Y = np.einsum("abk,bkj->akj", dC[..., S[i]], K).reshape(-1, self.m)
-            K = K.reshape(-1, self.m)
-            for j in range(0, self.m, rows):
-                P[j : j + rows] += K[:, j : j + rows].T @ Y
+        P = self.add_active_rows(self._toeplitz(self.hd * self.A0), dC, S)
         dC[..., S] = 0.0
         P[np.diag_indices(self.m)] += self.fft.gram_diag(dC)
         return self._symmetrized(P)
+
+    def add_active_rows(self, P: np.ndarray, C: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """P += G_S^T C_S G_S, in place, for box nodes S and a (d, d, N) C with
+        h^d folded in: the rows G_S are read off the kernel a block at a time.
+        The refresh adds its active set so, and the QP oracle its multiplier's."""
+        rows = max(1, _BLOCK_VALUES // self.m)
+        for i, K in self.fft.offset_rows(self.fft.kern, S):
+            # K[a] holds the rows S[i] of G_a, and Y[a] those of sum_b C_ab G_b
+            Y = np.einsum("abk,bkj->akj", C[..., S[i]], K).reshape(-1, self.m)
+            K = K.reshape(-1, self.m)
+            for j in range(0, self.m, rows):
+                P[j : j + rows] += K[:, j : j + rows].T @ Y
+        return P
 
     def _toeplitz(self, C0: np.ndarray) -> np.ndarray:
         """h^d G^T C0 G plus the b, dvec and c terms of J, (m, m), for one

@@ -1,5 +1,7 @@
 """Analytic benchmarks and the independent PDHG / dual-ascent solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,20 @@ def rel_l2(a, b):
 
 def linear_solve(op, src, thr, s):
     """The unconstrained minimizer on the Omega nodes, and the nodes' indices."""
-    prob, _, ridge = _quadratic_pieces(op, src, thr, s)
+    prob, ridge = _quadratic_pieces(op, src, thr, s)
     return np.linalg.solve(_energy_matrix(prob, ridge), prob.rhs), prob.fft.nodes
 
 
 # -- the quadratic pieces: Q is the penalty's form matrix ------------------------
+
+
+def _dense_gradient(fft):
+    """K, the dense D^s of the Omega-node basis, (d N, m), from the columns
+    G e_j: the reference the oracles' FFT and kernel-row products must match."""
+    K = np.empty((fft.d * fft.N, fft.nodes.size))
+    for j, P in fft.column_blocks():
+        K[:, j] = P.reshape(P.shape[0], -1).T
+    return K
 
 
 def _reference_quadratic(op, s):
@@ -96,7 +107,7 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
         return adjoint(self, w)
 
     monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
-    prob, _, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
+    prob, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
     Q = _energy_matrix(prob, ridge)
     assert ridge == (kind == "half-degenerate")
     assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -106,6 +117,72 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
         assert calls == rhs_call
     else:
         assert len(calls) == 1 + sum(1 for _ in _omega_fft(grid, s).column_blocks())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [grid_1d(64), GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)],
+    ids=["1d", "disc"],
+)
+def test_active_rows_add_the_dense_gram_at_those_nodes(grid):
+    # the QP's inner matrix Q + h^d K^T diag(lam) K and the refresh's active
+    # part read the rows of D^s off the kernel; C off S must not enter
+    prob, ridge = _quadratic_pieces(
+        isotropic_operator(grid, a=1.0), constant_source(grid, 1.0), constant_threshold(grid, 1.0), 0.7
+    )
+    Q, K = _energy_matrix(prob, ridge), _dense_gradient(prob.fft)
+    d, N = prob.d, prob.N
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(d, d, N))
+    C = np.einsum("abN,cbN->acN", X, X) * prob.hd
+    S = np.flatnonzero(rng.random(N) < 0.3)
+    on_S = np.zeros(N)
+    on_S[S] = 1.0
+    Ka = K.reshape(d, N, -1)
+    ref = Q + sum(Ka[a].T @ ((C[a, b] * on_S)[:, None] * Ka[b]) for a in range(d) for b in range(d))
+    got = prob.add_active_rows(Q.copy(), C, S)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the QP's multiplier weighs both components alike: C = h^d lam I
+    lam = rng.random(N) * on_S
+    ref = Q + prob.hd * (K.T @ (np.tile(lam, d)[:, None] * K))
+    got = prob.add_active_rows(Q.copy(), np.eye(d)[..., None] * (prob.hd * lam), np.flatnonzero(lam > 0))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "solver, budget", [(pdhg_solve, "max_iters"), (brute_force_qp, "max_outer")], ids=["pdhg", "qp"]
+)
+def test_oracles_hold_no_dense_gradient(solver, budget):
+    # the dense D^s of the 2D n=32 disc, (d N, m), is 3.2 MB: each oracle's
+    # traced peak stays below it, the operator's own arrays cached beforehand
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
+    args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7)
+    fft = _omega_fft(g, 0.7)
+    solver(*args, **{budget: 1})
+    tracemalloc.start()
+    try:
+        sol = solver(*args, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 8 * fft.d * fft.N * fft.nodes.size
+
+
+@pytest.mark.parametrize("solver", [pdhg_solve, brute_force_qp], ids=["pdhg", "qp"])
+def test_oracles_refuse_an_energy_matrix_past_the_size_guard(solver):
+    # the 2D n=256 disc has m = 12849 nodes: its (m, m) Q would take 1.3 GB,
+    # past the 6e7-entry guard, which raises before any (m, m) array exists
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=256, omega=ball(1.0), buffer=0.5)
+    args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense energy matrix"):
+            solver(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # -- analytic benchmarks ---------------------------------------------------------
@@ -212,8 +289,8 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
     per-iteration solves on the Cholesky factors of K^T K + tau Q and Q,
     independent of pdhg_solve's generalized eigenbasis of (Q, K^T K); returns
     (u on Omega, iterations)."""
-    prob, K, ridge = _quadratic_pieces(op, src, thr, s)
-    Q, rhs = _energy_matrix(prob, ridge), prob.rhs
+    prob, ridge = _quadratic_pieces(op, src, thr, s)
+    Q, rhs, K = _energy_matrix(prob, ridge), prob.rhs, _dense_gradient(prob.fft)
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
     tau = step_ratio / np.sqrt(op.grid.cell_volume)

@@ -187,16 +187,19 @@ def _fresh_python(code: str) -> str:
 
 
 def test_pdhg_solve_loads_no_scipy():
-    # the oracle's setup (Cholesky factor, triangular inverse and, off the
-    # trivial pencil, eigh) uses numpy alone, for the same memory reason as
-    # the solve path
+    # the oracles' setup (Cholesky factor, triangular inverse and, off the
+    # trivial pencil, eigh) and the QP's inner matrices, from the penalty
+    # path's kernel rows, use numpy alone, for the same memory reason as the
+    # solve path
     out = _fresh_python(
         "import json, sys\n"
         "from fracmk import GridSpec, interval\n"
         "from fracmk.forms import constant_source, constant_threshold, isotropic_operator\n"
-        "from fracmk.oracle import pdhg_solve\n"
+        "from fracmk.oracle import brute_force_qp, pdhg_solve\n"
         "g = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)\n"
-        "pdhg_solve(isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 1.0, max_iters=100)\n"
+        "args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 1.0)\n"
+        "pdhg_solve(*args, max_iters=100)\n"
+        "brute_force_qp(*args, max_outer=20)\n"
         "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
     )
     assert json.loads(out.splitlines()[-1]) == []
