@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
-from .penalty import Solution, _magnitude, _PenaltyProblem, _solution
+from .penalty import Solution, _magnitude, _PenaltyProblem, _solution, _tril_inverse
 
 
 # -- analytic benchmarks -------------------------------------------------------
@@ -146,30 +146,6 @@ def _energy_matrix(prob: _PenaltyProblem, ridge: bool) -> np.ndarray:
     if ridge:
         Q[np.diag_indices_from(Q)] += 1e-8 * prob.hd
     return Q
-
-
-# _tril_inverse inverts blocks up to this size with LAPACK, larger ones by halves
-_TRIL_LEAF = 64
-
-
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 for a nonsingular lower-triangular L, exactly zero above the diagonal.
-
-    By 2x2 blocks, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
-    above _TRIL_LEAF the only work besides the two half-size inverses is
-    two GEMMs, about 2m^3/3 flops in all, where numpy's inv factors L as a
-    general matrix and inverts the LU, 2m^3.  np.tril drops what a pivoted
-    LU leaves above a leaf's diagonal.
-    """
-    m = L.shape[0]
-    if m <= _TRIL_LEAF:
-        return np.tril(np.linalg.inv(L))
-    k = m // 2
-    Ai, Di = _tril_inverse(L[:k, :k]), _tril_inverse(L[k:, k:])
-    out = np.zeros_like(L)
-    out[:k, :k], out[k:, k:] = Ai, Di
-    out[k:, :k] = -(Di @ (L[k:, :k] @ Ai))
-    return out
 
 
 def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:

@@ -41,9 +41,10 @@ Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
 FFTs.  The preconditioner is the inverse of the last assembled, damped
-matrix P; it is kept through a continuation and its cold-start eps chain,
-and P is assembled again only when the Krylov solve misses its iteration
-budget: an approximate Jacobian inside a Krylov solve with the exact J v
+matrix P, taken by 2x2 blocks with GEMMs (_block_inverse); it is kept
+through a continuation and its cold-start eps chain, and P is assembled
+again only when the Krylov solve misses its iteration budget: an
+approximate Jacobian inside a Krylov solve with the exact J v
 (Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Where A is one positive definite tensor A0 on the box, P is the Toeplitz
 h^d G^T A0 G, read off the kernel's cross-correlations in one inverse FFT,
@@ -53,7 +54,8 @@ Otherwise (A varying, or A = 0 in transport) P is J, and its assembly
 applies the same weak form to blocks of unit vectors e_j, with D^s e_j read
 off the kernel, so the dense J and the Krylov J v share one definition;
 where C is one tensor at every box node, J is Toeplitz and read off the
-kernel as P is.
+kernel as P is.  Where b and dvec both vanish, the weak form and the
+Toeplitz matrix skip their terms, which would add exact zeros.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -370,6 +372,9 @@ class _PenaltyProblem:
         self.symmetric = bool(
             np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
         )
+        # whether the b and dvec terms exist: where both vanish, the weak form
+        # and _toeplitz skip them, as they would add exact zeros
+        self.convection = bool(np.any(self.b_at) or np.any(self.dvec_flat))
         # A as one tensor A0 on the whole box whose symmetric part is positive
         # definite, else None: then preconditioner has a Toeplitz principal part
         A0 = self.A_flat[..., 0].copy()
@@ -411,9 +416,12 @@ class _PenaltyProblem:
         hflux is h^d flux; u_box, if given, is u scattered onto the box.  u
         (..., m), p and hflux (..., d, N) may share leading batch axes.
         """
-        u_box = _scatter(u, self.fft.nodes, self.N) if u_box is None else u_box
-        out = self.fft.adjoint(hflux + self.hdvec * u_box[..., None, :])
-        out += np.einsum("aj,...aj->...j", self.hb_at, p[..., self.fft.nodes])
+        if self.convection:
+            u_box = _scatter(u, self.fft.nodes, self.N) if u_box is None else u_box
+            out = self.fft.adjoint(hflux + self.hdvec * u_box[..., None, :])
+            out += np.einsum("aj,...aj->...j", self.hb_at, p[..., self.fft.nodes])
+        else:
+            out = self.fft.adjoint(hflux)
         out += self.hc_at * u
         return out
 
@@ -534,10 +542,11 @@ class _PenaltyProblem:
         its negative, as the kernel is odd.
         """
         J = self.fft.gram(C0)
-        hdvec_at = self.hdvec[:, self.fft.nodes]
-        for i, K in self.fft.offset_rows(self.fft.kern):
-            for a in range(self.d):
-                J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
+        if self.convection:
+            hdvec_at = self.hdvec[:, self.fft.nodes]
+            for i, K in self.fft.offset_rows(self.fft.kern):
+                for a in range(self.d):
+                    J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
         J[np.diag_indices(self.m)] += self.hc_at
         return J
 
@@ -616,9 +625,78 @@ _RESTART = 1e-8
 # Krylov iterations a Newton step may take before the Jacobian is assembled again
 _KRYLOV_BUDGET = 40
 
+# _block_inverse and _tril_inverse invert blocks up to this size with LAPACK,
+# larger ones by halves
+_BLOCK_LEAF = 64
+
+
+def _block_inverse(P: np.ndarray) -> np.ndarray:
+    """P^-1 for a square P whose leading blocks are all nonsingular, as a
+    matrix with a positive definite symmetric part has.
+
+    By 2x2 blocks, with Ai = P11^-1, X = P21 Ai, Z = Ai P12, the Schur
+    complement's inverse Si = (P22 - X P12)^-1 and Y = Si X,
+
+        P^-1 = [[Ai + Z Y, -Z Si], [-Y, Si]],
+
+    the two half-size inverses recursively: above _BLOCK_LEAF all other work
+    is six GEMMs, 2m^3 flops in all, as many as numpy's inv, which spends
+    them in an LU and the inverse of its factors.  No pivoting: Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13.
+    Raises LinAlgError when a leaf is singular or an inverse not finite.
+    """
+    m = P.shape[0]
+    if m <= _BLOCK_LEAF:
+        out = np.linalg.inv(P)
+    else:
+        k = m // 2
+        P12 = P[:k, k:]
+        Ai = _block_inverse(P[:k, :k])
+        X = P[k:, :k] @ Ai
+        S = X @ P12
+        np.subtract(P[k:, k:], S, out=S)
+        Si = _block_inverse(S)
+        del S
+        Y = Si @ X
+        del X
+        Z = Ai @ P12
+        out = np.empty_like(P)
+        out[:k, :k] = Z @ Y
+        out[:k, :k] += Ai
+        del Ai
+        out[:k, k:] = Z @ Si
+        np.negative(out[:k, k:], out=out[:k, k:])
+        del Z
+        np.negative(Y, out=out[k:, :k])
+        out[k:, k:] = Si
+    if not np.all(np.isfinite(out)):
+        raise np.linalg.LinAlgError("the block inverse is not finite")
+    return out
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a nonsingular lower-triangular L, exactly zero above the diagonal.
+
+    By 2x2 blocks, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
+    above _BLOCK_LEAF the only work besides the two half-size inverses is
+    two GEMMs, about 2m^3/3 flops in all, where numpy's inv factors L as a
+    general matrix and inverts the LU, 2m^3.  np.tril drops what a pivoted
+    LU leaves above a leaf's diagonal.
+    """
+    m = L.shape[0]
+    if m <= _BLOCK_LEAF:
+        return np.tril(np.linalg.inv(L))
+    k = m // 2
+    Ai, Di = _tril_inverse(L[:k, :k]), _tril_inverse(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k], out[k:, k:] = Ai, Di
+    out[k:, :k] = -(Di @ (L[k:, :k] @ Ai))
+    return out
+
 
 class _LaggedInverse:
-    """The inverse of the last assembled, damped Newton preconditioner, and counts.
+    """The inverse of the last assembled, damped Newton preconditioner, taken
+    by _block_inverse, and counts.
 
     One object serves one continuation, its stages and their cold-start eps
     chains, so concurrent solves never share one.
@@ -726,12 +804,15 @@ def _run_newton(
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
     or when the Krylov solve fails, the damped preconditioner(p, lam, gain)
-    is assembled and inverted at the current point, and the step is
-    its inverse applied to the right-hand side: exact where P = J (A not
-    one definite tensor, or an empty active set at u = 0), else off by the
-    O(eps) couplings P leaves out.  The line search is one
-    Armijo test on the merit M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with
-    lam projected onto [0, k_sat].  When it fails and lam is off
+    is assembled and inverted at the current point by 2x2 blocks
+    (_block_inverse: GEMMs, and LAPACK only on leaves of at most
+    _BLOCK_LEAF rows), and the step is its inverse applied to the
+    right-hand side; a singular or non-finite inverse raises the damping
+    instead.  The step is exact where P = J (A not one definite tensor, or
+    an empty active set at u = 0), else off by the O(eps) couplings P
+    leaves out.  The line search is one Armijo test on the merit
+    M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with lam projected onto
+    [0, k_sat].  When it fails and lam is off
     k_eps(|D^s u| - g), lam restarts there; otherwise the damping rises.
 
     The stop test is the primal one, |residual(u)| <= newton_tol scale, with
@@ -785,7 +866,7 @@ def _run_newton(
             P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
             lagged.jacobians += 1
             try:
-                lagged.inv = np.linalg.inv(P)
+                lagged.inv = _block_inverse(P)
             except np.linalg.LinAlgError:
                 damping = max(damping * 100, 1e-8)
                 continue

@@ -987,12 +987,74 @@ def test_preconditioner_differs_from_the_jacobian_by_eps_off_the_diagonal(b):
             assert 0 < np.linalg.norm(D) <= eps * norm_J, eps
 
 
-def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks():
-    import tracemalloc
+def _weak_form_with_convection(prob, u, p, hflux, u_box):
+    """_weak_form with its dvec and b terms, whether they vanish or not."""
+    out = prob.fft.adjoint(hflux + prob.hdvec * u_box[..., None, :])
+    out += np.einsum("aj,...aj->...j", prob.hb_at, p[..., prob.fft.nodes])
+    out += prob.hc_at * u
+    return out
 
+
+def _convection_free_case(name):
+    """(op, src, thr, s) with b = dvec = 0: 1D with a varying a and c > 0, or the solve-2d disc."""
+    if name == "2d-disc":
+        return _disc(32, None) + (0.7,)
+    g = grid_1d(n=64)
+    op = isotropic_operator(g, a=1.0 + 0.5 * np.cos(g.axis()))
+    op = replace(op, c=np.where(g.masks().inside, 0.8, 0.0))
+    return op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0
+
+
+@pytest.mark.parametrize("name", ["1d", "2d-disc"])
+def test_convection_free_form_skips_only_exact_zeros(name):
+    op, src, thr, s = _convection_free_case(name)
+    prob = _PenaltyProblem(op, src, thr, s, 0.1, default_q(op.grid.dim, s))
+    assert not prob.convection and not np.any(prob.hb_at) and not np.any(prob.hdvec)
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=prob.m)
+    p = prob.grad(u)
+    u *= 1.3 / np.max(np.sqrt(np.sum(p**2, axis=0)))
+    p = prob.grad(u)
+    u_box = penalty._scatter(u, prob.fft.nodes, prob.N)
+    # weak_residual
+    coeff = prob.flux_coeff(np.sqrt(np.sum(p**2, axis=0)))[1]
+    flux = np.einsum("abN,bN->aN", prob.A_flat, p) + coeff[None] * p
+    flux *= prob.hd
+    ref = _weak_form_with_convection(prob, u, p, flux, u_box) - prob.rhs
+    assert np.array_equal(prob.weak_residual(u, p, coeff), ref)
+    # the linearization's apply
+    lam, gain = _primal_multiplier(prob, p)
+    assert np.any(gain > 0)
+    apply, _ = prob.linearization(p, lam, gain)
+    C = prob.flux_derivative(p, lam, gain)
+    C *= prob.hd
+    v = rng.normal(size=prob.m)
+    v_box = penalty._scatter(v, prob.fft.nodes, prob.N)
+    pv = prob.fft.box_grad(v_box)
+    assert np.array_equal(apply(v), _weak_form_with_convection(prob, v, pv, np.einsum("abN,bN->aN", C, pv), v_box))
+    # _toeplitz
+    C0 = prob.hd * np.array([[1.0, 0.2], [0.2, 0.7]])[: prob.d, : prob.d]
+    ref = prob.fft.gram(C0)
+    hdvec_at = prob.hdvec[:, prob.fft.nodes]
+    for i, K in prob.fft.offset_rows(prob.fft.kern):
+        for a in range(prob.d):
+            ref[i] += (prob.hb_at[a, i, None] - hdvec_at[a]) * K[a]
+    ref[np.diag_indices(prob.m)] += prob.hc_at
+    assert np.array_equal(prob._toeplitz(C0), ref)
+
+
+@pytest.fixture(scope="module")
+def disc64_stage():
+    """The solve-2d disc's problem at eps = 0.1, and (p, lam, gain) at its solution."""
     op, src, thr = _disc(64, None)
     sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.1))
-    prob, point = _stage_point(op, src, thr, 0.1, sol)
+    return _stage_point(op, src, thr, 0.1, sol)
+
+
+def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks(disc64_stage):
+    import tracemalloc
+
+    prob, point = disc64_stage
     assert prob.m == 793 and np.count_nonzero(point[1] > 0) >= 100
     tracemalloc.start()
     try:
@@ -1003,6 +1065,86 @@ def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks():
     # the rows G_S of all ~200 active nodes at once would take 10 blocks more,
     # and a symmetrization by J += J.T one more (m, m) array
     assert peak < P.nbytes + 6 * 8 * penalty._BLOCK_VALUES
+
+
+# -- the refresh inverse by 2x2 blocks ------------------------------------------
+
+
+def _definite(m, symmetric, seed=0):
+    """A graded D (S + K) D with S = X X^T / m + I positive definite and K
+    skew (zero if symmetric): the symmetric part is positive definite, as
+    in a refresh for PCG (symmetric) or GMRES, and the grading of D puts
+    the condition near 1e6, that of the transport-1d refreshes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, m))
+    P = X @ X.T / m + np.eye(m)
+    if not symmetric:
+        Y = rng.normal(size=(m, m))
+        P += Y - Y.T
+    D = np.geomspace(1.0, 1e3, m)
+    return D[:, None] * P * D[None, :]
+
+
+LEAF = penalty._BLOCK_LEAF
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["spd", "nonsymmetric"])
+@pytest.mark.parametrize("m", [1, LEAF - 1, LEAF, LEAF + 1, 511, 793])
+def test_block_inverse_is_as_accurate_as_numpy_inv(m, symmetric):
+    P = _definite(m, symmetric, seed=m)
+    eye = np.eye(m)
+
+    def error(M):
+        return np.max(np.abs(M @ P - eye))
+
+    assert error(penalty._block_inverse(P)) <= 10 * error(np.linalg.inv(P))
+
+
+@pytest.mark.parametrize("m", [LEAF + 1, 511])
+def test_block_inverse_raises_on_a_singular_or_non_finite_matrix(m):
+    with pytest.raises(np.linalg.LinAlgError):
+        penalty._block_inverse(np.ones((m, m)))
+    P = _definite(m, True)
+    P[-1, -1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        penalty._block_inverse(P)
+
+
+def test_block_inverse_frees_its_temporaries(disc64_stage):
+    import tracemalloc
+
+    prob, point = disc64_stage
+    P = prob.preconditioner(*point)
+    tracemalloc.start()
+    try:
+        M = penalty._block_inverse(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the inverse itself is one (m, m) array, and the blocks it is built from
+    # a few quarters of one
+    assert np.max(np.abs(M @ P - np.eye(prob.m))) <= 1e-12
+    assert peak <= 3 * 8 * prob.m**2
+
+
+def test_refresh_inverts_no_matrix_larger_than_the_leaf(monkeypatch):
+    sizes = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    g = grid_1d(256)
+    transport = (isotropic_operator(g, a=0.0), constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0)
+    for op, src, thr, s in [transport, _disc(32, [0.5, -0.3]) + (0.7,)]:
+        sizes.clear()
+        stages = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE, max_iters=200))
+        assert all(sol.converged for _, sol, _ in stages)
+        assert sum(_count(sol.notes[1]) for _, sol, _ in stages) >= 1
+        assert _PenaltyProblem(op, src, thr, s, 0.1, default_q(g.dim, s)).m > LEAF
+        assert sizes and max(sizes) <= LEAF
 
 
 def _count(note: str) -> int:
@@ -1141,6 +1283,29 @@ def test_degenerate_transport_converges_on_a_disc(where, s, n):
     assert all(sol.converged for _, sol, _ in stages)
     rep = stages[-1][2]
     assert rep.violation_sup <= np.sqrt(SCHEDULE[-1]) and rep.v_measure == 0.0
+
+
+def test_degenerate_sweep_converges_within_its_newton_budget():
+    # README's 1D degenerate sweep of 80 cases, with a = 0 on all of Omega or
+    # only for x > 0: 1898 Newton steps with the feasible start
+    failed, steps = [], 0
+    for n in (32, 64, 128, 256, 512):
+        g = grid_1d(n)
+        thr = constant_threshold(g, 1.0)
+        for where, a in (("all", 0.0), ("x>0", np.where(g.axis() > 0, 0.0, 1.0))):
+            op = isotropic_operator(g, a=a)
+            for f in (0.5, 1.0, 1.5, 2.0):
+                for s in (0.7, 1.0):
+                    try:
+                        stages = continuation_solve(
+                            op, constant_source(g, f), thr, s, SolverConfig(eps_schedule=SCHEDULE, max_iters=200)
+                        )
+                    except RuntimeError as exc:
+                        failed.append((n, where, f, s, str(exc)))
+                        continue
+                    steps += sum(sol.iterations for _, sol, _ in stages)
+    assert failed == []
+    assert steps <= 2000, steps
 
 
 def test_feasible_start_never_holds_two_dense_matrices():
