@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     _apply_threads(args.threads)
 
     # imports deferred so --threads can cap the pools before numpy spins up
-    from .runs import _verify_names, run_dependence, run_localize, run_oracle, run_solve, run_verify
+    from .runs import run_dependence, run_localize, run_oracle, run_solve, run_verify, verify_names
 
     if args.command == "verify-kernels":
         if args.select is None:
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         else:
             selection = [s for s in args.select.split(",") if s]
         try:
-            _verify_names(selection)
+            verify_names(selection)
         except ValueError as exc:
             print(f"verify-kernels: {exc}", file=sys.stderr)
             return 2

@@ -23,7 +23,9 @@ import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
-from .penalty import Solution, _magnitude, _PenaltyProblem, _solution, _tril_inverse
+from .dense import tril_inverse
+from .lattice import WeakForm, magnitude
+from .penalty import Solution
 
 
 # -- analytic benchmarks -------------------------------------------------------
@@ -114,37 +116,35 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 # -- shared quadratic assembly ---------------------------------------------------
 
 
-def _quadratic_pieces(op: OperatorData, src: SourceData, thr: Threshold, s: float):
-    """The oracles' discrete problem over the Omega nodes: (prob, ridge).
+def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
+    """The oracles' discrete problem over the Omega nodes: (form, ridge).
 
-    prob is the penalty path's _PenaltyProblem at eps = q = 0: the energy is
-    1/2 u'Qu - prob.rhs'u, with Q = _energy_matrix(prob, ridge), on the
-    nodes prob.fft.nodes, and D^s u is prob.grad(u).  Requires the
+    form is the WeakForm the penalty path shares: the energy is
+    1/2 u'Qu - form.rhs'u, with Q = _energy_matrix(form, ridge), on the
+    nodes form.fft.nodes, and D^s u is form.grad(u).  Requires the
     symmetric convex case, and a Q of at most 6e7 entries (480 MB).  Where
     A and c both vanish at some Omega node, the principal part is
     degenerate there and Q can be singular, so ridge is True and Q gets a
     1e-8 mass ridge that keeps it positive definite.
     """
-    if np.any(op.b != 0.0) or np.any(op.dvec != 0.0):
-        raise ValueError("oracle solvers require b = dvec = 0")
+    form = WeakForm(op, src, s)
+    # b and dvec vanish off Omega, so no convection means b = dvec = 0
+    if form.convection or not form.symmetric:
+        raise ValueError("oracle solvers require b = dvec = 0 and symmetric A")
     if op.c.min() < 0:
         raise ValueError("oracle solvers require c >= 0")
-    if not np.allclose(op.A, np.swapaxes(op.A, 0, 1)):
-        raise ValueError("oracle solvers require symmetric A")
-    prob = _PenaltyProblem(op, src, thr, s, 0.0, 0.0)
-    if prob.m**2 > 6e7:
+    if form.m**2 > 6e7:
         raise ValueError("the dense energy matrix Q would be too large for this grid")
-    return prob, op.has_degenerate_node()
+    return form, op.has_degenerate_node()
 
 
-def _energy_matrix(prob: _PenaltyProblem, ridge: bool) -> np.ndarray:
-    """Q, (m, m): the form_matrix of h^d A, the matrix of the penalty's weak
-    form without the penalty and regularization terms (Toeplitz, read off
-    the kernel, where A is one tensor on the box), plus the 1e-8 mass ridge
-    if ridge."""
-    Q = prob.form_matrix(prob.hd * prob.A_flat)
+def _energy_matrix(form: WeakForm, ridge: bool) -> np.ndarray:
+    """Q, (m, m): the form_matrix of h^d A, the matrix of the weak form with
+    no flux coefficient (Toeplitz, read off the kernel, where A is one
+    tensor on the box), plus the 1e-8 mass ridge if ridge."""
+    Q = form.form_matrix(form.hd * form.A_flat)
     if ridge:
-        Q[np.diag_indices_from(Q)] += 1e-8 * prob.hd
+        Q[np.diag_indices_from(Q)] += 1e-8 * form.hd
     return Q
 
 
@@ -180,33 +180,33 @@ def pdhg_solve(
     z = V^-1 u for the generalized eigenvectors of the pencil (Q, K^T K):
     V^T Q V = diag(mu), V^T K^T K V = I.  The setup takes one Cholesky
     factor L of the Toeplitz s-Laplacian Gram K^T K and its inverse Li,
-    from _tril_inverse.  Where A is a I for one scalar a > 0 on the box and
+    from tril_inverse.  Where A is a I for one scalar a > 0 on the box and
     c = 0, Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
     V = Li^T, and Q is never assembled.  Otherwise one numpy eigh of
     Li Q Li^T = W diag(mu) W^T gives V = Li^T W.  K V is orthonormal, so
     tau sigma = 0.9 meets the step condition with no norm estimate; the
     prox is the diagonal 1/(1 + tau mu), the dual value
     -1/2 sum (V^T rhs - (K V)^T y)^2 / mu reuses the step's (K V)^T y, and
-    an iteration applies K V z = prob.grad(V z) and (K V)^T y by the FFT
+    an iteration applies K V z = form.grad(V z) and (K V)^T y by the FFT
     adjoint, never forming K.  tau = _STEP_RATIO / sqrt(h^d): h^d scales
     both the primal curvature (mu = a h^d for A = a I) and the dual
     (|y| = h^d lambda g), so the step ignores the mass ridge of a
     degenerate operator.  Raises ValueError when Q is not positive definite.
     """
-    prob, ridge = _quadratic_pieces(op, src, thr, s)
-    hd, rhs, g_flat = prob.hd, prob.rhs, prob.g_flat
-    d, N, m = prob.d, prob.N, prob.m
+    form, ridge = _quadratic_pieces(op, src, s)
+    hd, rhs, g_flat = form.hd, form.rhs, thr.g.ravel()
+    d, N, m = form.d, form.N, form.m
     tau = _STEP_RATIO / np.sqrt(hd)
     sigma = 0.9 / tau
 
     # numpy only (no scipy eigh(Q, T)): importing scipy.linalg adds ~28 MB
-    Li = _tril_inverse(np.linalg.cholesky(prob.fft.gram(np.eye(d))))
-    A0 = prob.A0
-    if A0 is not None and np.array_equal(A0, A0[0, 0] * np.eye(d)) and not np.any(prob.hc_at):
+    Li = tril_inverse(np.linalg.cholesky(form.fft.gram(np.eye(d))))
+    A0 = form.A0
+    if A0 is not None and np.array_equal(A0, A0[0, 0] * np.eye(d)) and not np.any(form.hc_at):
         # A = a I and c = 0: Q = a h^d K^T K, the trivial pencil
         mu, V = np.full(m, A0[0, 0] * hd), Li.T
     else:
-        Q = Li @ _energy_matrix(prob, ridge) @ Li.T
+        Q = Li @ _energy_matrix(form, ridge) @ Li.T
         try:
             mu, W = np.linalg.eigh(Q)
         except np.linalg.LinAlgError:
@@ -225,7 +225,7 @@ def pdhg_solve(
         # w = (K V)^T y; both values are those of the u-basis problem
         primal = 0.5 * float(mu @ zf**2) - float(rhat @ zf)
         r = rhat - w
-        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ _magnitude(y))
+        dual = -0.5 * float(r @ (r / mu)) - float(g_flat @ magnitude(y))
         return primal, primal - dual
 
     z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros((d, N))
@@ -233,32 +233,32 @@ def pdhg_solve(
     it = 0
     while it < max_iters:
         it += 1
-        ytil = prob.grad(V @ zbar)
+        ytil = form.grad(V @ zbar)
         ytil *= sigma
         ytil += y
         # the projection onto |y| <= sigma g, as g > 0: max(0, 1 - sigma g/|ytil|) ytil
-        y = ytil * (1.0 - sigma_g / np.maximum(_magnitude(ytil), sigma_g))
-        w = V.T @ prob.fft.adjoint(y)
+        y = ytil * (1.0 - sigma_g / np.maximum(magnitude(ytil), sigma_g))
+        w = V.T @ form.fft.adjoint(y)
         z, z_old = (z - tau * w + tau_rhat) * prox, z
         zbar = 2 * z - z_old
         if it % 50 == 0:
-            zf = _feasible_scaling(_magnitude(prob.grad(V @ z)), g_flat) * z
+            zf = _feasible_scaling(magnitude(form.grad(V @ z)), g_flat) * z
             primal, gap = primal_and_gap(zf, w, y)
             # tol = 0 disables the gap stop (the gap floor is float noise
             # around 1e-14; run the full budget for machine-accurate u)
             if tol > 0 and gap <= tol * (1.0 + abs(primal)):
                 break
 
-    p = prob.grad(V @ z)
-    tstar = _feasible_scaling(_magnitude(p), g_flat)
+    p = form.grad(V @ z)
+    tstar = _feasible_scaling(magnitude(p), g_flat)
     zf = tstar * z
     if not np.isfinite(gap):
         primal, gap = primal_and_gap(zf, w, y)
-    lam_flat = _magnitude(y) / (hd * g_flat)
+    lam_flat = magnitude(y) / (hd * g_flat)
     notes = ("mass-ridge-1e-8",) if ridge else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
-    return _solution(
-        prob.grid, prob.fft.nodes, V @ zf, tstar * p, lam_flat,
+    return Solution.from_nodes(
+        form.grid, form.fft.nodes, V @ zf, tstar * p, lam_flat,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )
 
@@ -278,15 +278,15 @@ def brute_force_qp(
     outer loop is gradient ascent on the concave dual, projected onto the
     nonnegative cone, with adaptive step control.  It shares nothing with
     the penalty or PDHG iterations beyond Q and D^s, whose rows where
-    lambda > 0 the inner matrix adds to Q (_PenaltyProblem.add_active_rows).
+    lambda > 0 the inner matrix adds to Q (WeakForm.add_active_rows).
 
     notes starts with "stop=<reason>": certified (the duality gap met tol),
     budget (max_outer iterations ran out) or step (the ascent step fell
     below 1e-14 without raising the dual).
     """
-    prob, ridge = _quadratic_pieces(op, src, thr, s)
-    Q, rhs, g_flat = _energy_matrix(prob, ridge), prob.rhs, prob.g_flat
-    hd, d, N = prob.hd, prob.d, prob.N
+    form, ridge = _quadratic_pieces(op, src, s)
+    Q, rhs, g_flat = _energy_matrix(form, ridge), form.rhs, thr.g.ravel()
+    hd, d, N = form.hd, form.d, form.N
 
     # a degenerate principal part needs a positive multiplier start, or the
     # first inner solve runs on the 1e-8 ridge alone and explodes
@@ -294,9 +294,9 @@ def brute_force_qp(
 
     def inner(lam_vec):
         # the multiplier weighs every component of D^s u alike: C = h^d lam I
-        Qeff = prob.add_active_rows(Q.copy(), np.eye(d)[..., None] * (hd * lam_vec), np.flatnonzero(lam_vec > 0))
+        Qeff = form.add_active_rows(Q.copy(), np.eye(d)[..., None] * (hd * lam_vec), np.flatnonzero(lam_vec > 0))
         uvec = np.linalg.solve(Qeff, rhs)
-        p = prob.grad(uvec)
+        p = form.grad(uvec)
         psi = 0.5 * (np.sum(p**2, axis=0) - g_flat**2)
         # at the inner minimizer Qeff u = rhs, so the Lagrangian collapses
         # to -1/2 rhs.u - (h^d/2) sum lam g^2
@@ -322,7 +322,7 @@ def brute_force_qp(
                 break
             continue
         if it % 20 == 0:
-            tstar = _feasible_scaling(_magnitude(p), g_flat)
+            tstar = _feasible_scaling(magnitude(p), g_flat)
             uf = tstar * uvec
             primal = 0.5 * float(uf @ (Q @ uf)) - float(rhs @ uf)
             gap = primal - dual
@@ -330,11 +330,11 @@ def brute_force_qp(
                 stop = "certified"
                 break
 
-    tstar = _feasible_scaling(_magnitude(p), g_flat)
+    tstar = _feasible_scaling(magnitude(p), g_flat)
     notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec
-    return _solution(
-        prob.grid, prob.fft.nodes, uf, tstar * p, lam,
+    return Solution.from_nodes(
+        form.grid, form.fft.nodes, uf, tstar * p, lam,
         eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )

@@ -26,7 +26,7 @@ from math import pi
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField, lp_norm
 
 EXP_CAP = 500.0  # exp argument clamp; e^500 is finite in float64
 
@@ -371,8 +371,6 @@ def tail_decay_check(u: ScalarField, s: float, p: float, R_list) -> dict:
 
 def poincare_check(u: ScalarField, s: float, p: float) -> float:
     """Ratio ||u||_{L^p(Omega)} / ||D^s u||_{L^p(box)}; 0/0 resolves to 0."""
-    from .grid import lp_norm
-
     grid = u.grid
     mask = grid.masks().inside
     num = lp_norm(u, p, region=mask)

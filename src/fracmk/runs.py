@@ -27,12 +27,15 @@ from .forms import (
     SourceData,
     Threshold,
     coercivity_margin,
+    constant_source,
+    constant_threshold,
     estimate_constants,
+    isotropic_operator,
     operator_from_preset,
     source_from_preset,
     threshold_from_preset,
 )
-from .grid import GridSpec, ScalarField, ball, bump, interval, lp_norm, random_bumps, rectangle, write_field
+from .grid import GridSpec, ScalarField, VectorField, ball, bump, interval, lp_norm, random_bumps, rectangle, write_field
 from .oracle import analytic_mk_1d, analytic_torsion_1d, brute_force_qp, pdhg_solve
 from .penalty import KKTReport, SolverConfig, Solution, continuation_solve
 from .riesz import (
@@ -46,8 +49,8 @@ from .riesz import (
     mu_coeff,
     poincare_check,
     sphere_area,
+    tail_decay_check,
 )
-from .grid import VectorField
 
 
 @dataclass(frozen=True)
@@ -434,8 +437,6 @@ def _verify_localization(rows):
 def _verify_tails(rows):
     grid = GridSpec(dim=1, box_side=8.0, points_per_axis=256, omega=interval(1.0), buffer=1.0)
     u = bump(grid)
-    from .riesz import tail_decay_check
-
     for p in (1.0, 2.0):
         res = tail_decay_check(u, 0.7, p, [1.0, 1.5, 2.0])
         ratio = max(res["ratio"])
@@ -473,8 +474,6 @@ def _anisotropic_operator(grid: GridSpec, diag) -> OperatorData:
 
 
 def _verify_oracle_triangle(rows):
-    from .forms import constant_source, constant_threshold, isotropic_operator
-
     grid_1d = GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=0.6)
     # the disc rows check the oracles with two components of D^s, the second
     # with an anisotropic A
@@ -507,7 +506,7 @@ _VERIFY_CHECKS = {
 }
 
 
-def _verify_names(selection: list[str] | None) -> list[str]:
+def verify_names(selection: list[str] | None) -> list[str]:
     """The check names to run; raises ValueError naming any unknown one."""
     names = list(_VERIFY_CHECKS) if selection is None else list(selection)
     unknown = [name for name in names if name not in _VERIFY_CHECKS]
@@ -530,7 +529,7 @@ def run_verify(
     ValueError before any check runs.
     """
     rng = np.random.default_rng(seed)
-    names = _verify_names(selection)
+    names = verify_names(selection)
     rows: list[tuple] = []
     for name in names:
         fn = _VERIFY_CHECKS[name]

@@ -1,0 +1,75 @@
+"""The library's modules use one another only through names without a leading
+underscore: a private name stays behind the module that defines it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracmk"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(module: str | None, level: int) -> bool:
+    """Whether `from <level dots><module> import ...` names the package or a
+    module of it."""
+    if level:
+        return level == 1
+    return module is not None and (module == "fracmk" or module.startswith("fracmk."))
+
+
+def private_reaches(source: str) -> list[str]:
+    """The underscore names a module's source imports from a sibling module,
+    or reads off one as an attribute."""
+    tree = ast.parse(source)
+    bound = set()  # local names of sibling modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _sibling(node.module, node.level):
+            for alias in node.names:
+                if node.module in (None, "fracmk") and alias.name in MODULES:
+                    bound.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("fracmk.") and alias.asname:
+                    bound.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in bound:
+                found.append(f"{owner.id}.{node.attr}")
+            elif isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name):
+                if owner.value.id == "fracmk" and owner.attr in MODULES:
+                    found.append(f"fracmk.{owner.attr}.{node.attr}")
+    return found
+
+
+CASES = {
+    "from-relative": ("from .penalty import Solution, _solution\n", ["from .penalty import _solution"]),
+    "from-absolute": ("from fracmk.dense import _pcg\n", ["from fracmk.dense import _pcg"]),
+    "from-deferred": ("def f():\n    from .runs import _verify_names\n", ["from .runs import _verify_names"]),
+    "attribute": ("from . import runs\nruns._verify_names(None)\n", ["runs._verify_names"]),
+    "attribute-alias": ("from . import runs as r\nr._X\n", ["r._X"]),
+    "import-alias": ("import fracmk.runs as r\nr._X\n", ["r._X"]),
+    "import-dotted": ("import fracmk.runs\nfracmk.runs._X\n", ["fracmk.runs._X"]),
+    # a module's own private names, dunders and private methods are fine
+    "dunder": ("from . import __version__\nfrom .grid import lp_norm\n", []),
+    "own-and-methods": ("def _f():\n    pass\nself._toeplitz(C)\nnp.lib._x\n", []),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_private_reaches_finds_every_form(case):
+    source, reaches = CASES[case]
+    assert private_reaches(source) == reaches
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_uses_a_private_name_of_a_sibling(module):
+    assert private_reaches((PACKAGE / f"{module}.py").read_text()) == []

@@ -16,8 +16,9 @@ from fracmk.oracle import (
     brute_force_qp,
     pdhg_solve,
 )
-from fracmk import penalty
-from fracmk.penalty import _BLOCK_LEAF, SolverConfig, _omega_fft, _tril_inverse, continuation_solve
+from fracmk.dense import BLOCK_LEAF, tril_inverse
+from fracmk.lattice import OmegaFFT, WeakForm, omega_fft
+from fracmk.penalty import SolverConfig, continuation_solve
 
 
 def grid_1d(n=128, L=4.0):
@@ -28,9 +29,9 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def linear_solve(op, src, thr, s):
+def linear_solve(op, src, s):
     """The unconstrained minimizer on the Omega nodes, and the nodes' indices."""
-    prob, ridge = _quadratic_pieces(op, src, thr, s)
+    prob, ridge = _quadratic_pieces(op, src, s)
     return np.linalg.solve(_energy_matrix(prob, ridge), prob.rhs), prob.fft.nodes
 
 
@@ -51,7 +52,7 @@ def _reference_quadratic(op, s):
     G e_j at a time through the FFT adjoint, plus the mass ridge of a
     degenerate operator."""
     grid = op.grid
-    fft = _omega_fft(grid, s)
+    fft = omega_fft(grid, s)
     d, N, m = grid.dim, fft.N, fft.nodes.size
     A = op.A.reshape(d, d, N)
     Q = np.empty((m, m))
@@ -98,14 +99,14 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
     s = 0.7
     ref = _reference_quadratic(op, s)
     calls = []
-    adjoint = penalty._OmegaFFT.adjoint
+    adjoint = OmegaFFT.adjoint
 
     def counted(self, w):
         calls.append(w.shape)
         return adjoint(self, w)
 
-    monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
-    prob, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), constant_threshold(grid, 1.0), s)
+    monkeypatch.setattr(OmegaFFT, "adjoint", counted)
+    prob, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), s)
     Q = _energy_matrix(prob, ridge)
     assert ridge == (kind == "half-degenerate")
     assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -114,7 +115,7 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
     if kind in ("constant", "c>0"):
         assert calls == rhs_call
     else:
-        assert len(calls) == 1 + sum(1 for _ in _omega_fft(grid, s).column_blocks())
+        assert len(calls) == 1 + sum(1 for _ in omega_fft(grid, s).column_blocks())
 
 
 @pytest.mark.parametrize(
@@ -125,9 +126,7 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
 def test_active_rows_add_the_dense_gram_at_those_nodes(grid):
     # the QP's inner matrix Q + h^d K^T diag(lam) K and the refresh's active
     # part read the rows of D^s off the kernel; C off S must not enter
-    prob, ridge = _quadratic_pieces(
-        isotropic_operator(grid, a=1.0), constant_source(grid, 1.0), constant_threshold(grid, 1.0), 0.7
-    )
+    prob, ridge = _quadratic_pieces(isotropic_operator(grid, a=1.0), constant_source(grid, 1.0), 0.7)
     Q, K = _energy_matrix(prob, ridge), _dense_gradient(prob.fft)
     d, N = prob.d, prob.N
     rng = np.random.default_rng(3)
@@ -155,7 +154,7 @@ def test_oracles_hold_no_dense_gradient(solver, budget):
     # traced peak stays below it, the operator's own arrays cached beforehand
     g = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
     args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7)
-    fft = _omega_fft(g, 0.7)
+    fft = omega_fft(g, 0.7)
     solver(*args, **{budget: 1})
     tracemalloc.start()
     try:
@@ -248,14 +247,31 @@ def test_pdhg_zero_source():
     assert np.max(np.abs(sol.u.values)) <= 1e-10
 
 
-def test_pdhg_rejects_nonsymmetric_input():
+def _unsupported_operator(kind):
+    """(grid, operator) outside the oracles' symmetric convex case."""
     g = grid_1d(64)
-    rng = np.random.default_rng(0)
-    mask = g.masks().inside
-    bv = np.where(mask, rng.normal(size=g.shape), 0.0)[None]
-    op = isotropic_operator(g, a=1.0, b=bv)
-    with pytest.raises(ValueError):
-        pdhg_solve(op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0)
+    rand = np.where(g.masks().inside, np.random.default_rng(0).normal(size=g.shape), 0.0)
+    if kind == "b":
+        return g, isotropic_operator(g, a=1.0, b=rand[None])
+    if kind == "dvec":
+        return g, isotropic_operator(g, a=1.0, dvec=rand[None])
+    if kind == "c<0":
+        return g, isotropic_operator(g, a=1.0, c=-np.abs(rand))
+    # A = [[1, 0.5], [-0.5, 1]] on a disc: asymmetric, with the symmetric part I
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)
+    A = np.zeros((2, 2) + g.shape)
+    A[0, 0] = A[1, 1] = 1.0
+    A[0, 1], A[1, 0] = 0.5, -0.5
+    zero_v = np.zeros((2,) + g.shape)
+    return g, OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape), a_star=1.0)
+
+
+@pytest.mark.parametrize("solver", [pdhg_solve, brute_force_qp], ids=["pdhg", "qp"])
+@pytest.mark.parametrize("kind", ["b", "dvec", "asymmetric-A", "c<0"])
+def test_pdhg_rejects_nonsymmetric_input(kind, solver):
+    g, op = _unsupported_operator(kind)
+    with pytest.raises(ValueError, match="oracle solvers require"):
+        solver(op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0)
 
 
 def test_pdhg_unconstrained_matches_linear_solve():
@@ -264,7 +280,7 @@ def test_pdhg_unconstrained_matches_linear_solve():
     src = constant_source(g, 2.0)
     thr = constant_threshold(g, 1e3)  # never active
     sol = pdhg_solve(op, src, thr, 1.0, tol=0.0, max_iters=50)
-    u_lin, unk = linear_solve(op, src, thr, 1.0)
+    u_lin, unk = linear_solve(op, src, 1.0)
     assert rel_l2(sol.u.values.ravel()[unk], u_lin) <= 1e-8
     assert np.max(np.abs(sol.lam.values)) == 0.0
 
@@ -287,7 +303,7 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
     per-iteration solves on the Cholesky factors of K^T K + tau Q and Q,
     independent of pdhg_solve's generalized eigenbasis of (Q, K^T K); returns
     (u on Omega, iterations)."""
-    prob, ridge = _quadratic_pieces(op, src, thr, s)
+    prob, ridge = _quadratic_pieces(op, src, s)
     Q, rhs, K = _energy_matrix(prob, ridge), prob.rhs, _dense_gradient(prob.fft)
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
@@ -376,15 +392,13 @@ def test_pdhg_sets_up_a_trivial_pencil_without_q_or_eigh(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-    monkeypatch.setattr(
-        penalty._PenaltyProblem, "form_matrix", counted("form_matrix", penalty._PenaltyProblem.form_matrix)
-    )
+    monkeypatch.setattr(WeakForm, "form_matrix", counted("form_matrix", WeakForm.form_matrix))
     sol = pdhg_solve(op, constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7, tol=1e-8)
     assert sol.converged
     assert calls == ([] if kind == "constant" else ["form_matrix", "eigh"])
 
 
-@pytest.mark.parametrize("m", [1, _BLOCK_LEAF - 1, _BLOCK_LEAF, _BLOCK_LEAF + 1, 255])
+@pytest.mark.parametrize("m", [1, BLOCK_LEAF - 1, BLOCK_LEAF, BLOCK_LEAF + 1, 255])
 def test_tril_inverse_matches_numpy_inv(m):
     # the Cholesky factor of D S D, for S = X X^T + m I and a graded diagonal
     # D: its rows outweigh its diagonal, so an LU inverse pivots and leaves
@@ -392,7 +406,7 @@ def test_tril_inverse_matches_numpy_inv(m):
     rng = np.random.default_rng(m)
     X = rng.normal(size=(m, m))
     L = np.geomspace(1.0, 10.0, m)[:, None] * np.linalg.cholesky(X @ X.T + m * np.eye(m))
-    Li = _tril_inverse(L)
+    Li = tril_inverse(L)
     ref = np.linalg.inv(L)
     assert np.linalg.norm(Li - ref) <= 1e-13 * np.linalg.norm(ref)
     assert not np.any(np.triu(Li, 1))
@@ -425,7 +439,7 @@ def test_pdhg_handles_a_partially_degenerate_operator():
     assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
     # a mass term c > 0 on Omega keeps Q definite: no ridge
     c = np.where(g.masks().inside, 1.0, 0.0)
-    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, thr, 1.0)[-1]
+    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, 1.0)[-1]
 
 
 def test_pdhg_names_a_form_that_is_not_positive_definite():
@@ -447,7 +461,7 @@ def test_qp_unconstrained_matches_linear_solve_exactly():
     src = constant_source(g, 2.0)
     thr = constant_threshold(g, 1e3)
     sol = brute_force_qp(op, src, thr, 1.0, tol=1e-10)
-    u_lin, unk = linear_solve(op, src, thr, 1.0)
+    u_lin, unk = linear_solve(op, src, 1.0)
     # with the constraint never active the first inner solve is already exact
     assert rel_l2(sol.u.values.ravel()[unk], u_lin) <= 1e-12
 

@@ -22,13 +22,13 @@ from fracmk.forms import (
     operator_from_preset,
     threshold_replace,
 )
-from fracmk import penalty
+from fracmk import dense, lattice, penalty
+from fracmk.lattice import kkt_battery, omega_fft
 from fracmk.oracle import analytic_mk_1d
 from fracmk.penalty import (
     PenaltyFn,
     _feasible_start,
     _LaggedInverse,
-    _omega_fft,
     _PenaltyProblem,
     _run_newton,
     SolverConfig,
@@ -38,6 +38,7 @@ from fracmk.penalty import (
     kkt_report,
     solve_fixed_eps,
 )
+from fracmk.riesz import EXP_CAP
 from fracmk.runs import _weak_lambda_error, weak_battery
 
 SCHEDULE = (0.1, 0.03, 0.01, 3e-3, 1e-3)
@@ -78,10 +79,53 @@ def test_default_q_exceeds_threshold():
             assert default_q(d, s) > 2
 
 
+# -- references: k_eps', and the discrete energy whose gradient is the residual
+
+
+def _t_cap(eps):
+    """Where k_eps saturates: 1/eps, or EXP_CAP eps where the clamp engages."""
+    return min(1.0 / eps, EXP_CAP * eps)
+
+
+def _derivative(eps, t):
+    """k'_eps(t)."""
+    t = np.asarray(t, dtype=float)
+    on = (t > 0) & (t < _t_cap(eps))
+    arg = np.minimum(t / eps, EXP_CAP)
+    return np.where(on, np.exp(arg) / eps, 0.0)
+
+
+def _antiderivative_radial(eps, r, g):
+    """pi(r) = int_0^r tau k_eps(tau - g) dtau, the convex radial energy."""
+    r = np.asarray(r, dtype=float)
+    g = np.asarray(g, dtype=float)
+    tc, ks = _t_cap(eps), PenaltyFn(eps).k_sat
+    T = np.clip(r - g, 0.0, tc)
+    eT = np.exp(np.minimum(T / eps, EXP_CAP))
+    core = eps * (T + g) * eT - eps**2 * eT - eps * g + eps**2 - T**2 / 2 - g * T
+    out = np.where(r > g, core, 0.0)
+    over = r - g > tc
+    if np.any(over):
+        out = out + np.where(over, ks * (r**2 - (g + tc) ** 2) / 2, 0.0)
+    return out
+
+
+def _reference_energy(prob, u, p=None):
+    """The discrete energy of the penalized problem at u, p = D^s u."""
+    p = prob.grad(u) if p is None else p
+    mag = np.sqrt(np.sum(p**2, axis=0))
+    quad = 0.5 * np.sum(np.einsum("abN,bN->aN", prob.A_flat, p) * p)
+    conv = np.sum(prob.dvec_flat[:, prob.fft.nodes] * p[:, prob.fft.nodes] * u[None])
+    low = 0.5 * np.sum(prob.c_at * u**2)
+    pen = np.sum(_antiderivative_radial(prob.eps, mag, prob.g_flat))
+    reg = (prob.eps / prob.q) * np.sum(np.maximum(mag, 0.0) ** prob.q)
+    return float(prob.hd * (quad + conv + low + pen + reg) - prob.rhs @ u)
+
+
 def test_penalty_branches():
     eps = 0.3
     fn = PenaltyFn(eps)
-    k, kp = fn.value(-1.0), fn.derivative(-1.0)
+    k, kp = fn.value(-1.0), _derivative(eps, -1.0)
     assert k == 0.0 and kp == 0.0
     # continuity at the saturation knee t = 1/eps
     below = fn.value(1 / eps - 1e-12)
@@ -93,7 +137,7 @@ def test_penalty_branches():
     assert below == pytest.approx(sat, rel=1e-6)
     # midbranch derivative
     t = 0.7
-    assert fn.derivative(t) == pytest.approx(np.exp(t / eps) / eps, rel=1e-12)
+    assert _derivative(eps, t) == pytest.approx(np.exp(t / eps) / eps, rel=1e-12)
 
 
 def test_penalty_monotone_on_random_pairs():
@@ -111,7 +155,7 @@ def test_penalty_antiderivative_matches_quadrature():
     for r in (0.5, 1.2, 3.0, 6.0):
         ts = np.linspace(0, r, 200001)
         quad = np.trapezoid(ts * fn.value(ts - g), ts)
-        assert fn.antiderivative_radial(r, g) == pytest.approx(quad, rel=1e-7, abs=1e-9)
+        assert _antiderivative_radial(fn.eps, r, g) == pytest.approx(quad, rel=1e-7, abs=1e-9)
 
 
 def test_flux_monotonicity():
@@ -146,7 +190,7 @@ def test_penalized_residual_is_energy_gradient():
     delta = np.where(mask, rng.normal(size=g.shape), 0.0)[mask]
     directional = float(prob.residual(u) @ delta)
     t = 1e-6
-    fd = (prob.energy(u + t * delta) - prob.energy(u - t * delta)) / (2 * t)
+    fd = (_reference_energy(prob, u + t * delta) - _reference_energy(prob, u - t * delta)) / (2 * t)
     assert fd == pytest.approx(directional, rel=1e-6)
 
 
@@ -182,14 +226,6 @@ def test_solver_deterministic():
     b = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.03))
     assert np.array_equal(a.u.values, b.u.values)
     assert np.array_equal(a.lam.values, b.lam.values)
-
-
-def test_energy_descent_in_symmetric_case():
-    g, op, src, thr = torsion_setup()
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
-    hist = np.asarray(sol.energy_history)
-    assert hist.size >= 2
-    assert np.all(np.diff(hist) <= 1e-10 * (1 + np.abs(hist[:-1])))
 
 
 def test_single_stage_continuation_reduces_to_fixed_eps():
@@ -320,7 +356,7 @@ def _reference_gradient_matrix(grid, s):
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=32)], ids=["1d", "2d", "2d-blocks"])
 def test_gradient_matrix_columns_are_spectral_gradients_of_unit_fields(grid):
     s = 0.7
-    fft = _omega_fft(grid, s)
+    fft = omega_fft(grid, s)
     G = _reference_gradient_matrix(grid, s)
     blocks = list(fft.column_blocks())
     # consecutive slices that cover every node once
@@ -338,7 +374,7 @@ def _primal_multiplier(prob, p):
     """lam = k_eps(|p| - g) and gain = k'_eps(|p| - g): the primal penalty's
     multiplier and its derivative, which jacobian takes at a primal point."""
     t = np.sqrt(np.sum(p**2, axis=0)) - prob.g_flat
-    return prob.fn.value(t), prob.fn.derivative(t)
+    return prob.fn.value(t), _derivative(prob.eps, t)
 
 
 def _reference_jacobian(prob, u):
@@ -347,7 +383,7 @@ def _reference_jacobian(prob, u):
     mag = np.sqrt(np.sum(p**2, axis=0))
     magf = np.maximum(mag, 1e-150)
     k = prob.fn.value(mag - prob.g_flat)
-    kp = prob.fn.derivative(mag - prob.g_flat)
+    kp = _derivative(prob.eps, mag - prob.g_flat)
     apen = k + prob.eps * magf ** (prob.q - 2)
     aniso = kp / magf + prob.eps * (prob.q - 2) * magf ** (prob.q - 4)
     G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.fft.nodes
@@ -447,8 +483,6 @@ def test_jacobian_is_derivative_of_residual(grid):
 def _reference_kkt(sol, op, src, thr, s):
     """The KKT report as the per-field loop of FFT gradients and forms."""
     from fracmk.forms import bilinear_apply, linear_apply
-    from fracmk.penalty import kkt_battery
-
     grid = op.grid
     hd = grid.cell_volume
     du = frac_gradient_spectral(sol.u, s)
@@ -534,8 +568,6 @@ def test_kkt_report_matches_fft_form_loop(name, kind, eps):
 
 @pytest.mark.parametrize("name", list(_kkt_grids()))
 def test_kkt_battery_vanishes_off_omega(name):
-    from fracmk.penalty import kkt_battery
-
     grid = _kkt_grids()[name]
     outside = ~grid.masks().inside
     battery = kkt_battery(grid)
@@ -569,14 +601,6 @@ def test_kkt_report_names_a_non_finite_input(value):
         with pytest.raises(ValueError, match="field values must be finite"):
             ScalarField(g, values)
     kkt_report(sol, op, src, thr)
-
-
-def test_energy_history_ends_at_discrete_energy_of_solution():
-    g, op, src, thr = torsion_setup()
-    cfg = SolverConfig(eps=0.01)
-    sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
-    prob = _PenaltyProblem(op, src, thr, 1.0, cfg.eps, default_q(g.dim, 1.0))
-    assert sol.energy_history[-1] == prob.energy(sol.u.values[g.masks().inside])
 
 
 # -- primal-dual Newton: the multiplier equation and its step -----------------
@@ -620,15 +644,15 @@ def test_multiplier_equation_holds_on_the_primal_relation(eps):
     g, op, src, thr = torsion_setup(n=64)
     prob = _PenaltyProblem(op, src, thr, 1.0, eps, default_q(1, 1.0))
     fn = prob.fn
-    t = np.linspace(-1.0, 2 * fn.t_cap, prob.N)
+    t = np.linspace(-1.0, 2 * _t_cap(eps), prob.N)
     mag = t + prob.g_flat
     lam = fn.value(t)
     R2, lam_t, gain = prob.multiplier_equation(mag, lam)
     assert np.all(np.abs(R2) <= 1e-12 * (1 + np.abs(t)))
     # the Newton target is lam itself, and the gain is k'_eps
     assert np.allclose(lam_t, lam, rtol=1e-12, atol=0.0)
-    assert np.allclose(gain, fn.derivative(t), rtol=1e-12, atol=0.0)
-    sat = t > fn.t_cap
+    assert np.allclose(gain, _derivative(eps, t), rtol=1e-12, atol=0.0)
+    sat = t > _t_cap(eps)
     assert np.any(sat) and np.all(lam[sat] == fn.k_sat) and not np.any(gain[sat])
     # below k_sat the log1p branch governs and drives lam up, towards the
     # cap to which the line search projects it
@@ -645,7 +669,7 @@ def test_solve_into_the_saturated_branch():
     assert sol.converged
     fn = PenaltyFn(0.5)
     mag = frac_gradient_spectral(sol.u, 1.0).magnitude().ravel()
-    sat = mag - thr.g.ravel() > fn.t_cap
+    sat = mag - thr.g.ravel() > _t_cap(0.5)
     assert np.count_nonzero(sat) >= 10
     assert np.all(sol.lam.values.ravel()[sat] == fn.k_sat)
     rep = kkt_report(sol, op, src, thr)
@@ -664,7 +688,7 @@ def _reference_newton(prob, u0, cfg):
     p = prob.grad(u)
     r = prob.residual(u, p)
     rnorm = float(np.linalg.norm(r))
-    energy = prob.energy(u, p) if prob.symmetric else None
+    energy = _reference_energy(prob, u, p) if prob.symmetric else None
     it = 0
     best, since_best = rnorm, 0
     while rnorm > cfg.newton_tol * scale and it < cfg.max_iters:
@@ -691,7 +715,7 @@ def _reference_newton(prob, u0, cfg):
                 continue
             e_new = None
             if prob.symmetric:
-                e_new = prob.energy(cand, p_new)
+                e_new = _reference_energy(prob, cand, p_new)
                 tiny = 1e-12 * (1 + abs(energy))
                 ok = e_new <= energy + 1e-4 * t * slope + 0.1 * tiny
                 ok = ok or (rn <= (1 - 1e-4 * t) * rnorm and e_new <= energy + tiny)
@@ -744,7 +768,7 @@ def test_inexact_newton_matches_direct_newton(name):
         prob = _PenaltyProblem(op, src, thr, s, eps, q)
         assert prob.symmetric == ("nonsymmetric" not in name)
         u_ref, ok_ref, _ = _reference_newton(prob, u_ref, cfg)
-        u, stop, it, _, _ = _run_newton(prob, u, cfg, lagged)
+        u, stop, it, _ = _run_newton(prob, u, cfg, lagged)
         assert ok_ref and stop == "converged", eps
         assert np.linalg.norm(u - u_ref) <= 1e-7 * np.linalg.norm(u_ref), eps
         iters += it
@@ -759,7 +783,7 @@ def test_inexact_newton_matches_direct_newton(name):
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d", "2d"])
 def test_fft_pair_is_the_gradient_matrix(grid):
     s = 0.7
-    fft = _omega_fft(grid, s)
+    fft = omega_fft(grid, s)
     G = _reference_gradient_matrix(grid, s)
     d, N, m = G.shape
     rng = np.random.default_rng(4)
@@ -774,7 +798,7 @@ def test_fft_pair_is_the_gradient_matrix(grid):
     # a leading batch axis applies the adjoint to each field
     W = rng.normal(size=(3, d, N))
     assert np.linalg.norm(fft.adjoint(W) - W.reshape(3, -1) @ G.reshape(d * N, m)) <= 1e-13 * np.linalg.norm(GTw) * 3
-    assert _omega_fft(grid, s) is fft
+    assert omega_fft(grid, s) is fft
 
 
 @pytest.mark.parametrize("shape", [(63,), (16, 9)], ids=["1d", "2d"])
@@ -784,14 +808,14 @@ def test_box_transforms_are_numpy_rfftn_and_irfftn(shape):
     rng = np.random.default_rng(6)
     for lead in [(), (3,), (2, 3)]:
         x = rng.normal(size=lead + shape)
-        spec = penalty._rfft_box(x, d)
+        spec = lattice.rfft_box(x, d)
         assert np.array_equal(spec, np.fft.rfftn(x, axes=axes))
-        assert np.array_equal(penalty._irfft_box(spec, shape), np.fft.irfftn(spec, s=shape, axes=axes))
+        assert np.array_equal(lattice.irfft_box(spec, shape), np.fft.irfftn(spec, s=shape, axes=axes))
 
 
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(n=64)], ids=["1d", "2d-blocks"])
 def test_gram_is_the_gram_of_the_gradient_columns(grid):
-    fft = _omega_fft(grid, 0.7)
+    fft = omega_fft(grid, 0.7)
     T = fft.gram(np.eye(fft.d))
     ref = np.concatenate([fft.adjoint(P) for _, P in fft.column_blocks()])
     assert np.linalg.norm(T - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -807,7 +831,7 @@ CONSTANT_TENSORS = {
 @pytest.mark.parametrize("kind", list(CONSTANT_TENSORS))
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(), grid_2d(n=64)], ids=["1d", "2d", "2d-blocks"])
 def test_gram_of_a_constant_tensor_is_the_gram_of_the_gradient_columns(grid, kind):
-    fft = _omega_fft(grid, 0.7)
+    fft = omega_fft(grid, 0.7)
     C0 = np.array(CONSTANT_TENSORS[kind])[: fft.d, : fft.d]
     T = fft.gram(C0)
     # row j of ref is G^T C0 G e_j, so ref is the transpose of the Gram
@@ -843,13 +867,13 @@ def _zero_start_problem(grid, op):
 
 def _counting_adjoint(monkeypatch):
     calls = []
-    adjoint = penalty._OmegaFFT.adjoint
+    adjoint = lattice.OmegaFFT.adjoint
 
     def counted(self, w):
         calls.append(w.shape)
         return adjoint(self, w)
 
-    monkeypatch.setattr(penalty._OmegaFFT, "adjoint", counted)
+    monkeypatch.setattr(lattice.OmegaFFT, "adjoint", counted)
     return calls
 
 
@@ -953,13 +977,13 @@ def test_disc_continuation_refreshes_without_gradient_columns(b, monkeypatch):
     op, src, thr = _disc(32, b)
     assert _zero_start_problem(op.grid, op).symmetric == (b is None)
     calls = []
-    column_blocks = penalty._OmegaFFT.column_blocks
+    column_blocks = lattice.OmegaFFT.column_blocks
 
     def counted(self):
         calls.append(1)
         return column_blocks(self)
 
-    monkeypatch.setattr(penalty._OmegaFFT, "column_blocks", counted)
+    monkeypatch.setattr(lattice.OmegaFFT, "column_blocks", counted)
     stages = continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE))
     assert calls == []
     assert all(sol.converged for _, sol, _ in stages)
@@ -1015,7 +1039,7 @@ def test_convection_free_form_skips_only_exact_zeros(name):
     p = prob.grad(u)
     u *= 1.3 / np.max(np.sqrt(np.sum(p**2, axis=0)))
     p = prob.grad(u)
-    u_box = penalty._scatter(u, prob.fft.nodes, prob.N)
+    u_box = lattice.scatter(u, prob.fft.nodes, prob.N)
     # weak_residual
     coeff = prob.flux_coeff(np.sqrt(np.sum(p**2, axis=0)))[1]
     flux = np.einsum("abN,bN->aN", prob.A_flat, p) + coeff[None] * p
@@ -1029,7 +1053,7 @@ def test_convection_free_form_skips_only_exact_zeros(name):
     C = prob.flux_derivative(p, lam, gain)
     C *= prob.hd
     v = rng.normal(size=prob.m)
-    v_box = penalty._scatter(v, prob.fft.nodes, prob.N)
+    v_box = lattice.scatter(v, prob.fft.nodes, prob.N)
     pv = prob.fft.box_grad(v_box)
     assert np.array_equal(apply(v), _weak_form_with_convection(prob, v, pv, np.einsum("abN,bN->aN", C, pv), v_box))
     # _toeplitz
@@ -1064,7 +1088,7 @@ def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks(disc64_stage):
         tracemalloc.stop()
     # the rows G_S of all ~200 active nodes at once would take 10 blocks more,
     # and a symmetrization by J += J.T one more (m, m) array
-    assert peak < P.nbytes + 6 * 8 * penalty._BLOCK_VALUES
+    assert peak < P.nbytes + 6 * 8 * lattice._BLOCK_VALUES
 
 
 # -- the refresh inverse by 2x2 blocks ------------------------------------------
@@ -1085,7 +1109,7 @@ def _definite(m, symmetric, seed=0):
     return D[:, None] * P * D[None, :]
 
 
-LEAF = penalty._BLOCK_LEAF
+LEAF = dense.BLOCK_LEAF
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["spd", "nonsymmetric"])
@@ -1097,17 +1121,17 @@ def test_block_inverse_is_as_accurate_as_numpy_inv(m, symmetric):
     def error(M):
         return np.max(np.abs(M @ P - eye))
 
-    assert error(penalty._block_inverse(P)) <= 10 * error(np.linalg.inv(P))
+    assert error(dense.block_inverse(P)) <= 10 * error(np.linalg.inv(P))
 
 
 @pytest.mark.parametrize("m", [LEAF + 1, 511])
 def test_block_inverse_raises_on_a_singular_or_non_finite_matrix(m):
     with pytest.raises(np.linalg.LinAlgError):
-        penalty._block_inverse(np.ones((m, m)))
+        dense.block_inverse(np.ones((m, m)))
     P = _definite(m, True)
     P[-1, -1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        penalty._block_inverse(P)
+        dense.block_inverse(P)
 
 
 def test_block_inverse_frees_its_temporaries(disc64_stage):
@@ -1117,7 +1141,7 @@ def test_block_inverse_frees_its_temporaries(disc64_stage):
     P = prob.preconditioner(*point)
     tracemalloc.start()
     try:
-        M = penalty._block_inverse(P)
+        M = dense.block_inverse(P)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -299,15 +299,15 @@ def test_demo_runs_end_to_end(demo, tmp_path):
 
 
 def test_run_localize_builds_each_gradient_matrix_once():
-    from fracmk.penalty import _omega_fft
+    from fracmk.lattice import omega_fft
 
     s_list = [0.5, 0.6, 0.7, 0.8, 0.9]
     cfg = config_from_mapping(base_mapping(s_list=s_list))
-    _omega_fft.cache_clear()
+    omega_fft.cache_clear()
     run_localize(cfg)
     # every stage and cold-start step of the 4 concurrent sweep points finds
     # its operator cached: one build per s, plus s = 1
-    assert _omega_fft.cache_info().misses == len(s_list) + 1
+    assert omega_fft.cache_info().misses == len(s_list) + 1
 
 
 def test_load_config_round_trip(tmp_path):
