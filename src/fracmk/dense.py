@@ -1,6 +1,11 @@
 """Dense linear algebra of the Newton refresh, its Krylov solves and the PDHG
 setup: inverses by 2x2 blocks, and PCG and GMRES preconditioned by a dense
 inverse.  numpy only.
+
+Both inverses overwrite their argument, so a refresh holds one (m, m)
+array, and besides it two (m/2, m/2) blocks at a time: a traced peak of
+0.53 x 8m^2 bytes on the m = 793 refresh of the 2D n=64 disc, where an
+inverse into a new array held 2.25.
 """
 
 from __future__ import annotations
@@ -12,68 +17,99 @@ import numpy as np
 BLOCK_LEAF = 64
 
 
-def block_inverse(P: np.ndarray) -> np.ndarray:
-    """P^-1 for a square P whose leading blocks are all nonsingular, as a
-    matrix with a positive definite symmetric part has.
+def block_inverse(P: np.ndarray, symmetric: bool) -> np.ndarray:
+    """P^-1 in the storage of P, for a square P whose leading blocks are all
+    nonsingular, as a matrix with a positive definite symmetric part has;
+    returns P.
 
     By 2x2 blocks, with Ai = P11^-1, X = P21 Ai, Z = Ai P12, the Schur
     complement's inverse Si = (P22 - X P12)^-1 and Y = Si X,
 
         P^-1 = [[Ai + Z Y, -Z Si], [-Y, Si]],
 
-    the two half-size inverses recursively: above BLOCK_LEAF all other work
-    is six GEMMs, 2m^3 flops in all, as many as numpy's inv, which spends
-    them in an LU and the inverse of its factors.  No pivoting: Higham,
+    the two half-size inverses recursively, each in its own block of P.
+    Above BLOCK_LEAF the general path spends six GEMMs per level, 2m^3
+    flops in all, as many as numpy's inv, which spends them in an LU and the
+    inverse of its factors.  The symmetric path (P = P^T) has Z = X^T, so
+    it forms only X, S = P22 - X P21^T, Y and Ai + X^T Y: 4m^3/3 flops.  It
+    copies each block's lower triangle onto the upper one, so the inverse
+    is exactly symmetric, as PCG needs.  Besides P, either path holds two
+    (m/2, m/2) blocks at a time: 0.5 x 8m^2 bytes.  No pivoting: Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13.
-    Raises LinAlgError when a leaf is singular or an inverse not finite.
+
+    Raises LinAlgError when a leaf is singular or the inverse not finite;
+    P is then partly overwritten, and its values are undefined.
     """
+    _invert(P, symmetric)
+    if not np.all(np.isfinite(P)):
+        raise np.linalg.LinAlgError("the block inverse is not finite")
+    return P
+
+
+def _invert(P: np.ndarray, symmetric: bool) -> None:
     m = P.shape[0]
     if m <= BLOCK_LEAF:
-        out = np.linalg.inv(P)
+        P[...] = np.linalg.inv(P)
     else:
         k = m // 2
-        P12 = P[:k, k:]
-        Ai = block_inverse(P[:k, :k])
-        X = P[k:, :k] @ Ai
-        S = X @ P12
-        np.subtract(P[k:, k:], S, out=S)
-        Si = block_inverse(S)
-        del S
-        Y = Si @ X
-        del X
-        Z = Ai @ P12
-        out = np.empty_like(P)
-        out[:k, :k] = Z @ Y
-        out[:k, :k] += Ai
-        del Ai
-        out[:k, k:] = Z @ Si
-        np.negative(out[:k, k:], out=out[:k, k:])
-        del Z
-        np.negative(Y, out=out[k:, :k])
-        out[k:, k:] = Si
-    if not np.all(np.isfinite(out)):
-        raise np.linalg.LinAlgError("the block inverse is not finite")
-    return out
+        A, B, C, D = P[:k, :k], P[:k, k:], P[k:, :k], P[k:, k:]
+        _invert(A, symmetric)
+        X = C @ A
+        D -= X @ (C.T if symmetric else B)
+        _invert(D, symmetric)
+        C[...] = D @ X
+        if symmetric:
+            A += X.T @ C
+            del X
+        else:
+            del X
+            Z = A @ B
+            A += Z @ C
+            B[...] = Z @ D
+            del Z
+            np.negative(B, out=B)
+        np.negative(C, out=C)
+    if symmetric:
+        _mirror_lower(P)
+
+
+# the strict upper triangle of a leaf
+_UPPER = np.triu(np.ones((BLOCK_LEAF, BLOCK_LEAF), dtype=bool), 1)
+_UPPER.flags.writeable = False
+
+
+def _mirror_lower(P: np.ndarray) -> None:
+    """Copy the strict lower triangle of P onto the upper one, BLOCK_LEAF
+    rows at a time, so no second (m, m) array is held."""
+    m = P.shape[0]
+    for i in range(0, m, BLOCK_LEAF):
+        j = min(i + BLOCK_LEAF, m)
+        D = P[i:j, i:j]
+        np.copyto(D, D.T, where=_UPPER[: j - i, : j - i])
+        P[i:j, j:] = P[j:, i:j].T
 
 
 def tril_inverse(L: np.ndarray) -> np.ndarray:
-    """L^-1 for a nonsingular lower-triangular L, exactly zero above the diagonal.
+    """L^-1 in the storage of L, for a nonsingular lower-triangular L;
+    returns L, exactly zero above the diagonal.
 
     By 2x2 blocks, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
     above BLOCK_LEAF the only work besides the two half-size inverses is
     two GEMMs, about 2m^3/3 flops in all, where numpy's inv factors L as a
     general matrix and inverts the LU, 2m^3.  np.tril drops what a pivoted
-    LU leaves above a leaf's diagonal.
+    LU leaves above a leaf's diagonal.  Besides L, it holds two (m/2, m/2)
+    blocks at a time: 0.5 x 8m^2 bytes.
     """
     m = L.shape[0]
     if m <= BLOCK_LEAF:
-        return np.tril(np.linalg.inv(L))
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
     k = m // 2
-    Ai, Di = tril_inverse(L[:k, :k]), tril_inverse(L[k:, k:])
-    out = np.zeros_like(L)
-    out[:k, :k], out[k:, k:] = Ai, Di
-    out[k:, :k] = -(Di @ (L[k:, :k] @ Ai))
-    return out
+    A, C, D = tril_inverse(L[:k, :k]), L[k:, :k], tril_inverse(L[k:, k:])
+    L[:k, k:] = 0.0
+    C[...] = D @ (C @ A)
+    np.negative(C, out=C)
+    return L
 
 
 def norm(x: np.ndarray) -> float:

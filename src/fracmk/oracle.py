@@ -179,8 +179,8 @@ def pdhg_solve(
     K^T K / tau (Pock & Chambolle, ICCV 2011), and the loop runs in
     z = V^-1 u for the generalized eigenvectors of the pencil (Q, K^T K):
     V^T Q V = diag(mu), V^T K^T K V = I.  The setup takes one Cholesky
-    factor L of the Toeplitz s-Laplacian Gram K^T K and its inverse Li,
-    from tril_inverse.  Where A is a I for one scalar a > 0 on the box and
+    factor L of the Toeplitz s-Laplacian Gram K^T K, inverted in place into
+    Li by tril_inverse.  Where A is a I for one scalar a > 0 on the box and
     c = 0, Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
     V = Li^T, and Q is never assembled.  Otherwise one numpy eigh of
     Li Q Li^T = W diag(mu) W^T gives V = Li^T W.  K V is orthonormal, so

@@ -31,11 +31,14 @@ Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
 FFTs.  The preconditioner is the inverse of the last assembled, damped
-matrix P, taken by 2x2 blocks with GEMMs (dense.block_inverse); it is kept
+matrix P, inverted in place by 2x2 blocks with GEMMs (dense.block_inverse,
+by its symmetric path where the form is symmetric, so PCG gets an exactly
+symmetric inverse): a refresh holds one (m, m) array.  The inverse is kept
 through a continuation and its cold-start eps chain, and P is assembled
-again only when the Krylov solve misses its iteration budget: an
-approximate Jacobian inside a Krylov solve with the exact J v
-(Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
+again only when the Krylov solve misses its iteration budget or its step
+fails the line search above the rounding floor: an approximate Jacobian
+inside a Krylov solve with the exact J v (Jacobian-free Newton-Krylov:
+Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Where A is one positive definite tensor A0 on the box, P is the Toeplitz
 h^d G^T A0 G, read off the kernel's cross-correlations in one inverse FFT,
 plus the exact rows of the multiplier's active set S, read off the kernel,
@@ -299,8 +302,8 @@ _KRYLOV_BUDGET = 40
 
 
 class _LaggedInverse:
-    """The inverse of the last assembled, damped Newton preconditioner, taken
-    by block_inverse, and counts.
+    """The inverse of the last assembled, damped Newton preconditioner,
+    inverted in place (_refreshed_inverse), and counts.
 
     One object serves one continuation, its stages and their cold-start eps
     chains, so concurrent solves never share one.
@@ -312,6 +315,16 @@ class _LaggedInverse:
         self.inv = None
         self.jacobians = 0  # preconditioners (_PenaltyProblem.preconditioner) assembled and inverted
         self.krylov = 0  # Krylov iterations
+
+
+def _refreshed_inverse(prob: _PenaltyProblem, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, damping: float):
+    """P^-1 for P = preconditioner(p, lam, gain), its diagonal damped by
+    damping (1 + |P_ii|), inverted in place by block_inverse: the inverse
+    is the one (m, m) array the refresh assembled.  Raises LinAlgError as
+    block_inverse does."""
+    P = prob.preconditioner(p, lam, gain)
+    P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
+    return block_inverse(P, prob.symmetric)
 
 
 def _run_newton(
@@ -334,16 +347,22 @@ def _run_newton(
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
     or when the Krylov solve fails, the damped preconditioner(p, lam, gain)
-    is assembled and inverted at the current point by 2x2 blocks
-    (block_inverse: GEMMs, and LAPACK only on leaves of at most
-    BLOCK_LEAF rows), and the step is its inverse applied to the
-    right-hand side; a singular or non-finite inverse raises the damping
-    instead.  The step is exact where P = J (A not one definite tensor, or
+    is assembled and inverted in place at the current point by 2x2 blocks
+    (_refreshed_inverse: GEMMs, and LAPACK only on leaves of at most
+    BLOCK_LEAF rows), after the old inverse is freed, and the step is its
+    inverse applied to the right-hand side; a singular or non-finite
+    inverse raises the damping instead, and the next step assembles P
+    afresh.  The step is exact where P = J (A not one definite tensor, or
     an empty active set at u = 0), else off by the O(eps) couplings P
     leaves out.  The line search is one Armijo test on the merit
     M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with lam projected onto
-    [0, k_sat].  When it fails and lam is off
-    k_eps(|D^s u| - g), lam restarts there; otherwise the damping rises.
+    [0, k_sat].  When it fails on a Krylov step above the rounding floor
+    (M >= _FLOOR times its start), the next step comes from a fresh
+    inverse: within its forcing tolerance a Krylov step can miss descent
+    where J is ill-conditioned (the degenerate sweep's n=512, a = 0 for
+    x > 0, s = 1, f = 1 case stalled on steps 9% off the exact one).
+    Otherwise, when lam is off k_eps(|D^s u| - g), lam restarts there, and
+    else the damping rises.
 
     The stop test is the primal one, |residual(u)| <= newton_tol scale, with
     lam = k_eps(|D^s u| - g).  stop is converged, stagnated, damping or
@@ -380,7 +399,7 @@ def _run_newton(
         it += 1
         _, lam_t, gain = prob.multiplier_equation(mag, lam)
         b = -prob.weak_residual(u, p, lam_t + prob.regularization(mag))
-        step = None
+        step, fresh = None, False
         if lagged.inv is not None:
             apply, diag = prob.linearization(p, lam, gain)
             damp = damping * (1.0 + np.abs(diag))
@@ -389,17 +408,13 @@ def _run_newton(
             lagged.krylov += k
         if step is None:
             lagged.inv = None  # free the old inverse before assembling P
-            P = prob.preconditioner(p, lam, gain)
-            P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
             lagged.jacobians += 1
             try:
-                lagged.inv = block_inverse(P)
+                lagged.inv = _refreshed_inverse(prob, p, lam, gain, damping)
             except np.linalg.LinAlgError:
                 damping = max(damping * 100, 1e-8)
                 continue
-            finally:
-                del P
-            step = lagged.inv @ b
+            step, fresh = lagged.inv @ b, True
         dlam = gain * np.sum(p / np.maximum(mag, 1e-150) * prob.grad(step), axis=0) + lam_t - lam
         t = 1.0
         accepted = False
@@ -415,6 +430,9 @@ def _run_newton(
                 accepted = True
                 break
             t *= 0.5
+        if not accepted and not fresh and M >= floor:
+            lagged.inv = None  # take the step from a fresh inverse
+            continue
         if not accepted:
             # a multiplier far from the primal relation can block every step:
             # restart it from u before damping the Jacobian, and measure

@@ -406,7 +406,8 @@ def test_tril_inverse_matches_numpy_inv(m):
     rng = np.random.default_rng(m)
     X = rng.normal(size=(m, m))
     L = np.geomspace(1.0, 10.0, m)[:, None] * np.linalg.cholesky(X @ X.T + m * np.eye(m))
-    Li = tril_inverse(L)
+    Li = L.copy()
+    assert tril_inverse(Li) is Li  # in the storage of L
     ref = np.linalg.inv(L)
     assert np.linalg.norm(Li - ref) <= 1e-13 * np.linalg.norm(ref)
     assert not np.any(np.triu(Li, 1))
