@@ -5,7 +5,8 @@ inverse.  numpy only.
 Both inverses overwrite their argument, so a refresh holds one (m, m)
 array, and besides it two (m/2, m/2) blocks at a time: a traced peak of
 0.53 x 8m^2 bytes on the m = 793 refresh of the 2D n=64 disc, where an
-inverse into a new array held 2.25.
+inverse into a new array held 2.25.  Only block_inverse makes a matrix
+exactly symmetric, as PCG needs: its symmetric path averages P with P^T.
 """
 
 from __future__ import annotations
@@ -30,16 +31,25 @@ def block_inverse(P: np.ndarray, symmetric: bool) -> np.ndarray:
     the two half-size inverses recursively, each in its own block of P.
     Above BLOCK_LEAF the general path spends six GEMMs per level, 2m^3
     flops in all, as many as numpy's inv, which spends them in an LU and the
-    inverse of its factors.  The symmetric path (P = P^T) has Z = X^T, so
-    it forms only X, S = P22 - X P21^T, Y and Ai + X^T Y: 4m^3/3 flops.  It
-    copies each block's lower triangle onto the upper one, so the inverse
-    is exactly symmetric, as PCG needs.  Besides P, either path holds two
-    (m/2, m/2) blocks at a time: 0.5 x 8m^2 bytes.  No pivoting: Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13.
+    inverse of its factors.  The symmetric path first replaces P by
+    (P + P^T)/2, as rounding leaves an assembled P asymmetric at 1e-16,
+    which the inverse can amplify by cond(P).  Then Z = X^T, so it forms
+    only X, S = P22 - X P21^T, Y and Ai + X^T Y: 4m^3/3 flops, and copies
+    each block's lower triangle onto the upper one: PCG needs an exactly
+    symmetric inverse.  Besides P, either path holds two (m/2, m/2) blocks
+    at a time: 0.5 x 8m^2 bytes.  No pivoting: Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 13.
 
     Raises LinAlgError when a leaf is singular or the inverse not finite;
     P is then partly overwritten, and its values are undefined.
     """
+    if symmetric:  # P = (P + P^T) / 2, BLOCK_LEAF rows at a time
+        for i in range(0, P.shape[0], BLOCK_LEAF):
+            rows, rest = slice(i, i + BLOCK_LEAF), slice(i, None)
+            mean = P[rows, rest] + P[rest, rows].T
+            mean *= 0.5
+            P[rows, rest] = mean
+            P[rest, rows] = mean.T
     _invert(P, symmetric)
     if not np.all(np.isfinite(P)):
         raise np.linalg.LinAlgError("the block inverse is not finite")

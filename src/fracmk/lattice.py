@@ -8,7 +8,8 @@ OmegaFFT, applies G v and G^T w by FFT and hands out blocks of those
 columns; G itself is never stored.  The nodal weak residual is written
 once, in WeakForm, and the penalty's Newton iteration, its Jacobian, both
 oracles and the KKT report all use it; its dense matrix is assembled in one
-place, WeakForm.form_matrix, for the Newton Jacobian and the oracles' Q.
+place, WeakForm.form_matrix, for the Newton Jacobian and the oracles' Q,
+symmetric only up to rounding: dense.block_inverse symmetrizes for PCG.
 Where b and dvec both vanish, the weak form and the Toeplitz matrix skip
 their terms, which would add exact zeros.
 """
@@ -313,22 +314,4 @@ class WeakForm:
                 for a in range(self.d):
                     J[i] += (self.hb_at[a, i, None] - hdvec_at[a]) * K[a]
         J[np.diag_indices(self.m)] += self.hc_at
-        return J
-
-    def _symmetrized(self, J: np.ndarray) -> np.ndarray:
-        """J, made exactly symmetric in place when the form is symmetric.
-
-        FFT rounding leaves J asymmetric at 1e-16, which inv(J) can amplify
-        by cond(J) (1e18 at a degenerate cold start): PCG needs an exactly
-        symmetric preconditioner.  The mean (J + J^T) / 2 is taken a block of
-        rows at a time, so no second (m, m) array is held.
-        """
-        if self.symmetric:
-            rows = max(1, _BLOCK_VALUES // self.m)
-            for i0 in range(0, self.m, rows):
-                i, rest = slice(i0, i0 + rows), slice(i0, None)
-                mean = J[i, rest] + J[rest, i].T
-                mean *= 0.5
-                J[i, rest] = mean
-                J[rest, i] = mean.T
         return J

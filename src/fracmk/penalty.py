@@ -32,9 +32,9 @@ CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
 FFTs.  The preconditioner is the inverse of the last assembled, damped
 matrix P, inverted in place by 2x2 blocks with GEMMs (dense.block_inverse,
-by its symmetric path where the form is symmetric, so PCG gets an exactly
-symmetric inverse): a refresh holds one (m, m) array.  The inverse is kept
-through a continuation and its cold-start eps chain, and P is assembled
+whose symmetric path averages P with P^T, so PCG gets an exactly symmetric
+inverse): a refresh holds one (m, m) array.  The inverse is kept through a
+continuation and a degenerate cold start's eps chain, and P is assembled
 again only when the Krylov solve misses its iteration budget or its step
 fails the line search above the rounding floor: an approximate Jacobian
 inside a Krylov solve with the exact J v (Jacobian-free Newton-Krylov:
@@ -237,10 +237,10 @@ class _PenaltyProblem(WeakForm):
 
     def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """The dense Newton Jacobian, (m, m), at a point with D^s u = p: the
-        form_matrix of h^d flux_derivative(p, lam, gain), symmetrized."""
+        form_matrix of h^d flux_derivative(p, lam, gain), not symmetrized."""
         C = self.flux_derivative(p, lam, gain)
         C *= self.hd
-        return self._symmetrized(self.form_matrix(C))
+        return self.form_matrix(C)
 
     def preconditioner(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """The matrix a Newton refresh inverts, (m, m), at a point with
@@ -267,7 +267,7 @@ class _PenaltyProblem(WeakForm):
         P = self.add_active_rows(self._toeplitz(self.hd * self.A0), dC, S)
         dC[..., S] = 0.0
         P[np.diag_indices(self.m)] += self.fft.gram_diag(dC)
-        return self._symmetrized(P)
+        return P
 
     def linearization(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray):
         """v -> J v and diag(J) for J = jacobian(p, lam, gain), without forming J."""
@@ -473,7 +473,7 @@ def _feasible_start(prob: _PenaltyProblem) -> tuple[np.ndarray, np.ndarray]:
     weak residual at (u0, lam0) is the q-power term alone.
 
     Primal-dual Newton needs both halves.  On the 1D degenerate sweep of 80
-    cases, it takes 1898 Newton steps from here; from lam0 = k_eps(|D^s u0|
+    cases, it takes 1879 Newton steps from here; from lam0 = k_eps(|D^s u0|
     - g) = 0 it takes 2602; from u = 0 it fails 1 case (n = 512, a = 0 for
     x > 0, s = 1, f = 1 runs out of budget at eps = 3e-3) and takes 3041.
     """
@@ -500,12 +500,14 @@ def solve_fixed_eps(
     line search.  With warm_start, Newton starts at its u and its
     multiplier lam.  Without, it starts at u = 0 with lam = 0, or, when the
     operator has a degenerate node (A = 0 and c = 0 there), at the feasible
-    s-Laplacian start of _feasible_start and its multiplier.  A
-    cold start at small eps first walks a short internal geometric eps chain
-    down from 0.1, since the exponential wall defeats plain Newton from
-    there.  `lagged` carries the preconditioner from the solve that gave
-    warm_start (continuation_solve passes it); without it the first Newton
-    step assembles one.
+    s-Laplacian start of _feasible_start and its multiplier.  A degenerate
+    cold start at eps < 0.1 first walks the eps chain 0.1, 0.025, ... down
+    to eps: without it, 1D transport (n = 1024) runs out of 200 Newton steps
+    at eps = 3e-3.  A coercive one needs none: primal-dual Newton, linear in
+    log1p(lam), takes 9-13 steps from u = 0 at eps = 1e-2 to 1e-3 on 1D
+    torsion and the 2D n=64 disc.  `lagged` carries the preconditioner from
+    the solve that gave warm_start (continuation_solve passes it); without
+    it the first Newton step assembles one.
 
     Returns the last accepted iterate, with converged=False if Newton stops
     before the tolerance; its lam is k_eps(|D^s u| - g) at that u, not
@@ -519,7 +521,7 @@ def solve_fixed_eps(
     q = cfg.q if cfg.q is not None else default_q(grid.dim, s)
     lagged = _LaggedInverse() if lagged is None else lagged
     jac0, kry0 = lagged.jacobians, lagged.krylov
-    if warm_start is None and cfg.eps < 0.1:
+    if warm_start is None and cfg.eps < 0.1 and op.has_degenerate_node():
         e = 0.1
         while e > cfg.eps * 1.0001:
             chain_cfg = replace(cfg, eps=e, eps_schedule=())

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -256,6 +255,8 @@ def run_localize(cfg: RunConfig, outdir: str | Path | None = None) -> list[dict]
     at sigma = 0.5), and weak multiplier errors against the test battery,
     all measured against the classical s = 1 solution.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+
     s_values = [s for s in cfg.s_list if s < 1.0]
     op, src, thr = cfg.build_operator(), cfg.build_source(), cfg.build_threshold()
     sol_1 = continuation_solve(op, src, thr, 1.0, cfg.solver)[-1][1]

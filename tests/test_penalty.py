@@ -890,8 +890,6 @@ def test_jacobian_at_zero_with_constant_A_is_read_off_the_kernel(grid, kind, mon
     J = prob.jacobian(p, lam, gain)
     assert calls == []
     assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
-    if prob.symmetric:
-        assert np.array_equal(J, J.T)
 
 
 def test_jacobian_at_zero_with_varying_A_takes_the_gradient_columns(monkeypatch):
@@ -1186,6 +1184,64 @@ def test_transport_refreshes_give_pcg_an_exactly_symmetric_inverse(monkeypatch):
     assert all(inverses)
 
 
+def _reference_symmetrized(J):
+    """J made exactly symmetric in place, (J + J^T) / 2 a block of rows at a
+    time: the averaging the weak form applied to its matrices before
+    block_inverse's symmetric path took it over."""
+    m = J.shape[0]
+    rows = max(1, lattice._BLOCK_VALUES // m)
+    for i0 in range(0, m, rows):
+        i, rest = slice(i0, i0 + rows), slice(i0, None)
+        mean = J[i, rest] + J[rest, i].T
+        mean *= 0.5
+        J[i, rest] = mean
+        J[rest, i] = mean.T
+    return J
+
+
+def _assert_symmetrizes(P):
+    """block_inverse's symmetric path, given P as assembled, inverts the
+    mean of P and P^T exactly as an inverse of the averaged matrix would, and
+    its inverse is exactly symmetric, as PCG needs."""
+    assert not np.array_equal(P, P.T)
+    M = dense.block_inverse(P.copy(), True)
+    assert np.array_equal(M, M.T)
+    assert np.array_equal(M, dense.block_inverse(_reference_symmetrized(P.copy()), True))
+
+
+@pytest.mark.parametrize("m", [LEAF - 1, LEAF, LEAF + 1, 511])
+def test_block_inverse_symmetrizes_the_matrix_it_is_given(m):
+    _assert_symmetrizes(_definite(m, False, seed=m))
+
+
+def test_block_inverse_symmetrizes_the_solve_2d_refreshes(monkeypatch):
+    # the refresh matrices of the seed-0 solve-2d continuation, as assembled:
+    # the Toeplitz P at u = 0 and the one with the active rows, both
+    # asymmetric at FFT rounding
+    refreshes = []
+    inverse = dense.block_inverse
+
+    def recorded(P, symmetric):
+        refreshes.append(P.copy())
+        return inverse(P, symmetric)
+
+    monkeypatch.setattr(penalty, "block_inverse", recorded)
+    stages = continuation_solve(*_disc(64, None), 0.7, SolverConfig(eps_schedule=SCHEDULE))
+    assert all(sol.converged for _, sol, _ in stages)
+    assert len(refreshes) == 2 and refreshes[0].shape == (793, 793)
+    for P in refreshes:
+        _assert_symmetrizes(P)
+
+
+@pytest.mark.parametrize("kind", ["c", "anisotropic"])
+@pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d(n=32)], ids=["1d", "2d-blocks"])
+def test_block_inverse_symmetrizes_the_jacobian_at_zero(grid, kind):
+    # the Toeplitz Jacobian comes out of the weak form as assembled
+    prob = _zero_start_problem(grid, _constant_operator(grid, kind))
+    p = prob.grad(np.zeros(prob.m))
+    _assert_symmetrizes(prob.jacobian(p, *_primal_multiplier(prob, p)))
+
+
 @pytest.mark.parametrize("m", [LEAF + 1, 511])
 def test_block_inverse_raises_on_a_singular_or_non_finite_matrix(m):
     for symmetric in (True, False):
@@ -1261,7 +1317,9 @@ def test_a_krylov_step_that_misses_descent_is_taken_again_from_a_fresh_inverse(m
 
     monkeypatch.setattr(penalty, "pcg", ascent_once)
     g, op, src, thr = torsion_setup()
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
+    # at eps = 0.1: from u = 0 at eps = 0.01 the line search accepts the
+    # flipped step, as the multiplier's part of the update is not flipped
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
     assert flipped and sol.converged
     # the refresh right after the flipped step keeps the damping
     assert len(dampings) > flipped[0] and dampings[flipped[0]] == penalty._DAMPING
@@ -1317,8 +1375,8 @@ def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     stop, jac, kry = sol.notes
     assert stop == "stop=converged"
     assert jac.startswith("jacobians=") and kry.startswith("krylov=")
-    # the cold start walks 0.1, 0.025, 0.01: it assembles at its first step
-    # and then lives mostly on the lagged inverse
+    # a coercive cold start solves at eps = 0.01 directly: it assembles at
+    # its first step and then lives mostly on the lagged inverse
     assert 1 <= _count(jac) < sol.iterations and _count(kry) > 0
     zero = solve_fixed_eps(op, constant_source(g, 0.0), thr, 1.0, SolverConfig(eps=0.1))
     assert zero.notes == ("stop=converged", "jacobians=0", "krylov=0")
@@ -1337,6 +1395,21 @@ def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     monkeypatch.setattr(penalty, "_MIN_STEP", 2.0)  # no trial step is ever taken
     sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
     assert sol.notes[0] == "stop=damping" and not sol.converged
+
+
+@pytest.mark.parametrize("a, epsilons", [(1.0, [0.01]), (0.0, [0.1, 0.025, 0.01])], ids=["coercive", "degenerate"])
+def test_only_a_degenerate_cold_start_walks_the_eps_chain(a, epsilons, monkeypatch):
+    seen = []
+    run_newton = penalty._run_newton
+
+    def recorded(prob, *args):
+        seen.append(prob.eps)
+        return run_newton(prob, *args)
+
+    monkeypatch.setattr(penalty, "_run_newton", recorded)
+    g, op, src, thr = torsion_setup(f=1.0, a=a)
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01, max_iters=200))
+    assert sol.converged and seen == epsilons
 
 
 def test_failed_continuation_names_its_stop_reason():
@@ -1447,7 +1520,7 @@ def test_degenerate_transport_converges_on_a_disc(where, s, n):
 
 def test_degenerate_sweep_converges_within_its_newton_budget():
     # README's 1D degenerate sweep of 80 cases, with a = 0 on all of Omega or
-    # only for x > 0: 1898 Newton steps with the feasible start
+    # only for x > 0: 1879 Newton steps with the feasible start
     failed, steps = [], 0
     for n in (32, 64, 128, 256, 512):
         g = grid_1d(n)

@@ -205,6 +205,17 @@ def test_pdhg_solve_loads_no_scipy():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_runs_and_oracle_import_no_thread_pool():
+    # concurrent.futures, and logging through it, serve run_localize alone:
+    # it imports them when it runs
+    out = _fresh_python(
+        "import json, sys\n"
+        "import fracmk.runs, fracmk.oracle\n"
+        "print(json.dumps([m for m in ('concurrent.futures', 'logging') if m in sys.modules]))\n"
+    )
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_kernel_verification_loads_no_scipy():
     # the library imports numpy only: the verify suite's kernel-norm check
     # integrates with numpy's Gauss-Legendre rule
