@@ -2,11 +2,12 @@
 setup: inverses by 2x2 blocks, and PCG and GMRES preconditioned by a dense
 inverse.  numpy only.
 
-Both inverses overwrite their argument, so a refresh holds one (m, m)
-array, and besides it two (m/2, m/2) blocks at a time: a traced peak of
-0.53 x 8m^2 bytes on the m = 793 refresh of the 2D n=64 disc, where an
-inverse into a new array held 2.25.  Only block_inverse makes a matrix
-exactly symmetric, as PCG needs: its symmetric path averages P with P^T.
+Both inverses overwrite their argument, so a continuation holds one (m, m)
+array, in which each Newton refresh assembles P over the last inverse, and
+besides it two (m/2, m/2) blocks at a time: a traced peak of 0.53 x 8m^2
+bytes on the m = 793 refresh of the 2D n=64 disc, where an inverse into a
+new array held 2.25.  Only block_inverse makes a matrix exactly
+symmetric, as PCG needs: its symmetric path averages P with P^T.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ the trapezoidal rule and matches spectral differentiation.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -243,13 +245,35 @@ def bump(grid: GridSpec, radius: float | None = None, center: tuple[float, ...] 
     return ScalarField(grid, out)
 
 
+def uniform_draws(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of rng.random() draws, uniform on [0, 1), filled in C order:
+    the one method of the stdlib generator whose sequence for a seed CPython
+    keeps across versions."""
+    return np.fromiter(iter(rng.random, None), float, prod(shape)).reshape(shape)
+
+
+def normal_draws(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of standard normal draws, filled in C order, by Box-Muller:
+    uniform_draws u1, u2 of (n + 1) // 2 pairs give the 2 (n + 1) // 2
+    normals r cos(2 pi u2), then r sin(2 pi u2), r = sqrt(-2 log(1 - u1)),
+    of which the first n are kept."""
+    n = prod(shape)
+    u1, u2 = uniform_draws(rng, (2, (n + 1) // 2))
+    r, t = np.sqrt(-2.0 * np.log1p(-u1)), 2 * np.pi * u2
+    return np.concatenate([r * np.cos(t), r * np.sin(t)])[:n].reshape(shape)
+
+
 def random_bumps(grid: GridSpec, count: int, seed: int = 0) -> list[ScalarField]:
     """Ensemble of random smooth fields compactly supported in Omega.
 
     Sums of four low-frequency random cosines windowed by the Omega bump;
-    used to estimate embedding constants and as test fields.
+    used to estimate embedding constants and as test fields.  Every draw
+    comes from the stdlib random.Random(seed) through uniform_draws, so the
+    fields are the same on every Python version and no numpy.random is
+    loaded: integer wave vectors in [-3, 3]^d, uniform phases and normal
+    amplitudes.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     window = bump(grid).values
     pts = grid.coords()
     L = grid.box_side
@@ -257,9 +281,9 @@ def random_bumps(grid: GridSpec, count: int, seed: int = 0) -> list[ScalarField]
     for _ in range(count):
         profile = np.zeros(grid.shape)
         for _ in range(4):
-            kvec = rng.integers(-3, 4, size=grid.dim)
-            phase = rng.uniform(0, 2 * np.pi)
-            amp = rng.normal()
+            kvec = np.floor(7.0 * uniform_draws(rng, (grid.dim,))) - 3.0
+            phase = 2 * np.pi * rng.random()
+            amp = float(normal_draws(rng, ()))
             arg = 2 * np.pi / L * sum(kvec[j] * pts[j] for j in range(grid.dim))
             profile += amp * np.cos(arg + phase)
         fields.append(ScalarField(grid, window * profile))

@@ -153,8 +153,9 @@ class OmegaFFT:
             i = slice(i0, min(i0 + step, points.size))
             yield i, np.take(tiled, rows[i, None] + cols[None, :], axis=1)
 
-    def gram(self, C0: np.ndarray) -> np.ndarray:
-        """sum_ab C0_ab G_a^T G_b on the nodes, (m, m), for a constant (d, d) C0.
+    def gram(self, C0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sum_ab C0_ab G_a^T G_b on the nodes, (m, m), for a constant (d, d)
+        C0, written over every entry of out if given, else a new array.
 
         The matrix is Toeplitz in the node offsets: its entry (i, j) is
         R(x_i - x_j), where R = sum_ab C0_ab kern_a cross-correlated with
@@ -167,7 +168,7 @@ class OmegaFFT:
             for b in range(self.d)
         )
         R = irfft_box(spec, self.shape)
-        T = np.empty((self.nodes.size,) * 2)
+        T = np.empty((self.nodes.size,) * 2) if out is None else out
         for i, block in self.offset_rows(R[None]):
             T[i] = block[0]
         return T
@@ -266,18 +267,19 @@ class WeakForm:
         flux *= self.hd
         return self._weak_form(u, p, flux) - self.rhs
 
-    def form_matrix(self, C: np.ndarray) -> np.ndarray:
+    def form_matrix(self, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The linearized weak form as a dense (m, m) matrix,
         h^d G^T C G plus the b, dvec and c terms, for a flux derivative C of
-        shape (d, d, N) with h^d folded in; not symmetrized.
+        shape (d, d, N) with h^d folded in; not symmetrized.  It is written
+        over every entry of out if given, else into a new array.
 
         When C is one tensor C0 at every box node, as at u = 0 with a
         constant A, the matrix is _toeplitz(C0).  Otherwise column j is the
         weak form at e_j, with D^s e_j a column of G, taken a block at a time.
         """
         if np.all(C == C[..., :1]):
-            return self._toeplitz(C[..., 0])
-        J = np.empty((self.m, self.m))
+            return self._toeplitz(C[..., 0], out)
+        J = np.empty((self.m, self.m)) if out is None else out
         for j, P in self.fft.column_blocks():
             E = np.zeros((P.shape[0], self.m))
             E[:, j] = np.eye(P.shape[0])
@@ -298,16 +300,16 @@ class WeakForm:
                 P[j : j + rows] += K[:, j : j + rows].T @ Y
         return P
 
-    def _toeplitz(self, C0: np.ndarray) -> np.ndarray:
+    def _toeplitz(self, C0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """h^d G^T C0 G plus the b, dvec and c terms of J, (m, m), for one
-        (d, d) tensor C0 with h^d folded in.
+        (d, d) tensor C0 with h^d folded in; in out, as gram writes it.
 
         The Gram is Toeplitz in the node offsets, and OmegaFFT.gram reads it
         off the kernel's cross-correlations.  The b and dvec terms read kern_a
         at the same offsets: G_a[x_i, j] is kern_a(x_i - x_j), and G_a[x_j, i]
         its negative, as the kernel is odd.
         """
-        J = self.fft.gram(C0)
+        J = self.fft.gram(C0, out)
         if self.convection:
             hdvec_at = self.hdvec[:, self.fft.nodes]
             for i, K in self.fft.offset_rows(self.fft.kern):

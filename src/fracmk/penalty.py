@@ -33,12 +33,13 @@ tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
 FFTs.  The preconditioner is the inverse of the last assembled, damped
 matrix P, inverted in place by 2x2 blocks with GEMMs (dense.block_inverse,
 whose symmetric path averages P with P^T, so PCG gets an exactly symmetric
-inverse): a refresh holds one (m, m) array.  The inverse is kept through a
-continuation and a degenerate cold start's eps chain, and P is assembled
-again only when the Krylov solve misses its iteration budget or its step
-fails the line search above the rounding floor: an approximate Jacobian
-inside a Krylov solve with the exact J v (Jacobian-free Newton-Krylov:
-Knoll & Keyes, J. Comput. Phys. 193, 2004).
+inverse): a continuation holds one (m, m) array, allocated at its first
+refresh, and every later refresh assembles and inverts P in it.  The
+inverse is kept through a continuation and a degenerate cold start's eps
+chain, and P is assembled again only when the Krylov solve misses its
+iteration budget or its step fails the line search above the rounding
+floor: an approximate Jacobian inside a Krylov solve with the exact J v
+(Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Where A is one positive definite tensor A0 on the box, P is the Toeplitz
 h^d G^T A0 G, read off the kernel's cross-correlations in one inverse FFT,
 plus the exact rows of the multiplier's active set S, read off the kernel,
@@ -235,16 +236,20 @@ class _PenaltyProblem(WeakForm):
         C[np.diag_indices(self.d)] += lam + self.regularization(mag)
         return C
 
-    def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The dense Newton Jacobian, (m, m), at a point with D^s u = p: the
-        form_matrix of h^d flux_derivative(p, lam, gain), not symmetrized."""
+        form_matrix of h^d flux_derivative(p, lam, gain), not symmetrized,
+        in out as form_matrix writes it."""
         C = self.flux_derivative(p, lam, gain)
         C *= self.hd
-        return self.form_matrix(C)
+        return self.form_matrix(C, out)
 
-    def preconditioner(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    def preconditioner(
+        self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The matrix a Newton refresh inverts, (m, m), at a point with
-        D^s u = p: jacobian(p, lam, gain) itself unless A is one positive
+        D^s u = p, written over every entry of out if given, else into a new
+        array: jacobian(p, lam, gain, out) itself unless A is one positive
         definite tensor A0 on the box.  Then
 
             P = h^d [G^T A0 G + G_S^T dC_S G_S + diag(G^T dC_S' G)] + the b, dvec and c terms,
@@ -259,12 +264,12 @@ class _PenaltyProblem(WeakForm):
         transport), no such principal part exists.
         """
         if self.A0 is None:
-            return self.jacobian(p, lam, gain)
+            return self.jacobian(p, lam, gain, out)
         dC = self.flux_derivative(p, lam, gain)
         dC -= self.A_flat
         dC *= self.hd
         S = np.flatnonzero((lam > 0) | (gain > 0))
-        P = self.add_active_rows(self._toeplitz(self.hd * self.A0), dC, S)
+        P = self.add_active_rows(self._toeplitz(self.hd * self.A0, out), dC, S)
         dC[..., S] = 0.0
         P[np.diag_indices(self.m)] += self.fft.gram_diag(dC)
         return P
@@ -306,23 +311,32 @@ class _LaggedInverse:
     inverted in place (_refreshed_inverse), and counts.
 
     One object serves one continuation, its stages and their cold-start eps
-    chains, so concurrent solves never share one.
+    chains, so concurrent solves never share one.  A continuation holds one
+    (m, m) array: storage, allocated at its first refresh, into which every
+    refresh assembles P and inverts it.  inv is None when storage holds no
+    valid inverse: before the first refresh, while a refresh overwrites it,
+    and after one fails.
     """
 
-    __slots__ = ("inv", "jacobians", "krylov")
+    __slots__ = ("inv", "storage", "jacobians", "krylov")
 
     def __init__(self):
         self.inv = None
+        self.storage = None
         self.jacobians = 0  # preconditioners (_PenaltyProblem.preconditioner) assembled and inverted
         self.krylov = 0  # Krylov iterations
 
 
-def _refreshed_inverse(prob: _PenaltyProblem, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, damping: float):
+def _refreshed_inverse(
+    prob: _PenaltyProblem, lagged: _LaggedInverse, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, damping: float
+):
     """P^-1 for P = preconditioner(p, lam, gain), its diagonal damped by
-    damping (1 + |P_ii|), inverted in place by block_inverse: the inverse
-    is the one (m, m) array the refresh assembled.  Raises LinAlgError as
-    block_inverse does."""
-    P = prob.preconditioner(p, lam, gain)
+    damping (1 + |P_ii|), assembled in lagged.storage, which the first
+    refresh allocates, and inverted there by block_inverse: the inverse is
+    lagged.storage itself.  Raises LinAlgError as block_inverse does."""
+    if lagged.storage is None:
+        lagged.storage = np.empty((prob.m, prob.m))
+    P = prob.preconditioner(p, lam, gain, lagged.storage)
     P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
     return block_inverse(P, prob.symmetric)
 
@@ -349,12 +363,12 @@ def _run_newton(
     or when the Krylov solve fails, the damped preconditioner(p, lam, gain)
     is assembled and inverted in place at the current point by 2x2 blocks
     (_refreshed_inverse: GEMMs, and LAPACK only on leaves of at most
-    BLOCK_LEAF rows), after the old inverse is freed, and the step is its
-    inverse applied to the right-hand side; a singular or non-finite
-    inverse raises the damping instead, and the next step assembles P
-    afresh.  The step is exact where P = J (A not one definite tensor, or
-    an empty active set at u = 0), else off by the O(eps) couplings P
-    leaves out.  The line search is one Armijo test on the merit
+    BLOCK_LEAF rows), over the old inverse in lagged's one (m, m) array,
+    and the step is its inverse applied to the right-hand side; a singular
+    or non-finite inverse raises the damping instead, and the next step
+    assembles P afresh.  The step is exact where P = J (A not one definite
+    tensor, or an empty active set at u = 0), else off by the O(eps)
+    couplings P leaves out.  The line search is one Armijo test on the merit
     M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with lam projected onto
     [0, k_sat].  When it fails on a Krylov step above the rounding floor
     (M >= _FLOOR times its start), the next step comes from a fresh
@@ -407,10 +421,10 @@ def _run_newton(
             step, k = krylov(lambda v: apply(v) + damp * v, b, lagged.inv, eta, _KRYLOV_BUDGET)
             lagged.krylov += k
         if step is None:
-            lagged.inv = None  # free the old inverse before assembling P
+            lagged.inv = None  # P is assembled over the old inverse
             lagged.jacobians += 1
             try:
-                lagged.inv = _refreshed_inverse(prob, p, lam, gain, damping)
+                lagged.inv = _refreshed_inverse(prob, lagged, p, lam, gain, damping)
             except np.linalg.LinAlgError:
                 damping = max(damping * 100, 1e-8)
                 continue

@@ -1,5 +1,7 @@
 """The library's modules use one another only through names without a leading
-underscore: a private name stays behind the module that defines it."""
+underscore: a private name stays behind the module that defines it.  And none
+uses numpy.random: its import adds ~2 MB to a process, and the stdlib
+generator serves the few draws the library makes."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,42 @@ def test_private_reaches_finds_every_form(case):
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_module_uses_a_private_name_of_a_sibling(module):
     assert private_reaches((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """Every import of numpy.random in a module's source, and every
+    np.random or numpy.random attribute it reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            if node.module.startswith("numpy.random"):
+                found.append(f"from {node.module}")
+            elif node.module == "numpy" and any(alias.name == "random" for alias in node.names):
+                found.append("from numpy import random")
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"{node.value.id}.random")
+    return found
+
+
+RANDOM_CASES = {
+    "attribute": ("import numpy as np\nnp.random.default_rng(0)\n", ["np.random"]),
+    "import": ("import numpy.random\n", ["numpy.random"]),
+    "from-module": ("from numpy.random import default_rng\n", ["from numpy.random"]),
+    "from-numpy": ("from numpy import random\n", ["from numpy import random"]),
+    # the stdlib generator is fine
+    "stdlib": ("import random\nrng = random.Random(0)\nrng.random()\n", []),
+}
+
+
+@pytest.mark.parametrize("case", list(RANDOM_CASES))
+def test_numpy_random_uses_finds_every_form(case):
+    source, uses = RANDOM_CASES[case]
+    assert numpy_random_uses(source) == uses
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_uses_numpy_random(module):
+    assert numpy_random_uses((PACKAGE / f"{module}.py").read_text()) == []

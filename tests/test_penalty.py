@@ -576,6 +576,13 @@ def test_kkt_battery_vanishes_off_omega(name):
         assert not v.values[outside].any()
 
 
+def test_kkt_battery_is_pinned_across_python_versions():
+    # every draw is Random(2024).random(), whose sequence CPython keeps across
+    # versions, so run manifests built on the battery cannot drift unseen
+    v = kkt_battery(grid_1d(n=64))[0].values
+    assert v[[24, 32, 40]] == pytest.approx([-1.07216811085, 0.617424316156, 0.367528139653], rel=1e-9)
+
+
 def test_kkt_report_rejects_u_outside_omega():
     g, op, src, thr = torsion_setup(n=64)
     sol = _fixed_solution(g, op, 0.7, 0.05)
@@ -950,6 +957,28 @@ def test_preconditioner_at_zero_with_constant_A_is_the_jacobian(grid, kind, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("at", ["zero", "random"])
+@pytest.mark.parametrize("kind", ["convection", "a=0"])
+def test_assembly_into_storage_writes_every_entry(kind, at):
+    # a refresh assembles P over the last inverse, so no route (Toeplitz or
+    # columns, the b and dvec rows, the active rows, the diagonal) may add to
+    # an entry it has not written
+    grid = grid_1d(n=64)
+    op = isotropic_operator(grid, a=0.0) if kind == "a=0" else _constant_operator(grid, kind)
+    prob = _zero_start_problem(grid, op)
+    u = np.zeros(prob.m)
+    if at == "random":
+        u = np.random.default_rng(7).normal(size=prob.m)
+        u *= 1.3 / _max_ratio(prob, u)
+    p = prob.grad(u)
+    lam, gain = _primal_multiplier(prob, p)
+    assert np.any(lam > 0) == (at == "random")
+    for assemble in (prob.jacobian, prob.preconditioner):
+        out = np.full((prob.m, prob.m), np.nan)
+        assert assemble(p, lam, gain, out) is out
+        assert np.array_equal(out, assemble(p, lam, gain))
+
+
 DISC_B = {"b=0": None, "b=(0.5,-0.3)": [0.5, -0.3]}
 
 
@@ -1278,7 +1307,7 @@ def test_refresh_holds_one_dense_matrix(disc64_stage):
     prob, point = disc64_stage
     tracemalloc.start()
     try:
-        M = penalty._refreshed_inverse(prob, *point, penalty._DAMPING)
+        M = penalty._refreshed_inverse(prob, penalty._LaggedInverse(), *point, penalty._DAMPING)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1289,14 +1318,34 @@ def test_refresh_holds_one_dense_matrix(disc64_stage):
     assert peak <= 1.75 * 8 * prob.m**2
 
 
+def test_a_second_refresh_reuses_the_first_ones_storage(disc64_stage):
+    import tracemalloc
+
+    prob, point = disc64_stage
+    lagged = penalty._LaggedInverse()
+    first = penalty._refreshed_inverse(prob, lagged, *point, penalty._DAMPING)
+    values = first.copy()
+    tracemalloc.start()
+    try:
+        M = penalty._refreshed_inverse(prob, lagged, *point, penalty._DAMPING)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # P is assembled over the first inverse, so the refresh allocates only
+    # blocks: 0.53 x 8m^2 traced here, where a new (m, m) array took 1.53;
+    # every entry is written again, so the inverse is the first one
+    assert M is first and np.array_equal(M, values)
+    assert peak <= 0.75 * 8 * prob.m**2
+
+
 def _refresh_dampings(monkeypatch):
     """The damping of every refresh the solves after this call make."""
     dampings = []
     refreshed = penalty._refreshed_inverse
 
-    def spied(prob, p, lam, gain, damping):
+    def spied(prob, lagged, p, lam, gain, damping):
         dampings.append(damping)
-        return refreshed(prob, p, lam, gain, damping)
+        return refreshed(prob, lagged, p, lam, gain, damping)
 
     monkeypatch.setattr(penalty, "_refreshed_inverse", spied)
     return dampings

@@ -205,6 +205,20 @@ def test_pdhg_solve_loads_no_scipy():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_run_solve_loads_no_numpy_random(tmp_path):
+    # numpy.random adds ~2 MB to a process; the KKT battery draws from the
+    # stdlib generator instead
+    mapping = base_mapping()
+    out = _fresh_python(
+        "import json, sys\n"
+        "from fracmk.runs import config_from_mapping, run_solve\n"
+        f"run_solve(config_from_mapping(json.loads({json.dumps(mapping)!r})), {str(tmp_path / 'run')!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.random'))))\n"
+    )
+    assert (tmp_path / "run" / "kkt.csv").is_file()
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_runs_and_oracle_import_no_thread_pool():
     # concurrent.futures, and logging through it, serve run_localize alone:
     # it imports them when it runs
