@@ -6,8 +6,8 @@ A numpy library for the constrained variational system
     |D^s u| <= g,  lambda >= 0,  lambda (|D^s u| - g) = 0,
 
 on a periodic computational box, solved by exponential penalization of the
-constraint plus a q-power regularization of the (possibly degenerate)
-operator, with independent first-order and brute-force oracles.
+constraint, plus a q-power regularization where the operator degenerates,
+with independent first-order and brute-force oracles.
 
 Exports resolve lazily (PEP 562): importing the package loads no numpy, so
 the command line can cap the BLAS/FFT thread pools before numpy starts them.

@@ -66,13 +66,6 @@ class OperatorData:
     def apply_A(self, p: np.ndarray) -> np.ndarray:
         return np.einsum("ab...,b...->a...", self.A, p)
 
-    def has_degenerate_node(self) -> bool:
-        """Whether A = 0 and c = 0 at some Omega node: the principal part of
-        the form vanishes there."""
-        inside = self.grid.masks().inside
-        zero_A = np.all(self.A[:, :, inside] == 0.0, axis=(0, 1))
-        return bool(np.any(zero_A & (self.c[inside] == 0.0)))
-
 
 def isotropic_operator(
     grid: GridSpec,

@@ -222,6 +222,11 @@ class WeakForm:
         self.b_at = op.b.reshape(self.d, -1)[:, nodes]  # (d, m)
         self.dvec_flat = op.dvec.reshape(self.d, -1)
         self.c_at = op.c.ravel()[nodes]
+        # whether A = 0 and c = 0 at some Omega node, where the principal part
+        # vanishes: only then does the penalty add its q-power term, a cold
+        # start begin inside the constraint set, and an oracle's Q get a ridge
+        zero_A = np.all(self.A_flat[..., nodes] == 0.0, axis=(0, 1))
+        self.degenerate = bool(np.any(zero_A & (self.c_at == 0.0)))
         # the weak form's coefficients, h^d folded in
         self.hb_at = self.hd * self.b_at
         self.hdvec = self.hd * self.dvec_flat

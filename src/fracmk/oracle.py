@@ -117,15 +117,12 @@ def analytic_mk_1d(f: float) -> AnalyticBenchmark:
 
 
 def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
-    """The oracles' discrete problem over the Omega nodes: (form, ridge).
+    """The oracles' discrete problem over the Omega nodes: the WeakForm the
+    penalty path shares.
 
-    form is the WeakForm the penalty path shares: the energy is
-    1/2 u'Qu - form.rhs'u, with Q = _energy_matrix(form, ridge), on the
-    nodes form.fft.nodes, and D^s u is form.grad(u).  Requires the
-    symmetric convex case, and a Q of at most 6e7 entries (480 MB).  Where
-    A and c both vanish at some Omega node, the principal part is
-    degenerate there and Q can be singular, so ridge is True and Q gets a
-    1e-8 mass ridge that keeps it positive definite.
+    The energy is 1/2 u'Qu - form.rhs'u, with Q = _energy_matrix(form), on
+    the nodes form.fft.nodes, and D^s u is form.grad(u).  Requires the
+    symmetric convex case, and a Q of at most 6e7 entries (480 MB).
     """
     form = WeakForm(op, src, s)
     # b and dvec vanish off Omega, so no convection means b = dvec = 0
@@ -135,15 +132,16 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
         raise ValueError("oracle solvers require c >= 0")
     if form.m**2 > 6e7:
         raise ValueError("the dense energy matrix Q would be too large for this grid")
-    return form, op.has_degenerate_node()
+    return form
 
 
-def _energy_matrix(form: WeakForm, ridge: bool) -> np.ndarray:
+def _energy_matrix(form: WeakForm) -> np.ndarray:
     """Q, (m, m): the form_matrix of h^d A, the matrix of the weak form with
     no flux coefficient (Toeplitz, read off the kernel, where A is one
-    tensor on the box), plus the 1e-8 mass ridge if ridge."""
+    tensor on the box).  Where the form degenerates (form.degenerate), Q can
+    be singular, and a 1e-8 mass ridge keeps it positive definite."""
     Q = form.form_matrix(form.hd * form.A_flat)
-    if ridge:
+    if form.degenerate:
         Q[np.diag_indices_from(Q)] += 1e-8 * form.hd
     return Q
 
@@ -193,7 +191,7 @@ def pdhg_solve(
     (|y| = h^d lambda g), so the step ignores the mass ridge of a
     degenerate operator.  Raises ValueError when Q is not positive definite.
     """
-    form, ridge = _quadratic_pieces(op, src, s)
+    form = _quadratic_pieces(op, src, s)
     hd, rhs, g_flat = form.hd, form.rhs, thr.g.ravel()
     d, N, m = form.d, form.N, form.m
     tau = _STEP_RATIO / np.sqrt(hd)
@@ -206,7 +204,7 @@ def pdhg_solve(
         # A = a I and c = 0: Q = a h^d K^T K, the trivial pencil
         mu, V = np.full(m, A0[0, 0] * hd), Li.T
     else:
-        Q = Li @ _energy_matrix(form, ridge) @ Li.T
+        Q = Li @ _energy_matrix(form) @ Li.T
         try:
             mu, W = np.linalg.eigh(Q)
         except np.linalg.LinAlgError:
@@ -255,7 +253,7 @@ def pdhg_solve(
     if not np.isfinite(gap):
         primal, gap = primal_and_gap(zf, w, y)
     lam_flat = magnitude(y) / (hd * g_flat)
-    notes = ("mass-ridge-1e-8",) if ridge else ()
+    notes = ("mass-ridge-1e-8",) if form.degenerate else ()
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return Solution.from_nodes(
         form.grid, form.fft.nodes, V @ zf, tstar * p, lam_flat,
@@ -284,13 +282,13 @@ def brute_force_qp(
     budget (max_outer iterations ran out) or step (the ascent step fell
     below 1e-14 without raising the dual).
     """
-    form, ridge = _quadratic_pieces(op, src, s)
-    Q, rhs, g_flat = _energy_matrix(form, ridge), form.rhs, thr.g.ravel()
+    form = _quadratic_pieces(op, src, s)
+    Q, rhs, g_flat = _energy_matrix(form), form.rhs, thr.g.ravel()
     hd, d, N = form.hd, form.d, form.N
 
     # a degenerate principal part needs a positive multiplier start, or the
     # first inner solve runs on the 1e-8 ridge alone and explodes
-    lam = np.ones(N) if ridge else np.zeros(N)
+    lam = np.ones(N) if form.degenerate else np.zeros(N)
 
     def inner(lam_vec):
         # the multiplier weighs every component of D^s u alike: C = h^d lam I
@@ -331,7 +329,7 @@ def brute_force_qp(
                 break
 
     tstar = _feasible_scaling(magnitude(p), g_flat)
-    notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if ridge else ())
+    notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if form.degenerate else ())
     converged = gap <= tol * (1 + abs(primal))
     uf = tstar * uvec
     return Solution.from_nodes(

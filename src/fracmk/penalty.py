@@ -10,9 +10,13 @@ for all v supported in Omega, with the exponential penalty
     k_eps(t) = 0 (t <= 0),  e^(t/eps) - 1 (0 < t <= 1/eps),
     e^(1/eps^2) - 1 (t >= 1/eps),
 
-and q > 1 + d/s.  The multiplier estimate is lambda = k_eps(|D^s u|-g)
-itself, the flux is Psi = lambda D^s u, and eps-continuation drives the
-KKT diagnostics to the complementarity system.
+and q = default_q(d, s) > 1 + d/s.  The q-power term regularizes L only
+where it degenerates, when A = 0 and c = 0 at some Omega node
+(WeakForm.degenerate), as in transport.  A coercive L makes the penalized
+problem strongly monotone without it, so there the term is left out, and
+with it its O(eps) error in the limit system.  The multiplier estimate is
+lambda = k_eps(|D^s u|-g) itself, the flux is Psi = lambda D^s u, and
+eps-continuation drives the KKT diagnostics to the complementarity system.
 
 Newton carries lambda as an unknown of its own, one per box node, and
 imposes its relation in complementarity form,
@@ -30,25 +34,25 @@ stage warm-starts lambda from the previous stage's multiplier.
 Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
-FFTs.  The preconditioner is the inverse of the last assembled, damped
-matrix P, inverted in place by 2x2 blocks with GEMMs (dense.block_inverse,
-whose symmetric path averages P with P^T, so PCG gets an exactly symmetric
+FFTs.  The preconditioner is the inverse of the last assembled, damped J,
+inverted in place by 2x2 blocks with GEMMs (dense.block_inverse, whose
+symmetric path averages J with J^T, so PCG gets an exactly symmetric
 inverse): a continuation holds one (m, m) array, allocated at its first
-refresh, and every later refresh assembles and inverts P in it.  The
+refresh, and every later refresh assembles and inverts J in it.  The
 inverse is kept through a continuation and a degenerate cold start's eps
-chain, and P is assembled again only when the Krylov solve misses its
+chain, and J is assembled again only when the Krylov solve misses its
 iteration budget or its step fails the line search above the rounding
-floor: an approximate Jacobian inside a Krylov solve with the exact J v
+floor: a lagged Jacobian inside a Krylov solve with the current J v
 (Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
-Where A is one positive definite tensor A0 on the box, P is the Toeplitz
-h^d G^T A0 G, read off the kernel's cross-correlations in one inverse FFT,
-plus the exact rows of the multiplier's active set S, read off the kernel,
-and the diagonal of the O(eps) q-power term elsewhere; P = J at u = 0.
-Otherwise (A varying, or A = 0 in transport) P is J, and its assembly
+Where A is one positive definite tensor A0 on the box, the flux derivative
+is A0 off the multiplier's active set S, as such an operator has no
+q-power term, so J is the Toeplitz h^d G^T A0 G, read off the kernel's
+cross-correlations in one inverse FFT, plus the exact rows of S, read off
+the kernel.  Otherwise (A varying, or A = 0 in transport) the assembly
 applies the same weak form (lattice.WeakForm) to blocks of unit vectors
 e_j, with D^s e_j read off the kernel, so the dense J and the Krylov J v
 share one definition; where C is one tensor at every box node, J is
-Toeplitz and read off the kernel as P is.
+Toeplitz and read off the kernel as above.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -79,10 +83,9 @@ from .riesz import EXP_CAP
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalty parameter, regularization power and iteration controls."""
+    """Penalty parameter, its schedule and iteration controls."""
 
     eps: float = 1e-2
-    q: float | None = None  # default ceil(1 + d/s) + 1
     eps_schedule: tuple[float, ...] = ()
     newton_tol: float = 1e-8
     max_iters: int = 120
@@ -90,8 +93,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        if self.q is not None and self.q <= 2:
-            raise ValueError("q must exceed 2")
         if not (isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError("newton_tol must be finite and positive")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral) or self.max_iters < 0:
@@ -174,9 +175,12 @@ class KKTReport:
     r_exponent: float
 
 
-def _regularization(eps: float, q: float, mag: np.ndarray) -> np.ndarray:
-    """eps |D^s u|^(q-2) per box node, the coefficient of the q-power term;
-    exactly 0 at eps = 0, as for an oracle's solution."""
+def _regularization(form: WeakForm, eps: float, q: float, mag: np.ndarray):
+    """The coefficient of the q-power term per box node: eps |D^s u|^(q-2)
+    where form degenerates, exactly 0 at eps = 0, as for an oracle's
+    solution, and the scalar 0 on a coercive form, which has no such term."""
+    if not form.degenerate:
+        return 0.0
     return eps * np.maximum(mag, 1e-150) ** (q - 2)
 
 
@@ -190,8 +194,8 @@ class _PenaltyProblem(WeakForm):
         self.fn = PenaltyFn(eps)
         self.g_flat = thr.g.ravel()
 
-    def regularization(self, mag: np.ndarray) -> np.ndarray:
-        return _regularization(self.eps, self.q, mag)
+    def regularization(self, mag: np.ndarray):
+        return _regularization(self, self.eps, self.q, mag)
 
     def flux_coeff(self, mag: np.ndarray):
         k = self.fn.value(mag - self.g_flat)
@@ -223,56 +227,45 @@ class _PenaltyProblem(WeakForm):
 
     def flux_derivative(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """C = A + (lam + reg) I + (gain/|p| + reg') p p^T per box node,
-        (d, d, N): the derivative of the flux in D^s u when the multiplier
-        lam moves by gain d|D^s u|.  Positive semidefinite, as A's symmetric
-        part is and lam, gain >= 0; the outer products are formed first so
-        that the added terms are exactly symmetric, and p/sqrt|p| keeps them
-        finite for any gain."""
+        (d, d, N), reg the q-power coefficient (regularization): the
+        derivative of the flux in D^s u when the multiplier lam moves by
+        gain d|D^s u|.  Positive semidefinite, as A's symmetric part is and
+        lam, gain >= 0; the outer products are formed first so that the
+        added terms are exactly symmetric, and p/sqrt|p| keeps them finite
+        for any gain.  Off the active set {lam > 0} u {gain > 0} of a
+        coercive form, C = A exactly."""
         mag = magnitude(p)
         magf = np.maximum(mag, 1e-150)
         w = p / np.sqrt(magf)
         C = self.A_flat + gain * (w[:, None] * w[None, :])
-        C += self.eps * (self.q - 2) * magf ** (self.q - 4) * (p[:, None] * p[None, :])
+        if self.degenerate:
+            C += self.eps * (self.q - 2) * magf ** (self.q - 4) * (p[:, None] * p[None, :])
         C[np.diag_indices(self.d)] += lam + self.regularization(mag)
         return C
 
     def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The dense Newton Jacobian, (m, m), at a point with D^s u = p: the
-        form_matrix of h^d flux_derivative(p, lam, gain), not symmetrized,
-        in out as form_matrix writes it."""
-        C = self.flux_derivative(p, lam, gain)
-        C *= self.hd
-        return self.form_matrix(C, out)
+        form_matrix of h^d C for C = flux_derivative(p, lam, gain), not
+        symmetrized, written over every entry of out if given, else into a
+        new array.
 
-    def preconditioner(
-        self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The matrix a Newton refresh inverts, (m, m), at a point with
-        D^s u = p, written over every entry of out if given, else into a new
-        array: jacobian(p, lam, gain, out) itself unless A is one positive
-        definite tensor A0 on the box.  Then
+        Where A is one positive definite tensor A0 on the box, the form is
+        coercive and C = A0 off the multiplier's active set
+        S = {lam > 0} u {gain > 0}, so
 
-            P = h^d [G^T A0 G + G_S^T dC_S G_S + diag(G^T dC_S' G)] + the b, dvec and c terms,
+            J = h^d [G^T A0 G + G_S^T (C - A0)_S G_S] + the b, dvec and c terms:
 
-        with dC = C - A0 for C = flux_derivative(p, lam, gain), S = {lam > 0}
-        u {gain > 0} the multiplier's active set and S' the other box nodes.
-        Off S, dC is the O(eps) q-power term, and P keeps only its diagonal:
-        P - J is symmetric, with a zero diagonal, and P = J where S is empty
-        and C = A0, as at u = 0.  The first term and the b, dvec and c terms
-        are _toeplitz(h^d A0), and add_active_rows adds the second, so P
-        takes no FFT per column.  Where A varies or is not definite (A = 0 in
-        transport), no such principal part exists.
+        _toeplitz(h^d A0) and add_active_rows, with no FFT per column.
+        Otherwise it is form_matrix's own route.
         """
+        C = self.flux_derivative(p, lam, gain)
         if self.A0 is None:
-            return self.jacobian(p, lam, gain, out)
-        dC = self.flux_derivative(p, lam, gain)
-        dC -= self.A_flat
-        dC *= self.hd
+            C *= self.hd
+            return self.form_matrix(C, out)
+        C -= self.A_flat
+        C *= self.hd
         S = np.flatnonzero((lam > 0) | (gain > 0))
-        P = self.add_active_rows(self._toeplitz(self.hd * self.A0, out), dC, S)
-        dC[..., S] = 0.0
-        P[np.diag_indices(self.m)] += self.fft.gram_diag(dC)
-        return P
+        return self.add_active_rows(self._toeplitz(self.hd * self.A0, out), C, S)
 
     def linearization(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray):
         """v -> J v and diag(J) for J = jacobian(p, lam, gain), without forming J."""
@@ -307,13 +300,13 @@ _KRYLOV_BUDGET = 40
 
 
 class _LaggedInverse:
-    """The inverse of the last assembled, damped Newton preconditioner,
-    inverted in place (_refreshed_inverse), and counts.
+    """The inverse of the last assembled, damped Newton Jacobian, inverted
+    in place (_refreshed_inverse), and counts.
 
     One object serves one continuation, its stages and their cold-start eps
     chains, so concurrent solves never share one.  A continuation holds one
     (m, m) array: storage, allocated at its first refresh, into which every
-    refresh assembles P and inverts it.  inv is None when storage holds no
+    refresh assembles J and inverts it.  inv is None when storage holds no
     valid inverse: before the first refresh, while a refresh overwrites it,
     and after one fails.
     """
@@ -323,22 +316,22 @@ class _LaggedInverse:
     def __init__(self):
         self.inv = None
         self.storage = None
-        self.jacobians = 0  # preconditioners (_PenaltyProblem.preconditioner) assembled and inverted
+        self.jacobians = 0  # Jacobians assembled and inverted
         self.krylov = 0  # Krylov iterations
 
 
 def _refreshed_inverse(
     prob: _PenaltyProblem, lagged: _LaggedInverse, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, damping: float
 ):
-    """P^-1 for P = preconditioner(p, lam, gain), its diagonal damped by
-    damping (1 + |P_ii|), assembled in lagged.storage, which the first
+    """J^-1 for J = jacobian(p, lam, gain), its diagonal damped by
+    damping (1 + |J_ii|), assembled in lagged.storage, which the first
     refresh allocates, and inverted there by block_inverse: the inverse is
     lagged.storage itself.  Raises LinAlgError as block_inverse does."""
     if lagged.storage is None:
         lagged.storage = np.empty((prob.m, prob.m))
-    P = prob.preconditioner(p, lam, gain, lagged.storage)
-    P[np.diag_indices_from(P)] += damping * (1.0 + np.abs(P.diagonal()))
-    return block_inverse(P, prob.symmetric)
+    J = prob.jacobian(p, lam, gain, lagged.storage)
+    J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
+    return block_inverse(J, prob.symmetric)
 
 
 def _run_newton(
@@ -350,25 +343,24 @@ def _run_newton(
     The unknowns are u on the Omega nodes and the multiplier lam per box
     node, from lam0 or else k_eps(|D^s u0| - g), and the equations are
 
-        R1 = weak_residual(u, p, lam + eps |p|^(q-2)) = 0,  p = D^s u,
-        R2 = multiplier_equation(|p|, lam) = 0.
+        R1 = weak_residual(u, p, lam + reg(|p|)) = 0,  p = D^s u,
+        R2 = multiplier_equation(|p|, lam) = 0,
 
-    d lam is eliminated, its block being diagonal: the reduced system
-    J du = -weak_residual(u, p, lam_t + eps |p|^(q-2)) has
+    reg the q-power coefficient (prob.regularization, 0 on a coercive
+    form).  d lam is eliminated, its block being diagonal: the reduced
+    system J du = -weak_residual(u, p, lam_t + reg(|p|)) has
     J = jacobian(p, lam, gain), and d lam = gain (p . D^s du)/|p| +
     lam_t - lam.  It is solved by PCG (GMRES when the form is not symmetric)
     preconditioned by lagged.inv, to the Eisenstat-Walker tolerance
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
-    or when the Krylov solve fails, the damped preconditioner(p, lam, gain)
-    is assembled and inverted in place at the current point by 2x2 blocks
-    (_refreshed_inverse: GEMMs, and LAPACK only on leaves of at most
-    BLOCK_LEAF rows), over the old inverse in lagged's one (m, m) array,
-    and the step is its inverse applied to the right-hand side; a singular
-    or non-finite inverse raises the damping instead, and the next step
-    assembles P afresh.  The step is exact where P = J (A not one definite
-    tensor, or an empty active set at u = 0), else off by the O(eps)
-    couplings P leaves out.  The line search is one Armijo test on the merit
+    or when the Krylov solve fails, the damped J is assembled and inverted
+    in place at the current point by 2x2 blocks (_refreshed_inverse: GEMMs,
+    and LAPACK only on leaves of at most BLOCK_LEAF rows), over the old
+    inverse in lagged's one (m, m) array, and the step is its inverse
+    applied to the right-hand side, the damped Newton step; a singular or
+    non-finite inverse raises the damping instead, and the next step
+    assembles J afresh.  The line search is one Armijo test on the merit
     M = (|R1|^2 / scale^2 + h^d |R2|^2)^(1/2), with lam projected onto
     [0, k_sat].  When it fails on a Krylov step above the rounding floor
     (M >= _FLOOR times its start), the next step comes from a fresh
@@ -421,7 +413,7 @@ def _run_newton(
             step, k = krylov(lambda v: apply(v) + damp * v, b, lagged.inv, eta, _KRYLOV_BUDGET)
             lagged.krylov += k
         if step is None:
-            lagged.inv = None  # P is assembled over the old inverse
+            lagged.inv = None  # J is assembled over the old inverse
             lagged.jacobians += 1
             try:
                 lagged.inv = _refreshed_inverse(prob, lagged, p, lam, gain, damping)
@@ -513,41 +505,40 @@ def solve_fixed_eps(
     Inexact primal-dual Newton (see _run_newton), globalized by one merit
     line search.  With warm_start, Newton starts at its u and its
     multiplier lam.  Without, it starts at u = 0 with lam = 0, or, when the
-    operator has a degenerate node (A = 0 and c = 0 there), at the feasible
-    s-Laplacian start of _feasible_start and its multiplier.  A degenerate
-    cold start at eps < 0.1 first walks the eps chain 0.1, 0.025, ... down
-    to eps: without it, 1D transport (n = 1024) runs out of 200 Newton steps
-    at eps = 3e-3.  A coercive one needs none: primal-dual Newton, linear in
+    form degenerates (WeakForm.degenerate: A = 0 and c = 0 at some Omega
+    node), at the feasible s-Laplacian start of _feasible_start and its
+    multiplier.  A degenerate cold start at eps < 0.1 first walks the eps
+    chain 0.1, 0.025, ... down to eps: without it, 1D transport (n = 1024)
+    runs out of 200 Newton steps at eps = 3e-3.  A coercive one needs none: primal-dual Newton, linear in
     log1p(lam), takes 9-13 steps from u = 0 at eps = 1e-2 to 1e-3 on 1D
-    torsion and the 2D n=64 disc.  `lagged` carries the preconditioner from
-    the solve that gave warm_start (continuation_solve passes it); without
-    it the first Newton step assembles one.
+    torsion and the 2D n=64 disc.  `lagged` carries the inverse Jacobian
+    from the solve that gave warm_start (continuation_solve passes it);
+    without it the first Newton step assembles one.
 
     Returns the last accepted iterate, with converged=False if Newton stops
     before the tolerance; its lam is k_eps(|D^s u| - g) at that u, not
     Newton's multiplier iterate.  notes holds "stop=<reason>" (converged,
-    stagnated, damping or budget), "jacobians=<n>", the preconditioners
-    assembled and inverted (the exact J where A is not one positive
-    definite tensor), and the Krylov iterations this call took, its
-    cold-start chain included.
+    stagnated, damping or budget), "jacobians=<n>", the Jacobians assembled
+    and inverted, and the Krylov iterations this call took, its cold-start
+    chain included.
     """
     grid = op.grid
-    q = cfg.q if cfg.q is not None else default_q(grid.dim, s)
+    q = default_q(grid.dim, s)
+    prob = _PenaltyProblem(op, src, thr, s, cfg.eps, q)
     lagged = _LaggedInverse() if lagged is None else lagged
     jac0, kry0 = lagged.jacobians, lagged.krylov
-    if warm_start is None and cfg.eps < 0.1 and op.has_degenerate_node():
+    if warm_start is None and cfg.eps < 0.1 and prob.degenerate:
         e = 0.1
         while e > cfg.eps * 1.0001:
             chain_cfg = replace(cfg, eps=e, eps_schedule=())
             warm_start = solve_fixed_eps(op, src, thr, s, chain_cfg, warm_start, lagged=lagged)
             e = max(cfg.eps, 0.25 * e)
-    prob = _PenaltyProblem(op, src, thr, s, cfg.eps, q)
     mask = grid.masks().inside
     lam0 = None
     if warm_start is not None:
         u0 = warm_start.u.values[mask]
         lam0 = warm_start.lam.values.ravel()
-    elif op.has_degenerate_node():
+    elif prob.degenerate:
         u0, lam0 = _feasible_start(prob)
     else:
         u0 = np.zeros(prob.m)
@@ -576,8 +567,8 @@ def continuation_solve(
 ) -> list[tuple[float, Solution, KKTReport]]:
     """Warm-started continuation along the decreasing eps schedule.
 
-    One preconditioner serves every stage.  Raises RuntimeError naming the
-    stop reason when a stage does not converge.
+    One lagged inverse Jacobian serves every stage.  Raises RuntimeError
+    naming the stop reason when a stage does not converge.
     """
     schedule = cfg.eps_schedule if cfg.eps_schedule else (cfg.eps,)
     out = []
@@ -603,13 +594,15 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold)
     is G u on the Omega nodes, so sol.u must vanish off Omega, and a
     non-finite sol.eps or sol.q raises ValueError naming it.  The
     residuals of the limit system (flux coefficient lam) and of the penalized
-    equation (lam + eps |D^s u|^(q-2)) are the nodal weak residuals r of
-    WeakForm.  Every kkt_battery field v vanishes off the Omega nodes,
-    so D^s v = G v|_Omega and L(u, v) + <coeff D^s u, D^s v> - F(v) equals
-    r . v|_Omega exactly: with the battery as the rows of V (restricted to
-    Omega), V r tests all fields at once, and each is scaled by
-    ||D^s v||_2 = sqrt(h^d) |G v|_Omega|.  G is applied by FFT throughout, and
-    V and the norms are built once per (grid, s), on the shared operator.
+    equation (lam + eps |D^s u|^(q-2) where the form degenerates) are the
+    nodal weak residuals r of WeakForm; on a coercive form, which has no
+    q-power term, the two coincide.  Every kkt_battery field v vanishes off
+    the Omega nodes, so D^s v = G v|_Omega and L(u, v) + <coeff D^s u,
+    D^s v> - F(v) equals r . v|_Omega exactly: with the battery as the rows
+    of V (restricted to Omega), V r tests all fields at once, and each is
+    scaled by ||D^s v||_2 = sqrt(h^d) |G v|_Omega|.  G is applied by FFT
+    throughout, and V and the norms are built once per (grid, s), on the
+    shared operator.
     """
     grid = op.grid
     mask = grid.masks().inside
@@ -634,7 +627,7 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold)
 
     V, norm_v = form.fft.battery
     r_eq = form.weak_residual(u, p, lam)
-    r_pen = form.weak_residual(u, p, lam + _regularization(sol.eps, sol.q, mag))
+    r_pen = form.weak_residual(u, p, lam + _regularization(form, sol.eps, sol.q, mag))
     keep = norm_v > 0
     tested = np.abs(V[keep] @ np.stack([r_eq, r_pen], axis=1)) / norm_v[keep, None]
     eq_res, pen_res = np.max(tested, axis=0, initial=0.0)

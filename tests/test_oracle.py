@@ -31,8 +31,8 @@ def rel_l2(a, b):
 
 def linear_solve(op, src, s):
     """The unconstrained minimizer on the Omega nodes, and the nodes' indices."""
-    prob, ridge = _quadratic_pieces(op, src, s)
-    return np.linalg.solve(_energy_matrix(prob, ridge), prob.rhs), prob.fft.nodes
+    prob = _quadratic_pieces(op, src, s)
+    return np.linalg.solve(_energy_matrix(prob), prob.rhs), prob.fft.nodes
 
 
 # -- the quadratic pieces: Q is the penalty's form matrix ------------------------
@@ -45,6 +45,13 @@ def _dense_gradient(fft):
     for j, P in fft.column_blocks():
         K[:, j] = P.reshape(P.shape[0], -1).T
     return K
+
+
+def _has_degenerate_node(op):
+    """Whether A = 0 and c = 0 at some Omega node, read off op itself."""
+    inside = op.grid.masks().inside
+    zero_A = np.all(op.A[:, :, inside] == 0.0, axis=(0, 1))
+    return bool(np.any(zero_A & (op.c[inside] == 0.0)))
 
 
 def _reference_quadratic(op, s):
@@ -60,7 +67,7 @@ def _reference_quadratic(op, s):
         Q[:, j] = fft.adjoint(np.einsum("abN,kbN->kaN", A, P)).T
     Q[np.diag_indices_from(Q)] += op.c.ravel()[fft.nodes]
     Q *= grid.cell_volume
-    if op.has_degenerate_node():
+    if _has_degenerate_node(op):
         Q[np.diag_indices_from(Q)] += 1e-8 * grid.cell_volume
     return Q
 
@@ -106,9 +113,9 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
         return adjoint(self, w)
 
     monkeypatch.setattr(OmegaFFT, "adjoint", counted)
-    prob, ridge = _quadratic_pieces(op, constant_source(grid, 1.0), s)
-    Q = _energy_matrix(prob, ridge)
-    assert ridge == (kind == "half-degenerate")
+    prob = _quadratic_pieces(op, constant_source(grid, 1.0), s)
+    Q = _energy_matrix(prob)
+    assert prob.degenerate == (kind == "half-degenerate")
     assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
     # a constant A takes the Toeplitz route: the only adjoint is the rhs's
     rhs_call = [(grid.dim, np.prod(grid.shape))]
@@ -126,8 +133,8 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
 def test_active_rows_add_the_dense_gram_at_those_nodes(grid):
     # the QP's inner matrix Q + h^d K^T diag(lam) K and the refresh's active
     # part read the rows of D^s off the kernel; C off S must not enter
-    prob, ridge = _quadratic_pieces(isotropic_operator(grid, a=1.0), constant_source(grid, 1.0), 0.7)
-    Q, K = _energy_matrix(prob, ridge), _dense_gradient(prob.fft)
+    prob = _quadratic_pieces(isotropic_operator(grid, a=1.0), constant_source(grid, 1.0), 0.7)
+    Q, K = _energy_matrix(prob), _dense_gradient(prob.fft)
     d, N = prob.d, prob.N
     rng = np.random.default_rng(3)
     X = rng.normal(size=(d, d, N))
@@ -303,8 +310,8 @@ def _reference_pdhg(op, src, thr, s, tol=1e-8, max_iters=200_000, step_ratio=10.
     per-iteration solves on the Cholesky factors of K^T K + tau Q and Q,
     independent of pdhg_solve's generalized eigenbasis of (Q, K^T K); returns
     (u on Omega, iterations)."""
-    prob, ridge = _quadratic_pieces(op, src, s)
-    Q, rhs, K = _energy_matrix(prob, ridge), prob.rhs, _dense_gradient(prob.fft)
+    prob = _quadratic_pieces(op, src, s)
+    Q, rhs, K = _energy_matrix(prob), prob.rhs, _dense_gradient(prob.fft)
     g_flat = thr.g.ravel()
     d, N, m = op.grid.dim, g_flat.size, rhs.size
     tau = step_ratio / np.sqrt(op.grid.cell_volume)
@@ -440,7 +447,7 @@ def test_pdhg_handles_a_partially_degenerate_operator():
     assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
     # a mass term c > 0 on Omega keeps Q definite: no ridge
     c = np.where(g.masks().inside, 1.0, 0.0)
-    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, 1.0)[-1]
+    assert not _quadratic_pieces(isotropic_operator(g, a=0.0, c=c), src, 1.0).degenerate
 
 
 def test_pdhg_names_a_form_that_is_not_positive_definite():

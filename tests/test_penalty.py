@@ -24,7 +24,7 @@ from fracmk.forms import (
 )
 from fracmk import dense, lattice, penalty
 from fracmk.lattice import kkt_battery, omega_fft
-from fracmk.oracle import analytic_mk_1d
+from fracmk.oracle import analytic_mk_1d, pdhg_solve
 from fracmk.penalty import (
     PenaltyFn,
     _feasible_start,
@@ -56,8 +56,8 @@ def torsion_setup(n=128, f=2.0, a=1.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(q=2.0)
+    with pytest.raises(TypeError, match="'q'"):
+        SolverConfig(q=4.0)  # q is always default_q(d, s)
     with pytest.raises(ValueError):
         SolverConfig(eps_schedule=(0.1, 0.2))  # not decreasing
     for bad in (float("nan"), float("inf"), 0.0, -1.0):
@@ -110,6 +110,18 @@ def _antiderivative_radial(eps, r, g):
     return out
 
 
+def _degenerate(form):
+    """Whether A = 0 and c = 0 at some Omega node, read off the form's own
+    coefficients: the reference rule for the q-power term."""
+    zero = np.all(form.A_flat[..., form.fft.nodes] == 0.0, axis=(0, 1)) & (form.c_at == 0.0)
+    return bool(np.any(zero))
+
+
+def _reg_eps(prob):
+    """The factor of the q-power term: eps where the form degenerates, else 0."""
+    return prob.eps if _degenerate(prob) else 0.0
+
+
 def _reference_energy(prob, u, p=None):
     """The discrete energy of the penalized problem at u, p = D^s u."""
     p = prob.grad(u) if p is None else p
@@ -118,7 +130,7 @@ def _reference_energy(prob, u, p=None):
     conv = np.sum(prob.dvec_flat[:, prob.fft.nodes] * p[:, prob.fft.nodes] * u[None])
     low = 0.5 * np.sum(prob.c_at * u**2)
     pen = np.sum(_antiderivative_radial(prob.eps, mag, prob.g_flat))
-    reg = (prob.eps / prob.q) * np.sum(np.maximum(mag, 0.0) ** prob.q)
+    reg = (_reg_eps(prob) / prob.q) * np.sum(np.maximum(mag, 0.0) ** prob.q)
     return float(prob.hd * (quad + conv + low + pen + reg) - prob.rhs @ u)
 
 
@@ -282,8 +294,20 @@ def test_penalized_equation_residual_small():
     sol = solve_fixed_eps(op, src, thr, 0.7, cfg)
     rep = kkt_report(sol, op, src, thr)
     # the solved penalized equation holds against the battery to well below
-    # 10x the Newton tolerance; the limit-system residual is O(eps) instead
-    assert rep.penalized_residual_sup <= 10 * cfg.newton_tol
+    # 10x the Newton tolerance; a coercive form has no q-power term, so it
+    # is the limit system itself
+    assert sol.converged and rep.penalized_residual_sup <= 10 * cfg.newton_tol
+    assert rep.equation_residual == rep.penalized_residual_sup
+
+
+def test_degenerate_limit_residual_exceeds_the_penalized_one():
+    # A = 0: the penalized equation keeps eps |D^s u|^(q-2), which the
+    # limit system leaves out, so its residual is O(eps) instead
+    g, op, src, thr = torsion_setup(n=128, f=1.0, a=0.0)
+    cfg = SolverConfig(eps=1e-2)
+    sol = solve_fixed_eps(op, src, thr, 0.7, cfg)
+    rep = kkt_report(sol, op, src, thr)
+    assert sol.converged and rep.penalized_residual_sup <= 10 * cfg.newton_tol
     assert rep.equation_residual > rep.penalized_residual_sup
 
 
@@ -384,8 +408,8 @@ def _reference_jacobian(prob, u):
     magf = np.maximum(mag, 1e-150)
     k = prob.fn.value(mag - prob.g_flat)
     kp = _derivative(prob.eps, mag - prob.g_flat)
-    apen = k + prob.eps * magf ** (prob.q - 2)
-    aniso = kp / magf + prob.eps * (prob.q - 2) * magf ** (prob.q - 4)
+    apen = k + _reg_eps(prob) * magf ** (prob.q - 2)
+    aniso = kp / magf + _reg_eps(prob) * (prob.q - 2) * magf ** (prob.q - 4)
     G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.fft.nodes
     J = np.zeros((prob.m, prob.m))
     for a in range(prob.d):
@@ -488,7 +512,8 @@ def _reference_kkt(sol, op, src, thr, s):
     du = frac_gradient_spectral(sol.u, s)
     mag = du.magnitude()
     slack = mag - thr.g
-    eps_coeff = sol.eps * np.maximum(mag, 1e-150) ** (sol.q - 2) if sol.eps > 0 else np.zeros_like(mag)
+    q_term = sol.eps > 0 and _degenerate(lattice.WeakForm(op, src, s))
+    eps_coeff = sol.eps * np.maximum(mag, 1e-150) ** (sol.q - 2) if q_term else np.zeros_like(mag)
     eq_res = pen_res = 0.0
     for v in kkt_battery(grid):
         dv = frac_gradient_spectral(v, s)
@@ -543,7 +568,7 @@ def _fixed_solution(grid, op, s, eps, seed=3):
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.0], ids=["penalty", "oracle"])
-@pytest.mark.parametrize("kind", ["isotropic", "nonsymmetric"])
+@pytest.mark.parametrize("kind", ["isotropic", "nonsymmetric", "degenerate"])
 @pytest.mark.parametrize("name", list(_kkt_grids()))
 def test_kkt_report_matches_fft_form_loop(name, kind, eps):
     from fracmk.forms import SourceData
@@ -562,8 +587,11 @@ def test_kkt_report_matches_fft_form_loop(name, kind, eps):
     assert rep.equation_residual > 0 and rep.violation_sup > 0
     for field, want in ref.items():
         assert getattr(rep, field) == pytest.approx(want, rel=1e-10), field
-    if eps == 0:
+    # only a degenerate solve's penalized equation has the q-power term
+    if eps == 0 or kind != "degenerate":
         assert rep.penalized_residual_sup == rep.equation_residual
+    else:
+        assert rep.penalized_residual_sup != rep.equation_residual
 
 
 @pytest.mark.parametrize("name", list(_kkt_grids()))
@@ -756,7 +784,9 @@ def _newton_cases():
         "2d-isotropic": (isotropic_operator(g2, a=1.0), 2.0, 0.7, (0.1, 0.03, 0.01), 120),
         "2d-anisotropic": (_operator(g2, "anisotropic"), 2.0, 0.7, (0.1, 0.03, 0.01), 120),
         "1d-nonsymmetric": (_operator(grid_1d(n=64), "nonsymmetric"), 1.0, 0.7, (0.1, 0.03), 120),
-        "2d-nonsymmetric": (_operator(g2s, "nonsymmetric"), 1.0, 0.7, (0.1, 0.03), 120),
+        # at f = 1 the constraint never binds: the problem is linear, and one
+        # exact refresh step solves it with no Krylov iteration
+        "2d-nonsymmetric": (_operator(g2s, "nonsymmetric"), 2.0, 0.7, (0.1, 0.03), 120),
         "1d-degenerate-transport": (isotropic_operator(grid_1d(n=256), a=0.0), 1.0, 1.0, (0.1, 0.03, 0.01, 3e-3, 1e-3), 200),
     }
 
@@ -925,21 +955,33 @@ def test_matrix_free_linearization_is_the_jacobian(grid, kind):
     assert np.linalg.norm(apply(v) - J @ v) <= 1e-12 * np.linalg.norm(J @ v)
 
 
-# -- the refresh preconditioner: Toeplitz principal part plus the active rows --
+# -- the refresh: the Jacobian, a Toeplitz principal part plus the active rows --
+
+
+def _form_matrix(prob, point, out=None):
+    """form_matrix of h^d flux_derivative(*point): the Jacobian by its definition."""
+    C = prob.flux_derivative(*point)
+    C *= prob.hd
+    return prob.form_matrix(C, out)
 
 
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d-a=0", "2d-a=0-for-x>0"])
 def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
+    # a refresh inverts the damped Jacobian, assembled by form_matrix's route
     x = grid.coords()[0]
     op = isotropic_operator(grid, a=0.0 if grid.dim == 1 else np.where(x > 0, 0.0, 1.0))
     prob = _zero_start_problem(grid, op)
-    assert prob.A0 is None
+    assert prob.A0 is None and prob.degenerate
     u = np.random.default_rng(7).normal(size=prob.m)
     u *= 1.3 / _max_ratio(prob, u)
     p = prob.grad(u)
     lam, gain = _primal_multiplier(prob, p)
     assert np.any(lam > 0)
-    assert np.array_equal(prob.preconditioner(p, lam, gain), prob.jacobian(p, lam, gain))
+    J = _form_matrix(prob, (p, lam, gain))
+    assert np.array_equal(prob.jacobian(p, lam, gain), J)
+    J[np.diag_indices_from(J)] += penalty._DAMPING * (1.0 + np.abs(J.diagonal()))
+    M = penalty._refreshed_inverse(prob, _LaggedInverse(), p, lam, gain, penalty._DAMPING)
+    assert np.array_equal(M, dense.block_inverse(J, prob.symmetric))
 
 
 @pytest.mark.parametrize("kind", ["c", "anisotropic", "convection"])
@@ -951,18 +993,19 @@ def test_preconditioner_at_zero_with_constant_A_is_the_jacobian(grid, kind, monk
     # k_eps and k'_eps vanish at u = 0: the primal multiplier is zero
     lam, gain = _primal_multiplier(prob, p)
     assert not np.any(lam) and not np.any(gain)
-    J = prob.jacobian(p, lam, gain)
+    # C is A0 at every node, and both routes read the Toeplitz off the kernel
+    J = _form_matrix(prob, (p, lam, gain))
     calls = _counting_adjoint(monkeypatch)
-    assert np.array_equal(prob.preconditioner(p, lam, gain), J)
+    assert np.array_equal(prob.jacobian(p, lam, gain), J)
     assert calls == []
 
 
 @pytest.mark.parametrize("at", ["zero", "random"])
 @pytest.mark.parametrize("kind", ["convection", "a=0"])
 def test_assembly_into_storage_writes_every_entry(kind, at):
-    # a refresh assembles P over the last inverse, so no route (Toeplitz or
-    # columns, the b and dvec rows, the active rows, the diagonal) may add to
-    # an entry it has not written
+    # a refresh assembles J over the last inverse, so no route (Toeplitz or
+    # columns, the b and dvec rows, the active rows) may add to an entry it
+    # has not written
     grid = grid_1d(n=64)
     op = isotropic_operator(grid, a=0.0) if kind == "a=0" else _constant_operator(grid, kind)
     prob = _zero_start_problem(grid, op)
@@ -973,7 +1016,7 @@ def test_assembly_into_storage_writes_every_entry(kind, at):
     p = prob.grad(u)
     lam, gain = _primal_multiplier(prob, p)
     assert np.any(lam > 0) == (at == "random")
-    for assemble in (prob.jacobian, prob.preconditioner):
+    for assemble in (prob.jacobian, lambda p, lam, gain, out=None: _form_matrix(prob, (p, lam, gain), out)):
         out = np.full((prob.m, prob.m), np.nan)
         assert assemble(p, lam, gain, out) is out
         assert np.array_equal(out, assemble(p, lam, gain))
@@ -1020,22 +1063,22 @@ def test_disc_continuation_refreshes_without_gradient_columns(b, monkeypatch):
 
 
 @pytest.mark.parametrize("b", list(DISC_B.values()), ids=list(DISC_B))
-def test_preconditioner_differs_from_the_jacobian_by_eps_off_the_diagonal(b):
+def test_refresh_route_of_the_jacobian_is_the_form_matrix(b):
+    # A is one definite tensor A0 and the form has no q-power term, so the
+    # flux derivative is A0 off the active set: the Toeplitz principal part
+    # plus the active rows is J itself, up to rounding
     op, src, thr = _disc(32, b)
     for eps, sol, _ in continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE)):
         prob, point = _stage_point(op, src, thr, eps, sol)
+        assert prob.A0 is not None and not prob.degenerate
         p, lam, _ = point
         assert np.any(lam > 0)  # the active set is not empty
         # a multiplier iterate off its relation: lam = 0, active (gain > 0) where |p| > g
         zero = np.zeros_like(lam)
         off = (p, zero, prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), zero)[2])
         for point in (point, off):
-            J = prob.jacobian(*point)
-            D = prob.preconditioner(*point) - J
-            norm_J = np.linalg.norm(J)
-            assert np.max(np.abs(D.diagonal())) <= 1e-12 * np.max(np.abs(J.diagonal()))
-            assert np.linalg.norm(D - D.T) <= 1e-12 * norm_J
-            assert 0 < np.linalg.norm(D) <= eps * norm_J, eps
+            ref = _form_matrix(prob, point)
+            assert np.linalg.norm(prob.jacobian(*point) - ref) <= 1e-13 * np.linalg.norm(ref), eps
 
 
 def _weak_form_with_convection(prob, u, p, hflux, u_box):
@@ -1109,7 +1152,7 @@ def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks(disc64_stage):
     assert prob.m == 793 and np.count_nonzero(point[1] > 0) >= 100
     tracemalloc.start()
     try:
-        P = prob.preconditioner(*point)
+        P = prob.jacobian(*point)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1286,7 +1329,7 @@ def test_block_inverse_frees_its_temporaries(disc64_stage):
     import tracemalloc
 
     prob, point = disc64_stage
-    P = prob.preconditioner(*point)
+    P = prob.jacobian(*point)
     for symmetric in (True, False):
         M = P.copy()
         tracemalloc.start()
@@ -1311,7 +1354,7 @@ def test_refresh_holds_one_dense_matrix(disc64_stage):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the preconditioner's assembly and its in-place inverse, each one
+    # the Jacobian's assembly and its in-place inverse, each one
     # (m, m) array and a few blocks: 1.53 x 8m^2 traced here, where a
     # separate inverse took 3.25
     assert np.array_equal(M, M.T)
@@ -1353,25 +1396,38 @@ def _refresh_dampings(monkeypatch):
 
 def test_a_krylov_step_that_misses_descent_is_taken_again_from_a_fresh_inverse(monkeypatch):
     # an ascent direction fails the line search at every t: the next step
-    # must come from a fresh inverse at the same damping
-    flipped, dampings = [], _refresh_dampings(monkeypatch)
-    pcg = penalty.pcg
+    # must come from a fresh inverse at the same point and damping
+    flipped, refreshes, points = [], [], []
+    refreshed, pcg, linearization = penalty._refreshed_inverse, penalty.pcg, _PenaltyProblem.linearization
+
+    def spied_refresh(prob, lagged, p, lam, gain, damping):
+        refreshes.append((p, damping))
+        return refreshed(prob, lagged, p, lam, gain, damping)
+
+    def spied_linearization(self, p, lam, gain):
+        points.append(p)
+        return linearization(self, p, lam, gain)
 
     def ascent_once(*args):
         step, k = pcg(*args)
         if step is not None and not flipped:
-            flipped.append(len(dampings))
+            flipped.append((len(refreshes), points[-1]))
             step = -step
         return step, k
 
+    monkeypatch.setattr(penalty, "_refreshed_inverse", spied_refresh)
+    monkeypatch.setattr(_PenaltyProblem, "linearization", spied_linearization)
     monkeypatch.setattr(penalty, "pcg", ascent_once)
-    g, op, src, thr = torsion_setup()
-    # at eps = 0.1: from u = 0 at eps = 0.01 the line search accepts the
-    # flipped step, as the multiplier's part of the update is not flipped
+    # the first Krylov step of a cold start at eps = 0.1, far above the
+    # rounding floor; at f = 2 the line search accepts the flipped step, as
+    # the multiplier's part of the update is not flipped
+    g, op, src, thr = torsion_setup(f=4.0)
     sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
     assert flipped and sol.converged
-    # the refresh right after the flipped step keeps the damping
-    assert len(dampings) > flipped[0] and dampings[flipped[0]] == penalty._DAMPING
+    # the refresh right after the flipped step is at the point it left
+    # untouched, and keeps the damping
+    i, p = flipped[0]
+    assert len(refreshes) > i and np.array_equal(refreshes[i][0], p) and refreshes[i][1] == penalty._DAMPING
 
 
 def test_a_failed_refresh_assembles_afresh_at_raised_damping(monkeypatch):
@@ -1434,16 +1490,31 @@ def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     assert _count(stages[0][1].notes[1]) >= 1
     later = [sol for _, sol, _ in stages[1:]]
     assert sum(_count(sol.notes[1]) for sol in later) < sum(sol.iterations for sol in later)
-    stops = {
-        "budget": SolverConfig(eps=0.1, max_iters=2),
-        "stagnated": SolverConfig(eps=0.1, newton_tol=1e-30),  # below the rounding floor
-    }
-    for stop, cfg in stops.items():
-        sol = solve_fixed_eps(op, src, thr, 1.0, cfg)
-        assert sol.notes[0] == f"stop={stop}" and not sol.converged
-    monkeypatch.setattr(penalty, "_MIN_STEP", 2.0)  # no trial step is ever taken
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1, max_iters=2))
+    assert sol.notes[0] == "stop=budget" and not sol.converged
+    with monkeypatch.context() as patch:
+        patch.setattr(penalty, "_MIN_STEP", 2.0)  # no trial step is ever taken
+        sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
     assert sol.notes[0] == "stop=damping" and not sol.converged
+    # stagnated, by a construction that rounding cannot decide: from u = 0
+    # with a lagged inverse every step is a Krylov step, here cut to 3e-4 of
+    # itself.  |D^s u| stays far below g, where the form is linear, so each
+    # step cuts M by 0.03%: three times the line search's 1e-4, while 15 in
+    # a row stay under the 1% that counts as progress, below a floor moved
+    # up to the starting M
+    lagged = _LaggedInverse()
+    solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1), lagged=lagged)
+    pcg = penalty.pcg
+
+    def short(*args):
+        step, k = pcg(*args)
+        return (None if step is None else 3e-4 * step), k
+
+    monkeypatch.setattr(penalty, "pcg", short)
+    monkeypatch.setattr(penalty, "_FLOOR", 1.0)
+    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1), lagged=lagged)
+    assert sol.notes[:2] == ("stop=stagnated", "jacobians=0") and sol.iterations == 15
+    assert not sol.converged
 
 
 @pytest.mark.parametrize("a, epsilons", [(1.0, [0.01]), (0.0, [0.1, 0.025, 0.01])], ids=["coercive", "degenerate"])
@@ -1491,6 +1562,45 @@ def test_concurrent_solves_share_no_state():
         assert a.tobytes() == b.tobytes()
 
 
+# -- a coercive form has no q-power term: first order in eps ------------------
+
+
+def _against_pdhg(grid, s, f, g):
+    """The a = 1 problem's continuation stages, each as (eps, report, weak
+    lambda error, relative L2 error of u) against PDHG at tol 1e-10."""
+    op, src, thr = isotropic_operator(grid, a=1.0), constant_source(grid, f), constant_threshold(grid, g)
+    ref = pdhg_solve(op, src, thr, s, tol=1e-10)
+    assert ref.converged
+    out = []
+    for eps, sol, rep in continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE)):
+        weak = _weak_lambda_error(sol.lam.values, ref.lam.values, grid, weak_battery(grid))
+        u_err = np.linalg.norm(sol.u.values - ref.u.values) / np.linalg.norm(ref.u.values)
+        out.append((eps, rep, weak, u_err))
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5), grid_1d(n=256)],
+    ids=["2d-disc-n32", "1d-n256"],
+)
+def test_coercive_stages_converge_at_first_order_in_eps(grid):
+    # g = 4, f = 8: a q-power term would weigh eps |D^s u|^(q-2) ~ 4^(q-2)
+    # eps here, far above the O(eps) error of the penalty alone
+    stages = _against_pdhg(grid, 0.7, 8.0, 4.0)
+    for (_, _, weak0, u0), (eps, _, weak1, u1) in zip(stages, stages[1:]):
+        assert weak1 <= weak0 / 2.5 and u1 <= u0 / 2.5, eps
+    assert stages[-1][2] <= 1e-3
+
+
+def test_solve_2d_problem_meets_pdhg_at_the_last_stage():
+    # the solve-2d benchmark problem: the limit system is the solved one
+    grid = GridSpec(dim=2, box_side=4.0, points_per_axis=64, omega=ball(1.0), buffer=0.5)
+    stages = _against_pdhg(grid, 0.7, 2.0, 1.0)
+    assert all(rep.equation_residual == rep.penalized_residual_sup for _, rep, _, _ in stages)
+    assert stages[-1][2] <= 1e-3
+
+
 # -- degenerate transport: the cold start inside the constraint set -----------
 
 
@@ -1529,7 +1639,7 @@ def test_degenerate_cold_start_is_feasible_and_converges(where, n, f, s):
 
 def test_nondegenerate_cold_start_stays_at_zero():
     g, op, src, thr = torsion_setup()
-    assert not op.has_degenerate_node()
+    assert not _PenaltyProblem(op, src, thr, 1.0, 0.1, default_q(1, 1.0)).degenerate
     assert not np.any(solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1, max_iters=0)).u.values)
 
 

@@ -75,9 +75,12 @@ def test_config_rejects_unknown_solver_keys():
     for removed in ({"damping": 1e-11}, {"min_step": 1e-7}, {"seed": 1}):
         with pytest.raises(ValueError, match="unknown solver keys"):
             config_from_mapping(base_mapping(solver=removed))
-    every = {"eps": 0.05, "q": 4.0, "eps_schedule": [0.1, 0.01], "newton_tol": 1e-9, "max_iters": 50}
+    # q is always default_q(d, s)
+    with pytest.raises(ValueError, match="unknown solver keys: q$"):
+        config_from_mapping(base_mapping(solver={"eps": 0.05, "q": 4.0}))
+    every = {"eps": 0.05, "eps_schedule": [0.1, 0.01], "newton_tol": 1e-9, "max_iters": 50}
     cfg = config_from_mapping(base_mapping(solver=every))
-    assert (cfg.solver.eps, cfg.solver.q, cfg.solver.eps_schedule) == (0.05, 4.0, (0.1, 0.01))
+    assert (cfg.solver.eps, cfg.solver.eps_schedule) == (0.05, (0.1, 0.01))
     assert (cfg.solver.newton_tol, cfg.solver.max_iters) == (1e-9, 50)
     with pytest.raises(ValueError, match="newton_tol"):
         config_from_mapping(base_mapping(solver={"newton_tol": float("nan")}))
