@@ -7,9 +7,11 @@ shifts of one real kernel as columns.  One operator per (grid, s),
 OmegaFFT, applies G v and G^T w by FFT and hands out blocks of those
 columns; G itself is never stored.  The nodal weak residual is written
 once, in WeakForm, and the penalty's Newton iteration, its Jacobian, both
-oracles and the KKT report all use it; its dense matrix is assembled in one
-place, WeakForm.form_matrix, for the Newton Jacobian and the oracles' Q,
-symmetric only up to rounding: dense.block_inverse symmetrizes for PCG.
+oracles and the KKT report all use it.  Its linearization is assembled in
+one place, WeakForm.form_matrix, which picks the route, for the Newton
+Jacobian and the oracles' Q, symmetric only up to rounding
+(dense.block_inverse symmetrizes for PCG), and applied without forming it
+by WeakForm.form_action for the Krylov solves.
 Where b and dvec both vanish, the weak form and the Toeplitz matrix skip
 their terms, which would add exact zeros.
 """
@@ -206,7 +208,8 @@ def kkt_battery(grid: GridSpec) -> list[ScalarField]:
 class WeakForm:
     """The nodal weak form L(u, v) + <coeff D^s u, D^s v> - F(v) over the
     Omega nodes, for the operator op, the source src and D^s of order s:
-    its residual, and its linearization as a dense matrix."""
+    its residual, and its linearization, as a dense matrix and as a product;
+    the linearization takes a flux derivative without h^d."""
 
     def __init__(self, op: OperatorData, src: SourceData, s: float):
         grid = op.grid
@@ -231,14 +234,13 @@ class WeakForm:
         self.hb_at = self.hd * self.b_at
         self.hdvec = self.hd * self.dvec_flat
         self.hc_at = self.hd * self.c_at
-        self.symmetric = bool(
-            np.allclose(op.b, op.dvec) and np.allclose(op.A, np.swapaxes(op.A, 0, 1))
-        )
+        # whether the form is symmetric exactly, as PCG and the oracles need
+        self.symmetric = bool(np.array_equal(op.b, op.dvec) and np.array_equal(op.A, np.swapaxes(op.A, 0, 1)))
         # whether the b and dvec terms exist: where both vanish, the weak form
         # and _toeplitz skip them, as they would add exact zeros
         self.convection = bool(np.any(self.b_at) or np.any(self.dvec_flat))
         # A as one tensor A0 on the whole box whose symmetric part is positive
-        # definite, else None: then a Newton refresh has a Toeplitz principal part
+        # definite, else None: then form_matrix takes its Toeplitz route
         A0 = self.A_flat[..., 0].copy()
         constant = np.all(self.A_flat == A0[..., None])
         self.A0 = A0 if constant and np.all(np.linalg.eigvalsh(A0 + A0.T) > 0) else None
@@ -273,17 +275,25 @@ class WeakForm:
         return self._weak_form(u, p, flux) - self.rhs
 
     def form_matrix(self, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The linearized weak form as a dense (m, m) matrix,
-        h^d G^T C G plus the b, dvec and c terms, for a flux derivative C of
-        shape (d, d, N) with h^d folded in; not symmetrized.  It is written
-        over every entry of out if given, else into a new array.
+        """The linearized weak form h^d G^T C G plus the b, dvec and c terms
+        as a dense (m, m) matrix, not symmetrized, for a flux derivative C of
+        shape (d, d, N), left as it is: h^d is folded into a copy before any
+        product.  Written over every entry of out if given, else a new array.
 
-        When C is one tensor C0 at every box node, as at u = 0 with a
-        constant A, the matrix is _toeplitz(C0).  Otherwise column j is the
-        weak form at e_j, with D^s e_j a column of G, taken a block at a time.
+        Where A is one positive definite tensor A0 on the box, it is
+        _toeplitz(h^d A0), read off the kernel's cross-correlations in one
+        inverse FFT, plus add_active_rows over the box nodes S where C is not
+        A0, with no FFT per column: a coercive penalty's C is A0 off its
+        multiplier's active set, and an oracle's Q has no S.  Otherwise (A
+        varying, or A = 0 in transport) column j is the weak form at e_j,
+        D^s e_j a column of G read off the kernel, a block of columns at a
+        time, so the matrix and form_action share one definition.
         """
-        if np.all(C == C[..., :1]):
-            return self._toeplitz(C[..., 0], out)
+        if self.A0 is not None:
+            C = C - self.A0[..., None]
+            S = np.flatnonzero(np.any(C != 0.0, axis=(0, 1)))
+            return self.add_active_rows(self._toeplitz(self.hd * self.A0, out), C, S)
+        C = self.hd * C
         J = np.empty((self.m, self.m)) if out is None else out
         for j, P in self.fft.column_blocks():
             E = np.zeros((P.shape[0], self.m))
@@ -291,11 +301,27 @@ class WeakForm:
             J[:, j] = self._weak_form(E, P, np.einsum("abN,kbN->kaN", C, P)).T
         return J
 
+    def form_action(self, C: np.ndarray):
+        """(v -> M v, diag M) for M = form_matrix(C), without forming M: a
+        product costs a few FFTs.  C is left as it is, as in form_matrix."""
+        C = self.hd * C
+        # the convection and b terms put G_a[node i, i] = kern_a(0) on the
+        # diagonal, which is 0: the symbol is odd
+        diag = self.fft.gram_diag(C) + self.hc_at
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v_box = scatter(v, self.fft.nodes, self.N)
+            pv = self.fft.box_grad(v_box)
+            return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv), v_box)
+
+        return apply, diag
+
     def add_active_rows(self, P: np.ndarray, C: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """P += G_S^T C_S G_S, in place, for box nodes S and a (d, d, N) C with
-        h^d folded in: the rows G_S are read off the kernel a block at a time.
-        The Newton refresh adds its active set so, and the QP oracle its
+        """P += h^d G_S^T C_S G_S, in place, for box nodes S and a (d, d, N) C,
+        left as it is: the rows G_S are read off the kernel a block at a time.
+        form_matrix adds the nodes where C leaves A0 so, and the QP oracle its
         multiplier's."""
+        C = self.hd * C
         rows = max(1, _BLOCK_VALUES // self.m)
         for i, K in self.fft.offset_rows(self.fft.kern, S):
             # K[a] holds the rows S[i] of G_a, and Y[a] those of sum_b C_ab G_b

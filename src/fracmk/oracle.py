@@ -136,11 +136,11 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
 
 
 def _energy_matrix(form: WeakForm) -> np.ndarray:
-    """Q, (m, m): the form_matrix of h^d A, the matrix of the weak form with
-    no flux coefficient (Toeplitz, read off the kernel, where A is one
+    """Q, (m, m): the form_matrix of A, the matrix of the weak form with no
+    flux coefficient (Toeplitz, read off the kernel, where A is one definite
     tensor on the box).  Where the form degenerates (form.degenerate), Q can
     be singular, and a 1e-8 mass ridge keeps it positive definite."""
-    Q = form.form_matrix(form.hd * form.A_flat)
+    Q = form.form_matrix(form.A_flat)
     if form.degenerate:
         Q[np.diag_indices_from(Q)] += 1e-8 * form.hd
     return Q
@@ -291,8 +291,8 @@ def brute_force_qp(
     lam = np.ones(N) if form.degenerate else np.zeros(N)
 
     def inner(lam_vec):
-        # the multiplier weighs every component of D^s u alike: C = h^d lam I
-        Qeff = form.add_active_rows(Q.copy(), np.eye(d)[..., None] * (hd * lam_vec), np.flatnonzero(lam_vec > 0))
+        # the multiplier weighs every component of D^s u alike: C = lam I
+        Qeff = form.add_active_rows(Q.copy(), np.eye(d)[..., None] * lam_vec, np.flatnonzero(lam_vec > 0))
         uvec = np.linalg.solve(Qeff, rhs)
         p = form.grad(uvec)
         psi = 0.5 * (np.sum(p**2, axis=0) - g_flat**2)

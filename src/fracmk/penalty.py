@@ -38,21 +38,14 @@ FFTs.  The preconditioner is the inverse of the last assembled, damped J,
 inverted in place by 2x2 blocks with GEMMs (dense.block_inverse, whose
 symmetric path averages J with J^T, so PCG gets an exactly symmetric
 inverse): a continuation holds one (m, m) array, allocated at its first
-refresh, and every later refresh assembles and inverts J in it.  The
-inverse is kept through a continuation and a degenerate cold start's eps
-chain, and J is assembled again only when the Krylov solve misses its
-iteration budget or its step fails the line search above the rounding
-floor: a lagged Jacobian inside a Krylov solve with the current J v
-(Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).
-Where A is one positive definite tensor A0 on the box, the flux derivative
-is A0 off the multiplier's active set S, as such an operator has no
-q-power term, so J is the Toeplitz h^d G^T A0 G, read off the kernel's
-cross-correlations in one inverse FFT, plus the exact rows of S, read off
-the kernel.  Otherwise (A varying, or A = 0 in transport) the assembly
-applies the same weak form (lattice.WeakForm) to blocks of unit vectors
-e_j, with D^s e_j read off the kernel, so the dense J and the Krylov J v
-share one definition; where C is one tensor at every box node, J is
-Toeplitz and read off the kernel as above.
+refresh or degenerate cold start, and every refresh assembles and inverts J
+in it.  The inverse is kept through a continuation and a degenerate cold
+start's eps chain, and J is assembled again only when the Krylov solve
+misses its iteration budget or its step fails the line search above the
+rounding floor: a lagged Jacobian inside a Krylov solve with the current
+J v (Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193,
+2004).  WeakForm.form_matrix assembles J and WeakForm.form_action applies
+it, so the dense J and the Krylov J v share one definition.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -245,42 +238,13 @@ class _PenaltyProblem(WeakForm):
 
     def jacobian(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The dense Newton Jacobian, (m, m), at a point with D^s u = p: the
-        form_matrix of h^d C for C = flux_derivative(p, lam, gain), not
-        symmetrized, written over every entry of out if given, else into a
-        new array.
-
-        Where A is one positive definite tensor A0 on the box, the form is
-        coercive and C = A0 off the multiplier's active set
-        S = {lam > 0} u {gain > 0}, so
-
-            J = h^d [G^T A0 G + G_S^T (C - A0)_S G_S] + the b, dvec and c terms:
-
-        _toeplitz(h^d A0) and add_active_rows, with no FFT per column.
-        Otherwise it is form_matrix's own route.
-        """
-        C = self.flux_derivative(p, lam, gain)
-        if self.A0 is None:
-            C *= self.hd
-            return self.form_matrix(C, out)
-        C -= self.A_flat
-        C *= self.hd
-        S = np.flatnonzero((lam > 0) | (gain > 0))
-        return self.add_active_rows(self._toeplitz(self.hd * self.A0, out), C, S)
+        form_matrix of flux_derivative(p, lam, gain), not symmetrized,
+        written over every entry of out if given, else into a new array."""
+        return self.form_matrix(self.flux_derivative(p, lam, gain), out)
 
     def linearization(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray):
         """v -> J v and diag(J) for J = jacobian(p, lam, gain), without forming J."""
-        C = self.flux_derivative(p, lam, gain)
-        C *= self.hd
-        # the convection and b terms put G_a[node i, i] = kern_a(0) on the
-        # diagonal, which is 0: the symbol is odd
-        diag = self.fft.gram_diag(C) + self.hc_at
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            v_box = scatter(v, self.fft.nodes, self.N)
-            pv = self.fft.box_grad(v_box)
-            return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv), v_box)
-
-        return apply, diag
+        return self.form_action(self.flux_derivative(p, lam, gain))
 
 
 # Newton damps the Jacobian diagonal by at least _DAMPING (1 + |J_ii|), and
@@ -305,10 +269,11 @@ class _LaggedInverse:
 
     One object serves one continuation, its stages and their cold-start eps
     chains, so concurrent solves never share one.  A continuation holds one
-    (m, m) array: storage, allocated at its first refresh, into which every
-    refresh assembles J and inverts it.  inv is None when storage holds no
-    valid inverse: before the first refresh, while a refresh overwrites it,
-    and after one fails.
+    (m, m) array: storage, allocated at its first refresh or degenerate cold
+    start (_feasible_start), into which every refresh assembles J and
+    inverts it.  inv is None when storage holds no valid inverse: before the
+    first refresh, while a refresh or a cold start overwrites it, and after
+    a refresh fails.
     """
 
     __slots__ = ("inv", "storage", "jacobians", "krylov")
@@ -319,17 +284,23 @@ class _LaggedInverse:
         self.jacobians = 0  # Jacobians assembled and inverted
         self.krylov = 0  # Krylov iterations
 
+    def overwrite(self, m: int) -> np.ndarray:
+        """storage, allocated (m, m) at the first call, with inv set to None:
+        the caller writes over it."""
+        self.inv = None
+        if self.storage is None:
+            self.storage = np.empty((m, m))
+        return self.storage
+
 
 def _refreshed_inverse(
     prob: _PenaltyProblem, lagged: _LaggedInverse, p: np.ndarray, lam: np.ndarray, gain: np.ndarray, damping: float
 ):
     """J^-1 for J = jacobian(p, lam, gain), its diagonal damped by
-    damping (1 + |J_ii|), assembled in lagged.storage, which the first
-    refresh allocates, and inverted there by block_inverse: the inverse is
-    lagged.storage itself.  Raises LinAlgError as block_inverse does."""
-    if lagged.storage is None:
-        lagged.storage = np.empty((prob.m, prob.m))
-    J = prob.jacobian(p, lam, gain, lagged.storage)
+    damping (1 + |J_ii|), assembled over lagged.storage (lagged.overwrite)
+    and inverted there by block_inverse: the inverse is lagged.storage
+    itself.  Raises LinAlgError as block_inverse does."""
+    J = prob.jacobian(p, lam, gain, lagged.overwrite(prob.m))
     J[np.diag_indices_from(J)] += damping * (1.0 + np.abs(J.diagonal()))
     return block_inverse(J, prob.symmetric)
 
@@ -413,7 +384,6 @@ def _run_newton(
             step, k = krylov(lambda v: apply(v) + damp * v, b, lagged.inv, eta, _KRYLOV_BUDGET)
             lagged.krylov += k
         if step is None:
-            lagged.inv = None  # J is assembled over the old inverse
             lagged.jacobians += 1
             try:
                 lagged.inv = _refreshed_inverse(prob, lagged, p, lam, gain, damping)
@@ -467,25 +437,27 @@ def _run_newton(
     return u, stop, it, rnorm
 
 
-def _feasible_start(prob: _PenaltyProblem) -> tuple[np.ndarray, np.ndarray]:
+def _feasible_start(prob: _PenaltyProblem, lagged: _LaggedInverse) -> tuple[np.ndarray, np.ndarray]:
     """(u0, lam0): u0 = t* w inside the constraint set, where the penalty
     vanishes, and the multiplier lam0 = 1/t* at every box node.
 
     w solves the s-Laplacian system h^d G^T G w = rhs on the Omega nodes, and
-    t* = min(1, min_x g / |D^s w|).  The s-Laplacian is regular where the
-    operator degenerates, so D^s u0 is nonzero almost everywhere and so is
-    the eps |D^s u|^(q-2) term of the Jacobian; at u = 0 that term vanishes.
+    t* = min(1, min_x g / |D^s w|): h^d G^T G is assembled over
+    lagged.storage (lagged.overwrite), the continuation's one (m, m) array,
+    and inverted there by block_inverse.  The s-Laplacian is regular where
+    the operator degenerates, so D^s u0 is nonzero almost everywhere and so
+    is the eps |D^s u|^(q-2) term of the Jacobian; at u = 0 it vanishes.
     The flux lam0 D^s u0 = D^s w balances the source, so where A = 0 the
     weak residual at (u0, lam0) is the q-power term alone.
 
     Primal-dual Newton needs both halves.  On the 1D degenerate sweep of 80
-    cases, it takes 1879 Newton steps from here; from lam0 = k_eps(|D^s u0|
+    cases, it takes 1875 Newton steps from here; from lam0 = k_eps(|D^s u0|
     - g) = 0 it takes 2602; from u = 0 it fails 1 case (n = 512, a = 0 for
     x > 0, s = 1, f = 1 runs out of budget at eps = 3e-3) and takes 3041.
     """
-    T = prob.fft.gram(np.eye(prob.d))
+    T = prob.fft.gram(np.eye(prob.d), lagged.overwrite(prob.m))
     T *= prob.hd
-    w = np.linalg.solve(T, prob.rhs)
+    w = block_inverse(T, True) @ prob.rhs
     over = max(1.0, float(np.max(magnitude(prob.grad(w)) / prob.g_flat)))
     return w / over, np.full(prob.N, over)
 
@@ -539,7 +511,7 @@ def solve_fixed_eps(
         u0 = warm_start.u.values[mask]
         lam0 = warm_start.lam.values.ravel()
     elif prob.degenerate:
-        u0, lam0 = _feasible_start(prob)
+        u0, lam0 = _feasible_start(prob, lagged)
     else:
         u0 = np.zeros(prob.m)
     u, stop, iters, rnorm = _run_newton(prob, u0, cfg, lagged, lam0)

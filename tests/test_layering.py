@@ -1,7 +1,8 @@
 """The library's modules use one another only through names without a leading
-underscore: a private name stays behind the module that defines it.  And none
-uses numpy.random: its import adds ~2 MB to a process, and the stdlib
-generator serves the few draws the library makes."""
+underscore: a private name stays behind the module that defines it, also from
+a class that subclasses one of its classes.  And none uses numpy.random: its
+import adds ~2 MB to a process, and the stdlib generator serves the few draws
+the library makes."""
 
 import ast
 from pathlib import Path
@@ -26,9 +27,11 @@ def _sibling(module: str | None, level: int) -> bool:
 
 def private_reaches(source: str) -> list[str]:
     """The underscore names a module's source imports from a sibling module,
-    or reads off one as an attribute."""
+    or reads off one as an attribute, and those a class subclassing a
+    sibling's class reads off self or super() without defining them itself."""
     tree = ast.parse(source)
     bound = set()  # local names of sibling modules
+    imported = set()  # local names of other names imported from siblings
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _sibling(node.module, node.level):
@@ -37,6 +40,8 @@ def private_reaches(source: str) -> list[str]:
                     bound.add(alias.asname or alias.name)
                 elif _private(alias.name):
                     found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+                else:
+                    imported.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("fracmk.") and alias.asname:
@@ -49,7 +54,48 @@ def private_reaches(source: str) -> list[str]:
             elif isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name):
                 if owner.value.id == "fracmk" and owner.attr in MODULES:
                     found.append(f"fracmk.{owner.attr}.{node.attr}")
+        elif isinstance(node, ast.ClassDef) and any(_sibling_class(base, bound, imported) for base in node.bases):
+            found += _inherited_private_uses(node)
     return found
+
+
+def _sibling_class(base: ast.expr, bound: set[str], imported: set[str]) -> bool:
+    """Whether a base class expression names a class of a sibling module."""
+    if isinstance(base, ast.Name):
+        return base.id in imported
+    if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+        return base.value.id in bound
+    return (
+        isinstance(base, ast.Attribute)
+        and isinstance(base.value, ast.Attribute)
+        and isinstance(base.value.value, ast.Name)
+        and base.value.value.id == "fracmk"
+    )
+
+
+def _inherited_private_uses(cls: ast.ClassDef) -> list[str]:
+    """The underscore names cls reads off self or super() but neither
+    defines in its body nor assigns to self: its bases' private names."""
+    own = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            own.update(t.id for t in targets if isinstance(t, ast.Name))
+    uses = []
+    for node in ast.walk(cls):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id == "self":
+            if isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            else:
+                uses.append(("self", node.attr))
+        elif isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name) and owner.func.id == "super":
+            uses.append(("super()", node.attr))
+    return [f"{owner}.{attr}" for owner, attr in uses if owner == "super()" or attr not in own]
 
 
 CASES = {
@@ -63,6 +109,26 @@ CASES = {
     # a module's own private names, dunders and private methods are fine
     "dunder": ("from . import __version__\nfrom .grid import lp_norm\n", []),
     "own-and-methods": ("def _f():\n    pass\nself._toeplitz(C)\nnp.lib._x\n", []),
+    # a subclass of a sibling's class reads none of its base's private names
+    "subclass": (
+        "from .lattice import WeakForm\nclass P(WeakForm):\n    def f(self):\n        return self._toeplitz(1)\n",
+        ["self._toeplitz"],
+    ),
+    "subclass-attribute-base": (
+        "from . import lattice\nclass P(lattice.WeakForm):\n    def f(self):\n        return self._weak_form\n",
+        ["self._weak_form"],
+    ),
+    "subclass-super": (
+        "from fracmk.lattice import WeakForm\nclass P(WeakForm):\n    def _f(self):\n        super()._f()\n",
+        ["super()._f"],
+    ),
+    # its own private methods and attributes, and a local base's, are fine
+    "subclass-own": (
+        "from .lattice import WeakForm\nclass P(WeakForm):\n    _k = 1\n"
+        "    def _f(self):\n        self._x = self._k\n    def g(self):\n        return self._f(), self._x\n",
+        [],
+    ),
+    "local-base": ("class B:\n    def _f(self):\n        pass\nclass P(B):\n    def g(self):\n        self._f()\n", []),
 }
 
 

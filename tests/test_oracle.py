@@ -18,6 +18,7 @@ from fracmk.oracle import (
 )
 from fracmk.dense import BLOCK_LEAF, tril_inverse
 from fracmk.lattice import OmegaFFT, WeakForm, omega_fft
+from fracmk import penalty
 from fracmk.penalty import SolverConfig, continuation_solve
 
 
@@ -138,18 +139,18 @@ def test_active_rows_add_the_dense_gram_at_those_nodes(grid):
     d, N = prob.d, prob.N
     rng = np.random.default_rng(3)
     X = rng.normal(size=(d, d, N))
-    C = np.einsum("abN,cbN->acN", X, X) * prob.hd
+    C = np.einsum("abN,cbN->acN", X, X)
     S = np.flatnonzero(rng.random(N) < 0.3)
     on_S = np.zeros(N)
     on_S[S] = 1.0
     Ka = K.reshape(d, N, -1)
-    ref = Q + sum(Ka[a].T @ ((C[a, b] * on_S)[:, None] * Ka[b]) for a in range(d) for b in range(d))
+    ref = Q + prob.hd * sum(Ka[a].T @ ((C[a, b] * on_S)[:, None] * Ka[b]) for a in range(d) for b in range(d))
     got = prob.add_active_rows(Q.copy(), C, S)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-    # the QP's multiplier weighs both components alike: C = h^d lam I
+    # the QP's multiplier weighs both components alike: C = lam I
     lam = rng.random(N) * on_S
     ref = Q + prob.hd * (K.T @ (np.tile(lam, d)[:, None] * K))
-    got = prob.add_active_rows(Q.copy(), np.eye(d)[..., None] * (prob.hd * lam), np.flatnonzero(lam > 0))
+    got = prob.add_active_rows(Q.copy(), np.eye(d)[..., None] * lam, np.flatnonzero(lam > 0))
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -535,3 +536,35 @@ def test_oracle_triangle_small_fractional():
     assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
     assert rel_l2(pen.u.values, qp.u.values) <= 1e-3
     assert rel_l2(pd.u.values, qp.u.values) <= 1e-3
+
+
+def test_a_form_asymmetric_at_1e9_is_not_symmetric(monkeypatch):
+    # on the 2D n=32 disc, A with a 1e-9 off-diagonal asymmetry, or b = 1e-9
+    # with dvec = 0: both oracles refuse A, and the penalty path solves it by
+    # GMRES, as PCG needs an exactly symmetric J
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
+    src, thr = constant_source(g, 2.0), constant_threshold(g, 1.0)
+    A = np.eye(2).reshape(2, 2, 1, 1) * np.ones(g.shape)
+    A[0, 1] += 1e-9
+    zero_v = np.zeros((2,) + g.shape)
+    op = OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
+    b = np.where(g.masks().inside, 1e-9, 0.0) * np.ones((2,) + g.shape)
+    b_op = OperatorData(g, np.eye(2).reshape(2, 2, 1, 1) * np.ones(g.shape), b, zero_v, np.zeros(g.shape))
+    assert not WeakForm(op, src, 0.7).symmetric and not WeakForm(b_op, src, 0.7).symmetric
+    for solver in (pdhg_solve, brute_force_qp):
+        with pytest.raises(ValueError, match="symmetric A"):
+            solver(op, src, thr, 0.7)
+    krylov = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            krylov.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(penalty, "pcg", counted("pcg", penalty.pcg))
+    monkeypatch.setattr(penalty, "gmres", counted("gmres", penalty.gmres))
+    stages = continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3)))
+    assert all(sol.converged for _, sol, _ in stages)
+    assert krylov and set(krylov) == {"gmres"}

@@ -410,14 +410,19 @@ def _reference_jacobian(prob, u):
     kp = _derivative(prob.eps, mag - prob.g_flat)
     apen = k + _reg_eps(prob) * magf ** (prob.q - 2)
     aniso = kp / magf + _reg_eps(prob) * (prob.q - 2) * magf ** (prob.q - 4)
+    C = prob.A_flat + aniso * p[:, None] * p[None, :]
+    C[np.diag_indices(prob.d)] += apen
+    return _reference_form_matrix(prob, C)
+
+
+def _reference_form_matrix(prob, C):
+    """h^d [sum_ab G_a^T diag(C_ab) G_b + the b, dvec and c terms] as the
+    plain loop over the dense G, for a (d, d, N) C."""
     G, unk = _reference_gradient_matrix(prob.grid, prob.s), prob.fft.nodes
     J = np.zeros((prob.m, prob.m))
     for a in range(prob.d):
         for b in range(prob.d):
-            coeff = prob.A_flat[a, b] + aniso * p[a] * p[b]
-            if a == b:
-                coeff = coeff + apen
-            J += G[a].T @ (coeff[:, None] * G[b])
+            J += G[a].T @ (C[a, b][:, None] * G[b])
     for a in range(prob.d):
         J += G[a][unk].T * prob.dvec_flat[a, unk][None, :]
         J += prob.b_at[a][:, None] * G[a][unk]
@@ -958,16 +963,9 @@ def test_matrix_free_linearization_is_the_jacobian(grid, kind):
 # -- the refresh: the Jacobian, a Toeplitz principal part plus the active rows --
 
 
-def _form_matrix(prob, point, out=None):
-    """form_matrix of h^d flux_derivative(*point): the Jacobian by its definition."""
-    C = prob.flux_derivative(*point)
-    C *= prob.hd
-    return prob.form_matrix(C, out)
-
-
 @pytest.mark.parametrize("grid", [grid_1d(n=64), grid_2d()], ids=["1d-a=0", "2d-a=0-for-x>0"])
-def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
-    # a refresh inverts the damped Jacobian, assembled by form_matrix's route
+def test_refresh_inverts_the_jacobian_without_a_definite_constant_A(grid):
+    # a refresh inverts the damped Jacobian, assembled by form_matrix's column route
     x = grid.coords()[0]
     op = isotropic_operator(grid, a=0.0 if grid.dim == 1 else np.where(x > 0, 0.0, 1.0))
     prob = _zero_start_problem(grid, op)
@@ -977,8 +975,9 @@ def test_preconditioner_is_the_jacobian_without_a_definite_constant_A(grid):
     p = prob.grad(u)
     lam, gain = _primal_multiplier(prob, p)
     assert np.any(lam > 0)
-    J = _form_matrix(prob, (p, lam, gain))
-    assert np.array_equal(prob.jacobian(p, lam, gain), J)
+    J = prob.jacobian(p, lam, gain)
+    ref = _reference_form_matrix(prob, prob.flux_derivative(p, lam, gain))
+    assert np.linalg.norm(J - ref) <= 1e-12 * np.linalg.norm(ref)
     J[np.diag_indices_from(J)] += penalty._DAMPING * (1.0 + np.abs(J.diagonal()))
     M = penalty._refreshed_inverse(prob, _LaggedInverse(), p, lam, gain, penalty._DAMPING)
     assert np.array_equal(M, dense.block_inverse(J, prob.symmetric))
@@ -993,8 +992,9 @@ def test_preconditioner_at_zero_with_constant_A_is_the_jacobian(grid, kind, monk
     # k_eps and k'_eps vanish at u = 0: the primal multiplier is zero
     lam, gain = _primal_multiplier(prob, p)
     assert not np.any(lam) and not np.any(gain)
-    # C is A0 at every node, and both routes read the Toeplitz off the kernel
-    J = _form_matrix(prob, (p, lam, gain))
+    # C is A0 at every node, so S is empty: J is the Toeplitz part, read off
+    # the kernel
+    J = prob._toeplitz(prob.hd * prob.A0)
     calls = _counting_adjoint(monkeypatch)
     assert np.array_equal(prob.jacobian(p, lam, gain), J)
     assert calls == []
@@ -1016,10 +1016,34 @@ def test_assembly_into_storage_writes_every_entry(kind, at):
     p = prob.grad(u)
     lam, gain = _primal_multiplier(prob, p)
     assert np.any(lam > 0) == (at == "random")
-    for assemble in (prob.jacobian, lambda p, lam, gain, out=None: _form_matrix(prob, (p, lam, gain), out)):
+    # the Jacobian, and an oracle's Q, the form_matrix of A
+    for assemble in (lambda out=None: prob.jacobian(p, lam, gain, out), lambda out=None: prob.form_matrix(prob.A_flat, out)):
         out = np.full((prob.m, prob.m), np.nan)
-        assert assemble(p, lam, gain, out) is out
-        assert np.array_equal(out, assemble(p, lam, gain))
+        assert assemble(out) is out
+        assert np.array_equal(out, assemble())
+
+
+@pytest.mark.parametrize("kind", ["convection", "a=0"])
+def test_assemblies_leave_their_flux_derivative_untouched(kind):
+    # each folds h^d into a copy: form.A_flat is a view of op.A, so an
+    # in-place fold would scale the operator itself
+    grid = grid_1d(n=64)
+    op = isotropic_operator(grid, a=0.0) if kind == "a=0" else _constant_operator(grid, kind)
+    prob = _zero_start_problem(grid, op)
+    assert (prob.A0 is None) == (kind == "a=0")
+    u = np.random.default_rng(7).normal(size=prob.m)
+    u *= 1.3 / _max_ratio(prob, u)
+    p = prob.grad(u)
+    lam, gain = _primal_multiplier(prob, p)
+    A = op.A.copy()
+    for C in (prob.flux_derivative(p, lam, gain), prob.A_flat):
+        before = C.copy()
+        prob.form_matrix(C)
+        apply, _ = prob.form_action(C)
+        apply(u)
+        prob.add_active_rows(np.zeros((prob.m, prob.m)), C, np.flatnonzero(lam > 0))
+        assert np.array_equal(C, before)
+    assert np.array_equal(op.A, A)
 
 
 DISC_B = {"b=0": None, "b=(0.5,-0.3)": [0.5, -0.3]}
@@ -1066,7 +1090,8 @@ def test_disc_continuation_refreshes_without_gradient_columns(b, monkeypatch):
 def test_refresh_route_of_the_jacobian_is_the_form_matrix(b):
     # A is one definite tensor A0 and the form has no q-power term, so the
     # flux derivative is A0 off the active set: the Toeplitz principal part
-    # plus the active rows is J itself, up to rounding
+    # plus the active rows is J itself, up to rounding, against the plain
+    # loop over the dense G
     op, src, thr = _disc(32, b)
     for eps, sol, _ in continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=SCHEDULE)):
         prob, point = _stage_point(op, src, thr, eps, sol)
@@ -1077,7 +1102,7 @@ def test_refresh_route_of_the_jacobian_is_the_form_matrix(b):
         zero = np.zeros_like(lam)
         off = (p, zero, prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), zero)[2])
         for point in (point, off):
-            ref = _form_matrix(prob, point)
+            ref = _reference_form_matrix(prob, prob.flux_derivative(*point))
             assert np.linalg.norm(prob.jacobian(*point) - ref) <= 1e-13 * np.linalg.norm(ref), eps
 
 
@@ -1145,7 +1170,7 @@ def disc64_stage():
     return _stage_point(op, src, thr, 0.1, sol)
 
 
-def test_preconditioner_holds_one_dense_matrix_and_a_few_blocks(disc64_stage):
+def test_refresh_assembly_holds_one_dense_matrix_and_a_few_blocks(disc64_stage):
     import tracemalloc
 
     prob, point = disc64_stage
@@ -1238,11 +1263,13 @@ def test_block_inverse_general_path_equals_the_out_of_place_one(m):
 
 def test_transport_refreshes_give_pcg_an_exactly_symmetric_inverse(monkeypatch):
     # A = 0: P is the Jacobian itself.  On transport-1d's second refresh the
-    # general path's inverse was asymmetric at 3.4e-10 relative to max|M|
-    inverses = []
+    # general path's inverse was asymmetric at 3.4e-10 relative to max|M|.
+    # The degenerate cold start inverts h^d G^T G first, in the same array
+    inverses, arrays = [], []
 
     def recorded(P, symmetric):
         assert symmetric
+        arrays.append(P)
         M = dense.block_inverse(P, symmetric)
         inverses.append(np.array_equal(M, M.T))
         return M
@@ -1252,8 +1279,9 @@ def test_transport_refreshes_give_pcg_an_exactly_symmetric_inverse(monkeypatch):
     op, src, thr = isotropic_operator(g, a=0.0), constant_source(g, 1.0), constant_threshold(g, 1.0)
     stages = continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=SCHEDULE, max_iters=200))
     assert all(sol.converged for _, sol, _ in stages)
-    assert len(inverses) == sum(_count(sol.notes[1]) for _, sol, _ in stages) >= 1
+    assert len(inverses) == 1 + sum(_count(sol.notes[1]) for _, sol, _ in stages) >= 2
     assert all(inverses)
+    assert all(P is arrays[0] for P in arrays)
 
 
 def _reference_symmetrized(J):
@@ -1622,7 +1650,7 @@ def test_degenerate_cold_start_is_feasible_and_converges(where, n, f, s):
     op = isotropic_operator(g, a=0.0 if where == "all" else np.where(g.axis() > 0, 0.0, 1.0))
     src, thr = constant_source(g, f), constant_threshold(g, 1.0)
     prob = _PenaltyProblem(op, src, thr, s, 0.1, default_q(1, s))
-    u0, lam0 = _feasible_start(prob)
+    u0, lam0 = _feasible_start(prob, _LaggedInverse())
     # |D^s u0| <= g, up to the rounding of the FFT that recomputes D^s u0
     assert np.any(u0) and _max_ratio(prob, u0) <= 1.0 + 1e-12
     # the constant multiplier 1/t* carries the s-Laplacian flux, which
@@ -1679,7 +1707,7 @@ def test_degenerate_transport_converges_on_a_disc(where, s, n):
 
 def test_degenerate_sweep_converges_within_its_newton_budget():
     # README's 1D degenerate sweep of 80 cases, with a = 0 on all of Omega or
-    # only for x > 0: 1879 Newton steps with the feasible start
+    # only for x > 0: 1875 Newton steps with the feasible start
     failed, steps = [], 0
     for n in (32, 64, 128, 256, 512):
         g = grid_1d(n)
@@ -1709,11 +1737,17 @@ def test_feasible_start_never_holds_two_dense_matrices():
     assert prob.m == 793
     tracemalloc.start()
     try:
-        u0, _ = _feasible_start(prob)
+        lagged = _LaggedInverse()
+        u0, lam0 = _feasible_start(prob, lagged)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert _max_ratio(prob, u0) <= 1.0 + 1e-12
-    # T itself is one m x m array (5 MB); m x m index arrays would add two
-    # more.  LAPACK's working copy inside np.linalg.solve is not traced.
-    assert peak < 2 * 8 * prob.m**2
+    # h^d G^T G is assembled and inverted in the continuation's storage, one
+    # m x m array (5 MB), with two (m/2, m/2) blocks at a time: 1.53 x 8m^2
+    # traced here, where np.linalg.solve's copy took 1.77
+    assert lagged.inv is None and lagged.storage.shape == (prob.m, prob.m)
+    assert peak < 1.6 * 8 * prob.m**2
+    p = prob.grad(u0)
+    gain = prob.multiplier_equation(np.sqrt(np.sum(p**2, axis=0)), lam0)[2]
+    assert penalty._refreshed_inverse(prob, lagged, p, lam0, gain, penalty._DAMPING) is lagged.storage
