@@ -17,6 +17,7 @@ symmetric convex problem (A symmetric, b = dvec = 0, c >= 0):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
 from .dense import tril_inverse
-from .lattice import WeakForm, magnitude
+from .lattice import WeakForm, magnitude, omega_fft
 from .penalty import Solution
 
 
@@ -158,6 +159,19 @@ def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
 _STEP_RATIO = 10.0
 
 
+@lru_cache(maxsize=1)
+def _gram_factor_inverse(grid: GridSpec, s) -> np.ndarray:
+    """Li = L^-1, (m, m), for the Cholesky factor L of the s-Laplacian Gram
+    K^T K = gram(I) = L L^T on the Omega nodes: PDHG's metric, as
+    Li gram(I) Li^T = I.  Exactly zero above the diagonal and read-only.
+    It depends on (grid, s) alone, so repeated solves on one grid factor it
+    once; one entry bounds what the cache holds to one 8m^2 factor, the last
+    (grid, s) solved."""
+    Li = tril_inverse(np.linalg.cholesky(omega_fft(grid, s).gram(np.eye(grid.dim))))
+    Li.flags.writeable = False
+    return Li
+
+
 def pdhg_solve(
     op: OperatorData,
     src: SourceData,
@@ -176,11 +190,14 @@ def pdhg_solve(
     With K = D^s on the Omega nodes, the primal metric is the Gram
     K^T K / tau (Pock & Chambolle, ICCV 2011), and the loop runs in
     z = V^-1 u for the generalized eigenvectors of the pencil (Q, K^T K):
-    V^T Q V = diag(mu), V^T K^T K V = I.  The setup takes one Cholesky
-    factor L of the Toeplitz s-Laplacian Gram K^T K, inverted in place into
-    Li by tril_inverse.  Where A is a I for one scalar a > 0 on the box and
-    c = 0, Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
-    V = Li^T, and Q is never assembled.  Otherwise one numpy eigh of
+    V^T Q V = diag(mu), V^T K^T K V = I.  The setup reads Li = L^-1 for the
+    Cholesky factor L of the Toeplitz s-Laplacian Gram K^T K from
+    _gram_factor_inverse, which factors it (tril_inverse inverts L in place)
+    at the first solve on a (grid, s) and keeps it until a solve on another
+    one.  Where A is a I for one scalar a > 0 on the box and c = 0,
+    Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
+    V = Li^T, so Q is never assembled and a setup that finds the factor
+    cached does no (m, m) work.  Otherwise one numpy eigh of
     Li Q Li^T = W diag(mu) W^T gives V = Li^T W.  K V is orthonormal, so
     tau sigma = 0.9 meets the step condition with no norm estimate; the
     prox is the diagonal 1/(1 + tau mu), the dual value
@@ -190,6 +207,10 @@ def pdhg_solve(
     both the primal curvature (mu = a h^d for A = a I) and the dual
     (|y| = h^d lambda g), so the step ignores the mass ridge of a
     degenerate operator.  Raises ValueError when Q is not positive definite.
+
+    notes starts with "stop=<reason>": certified (the gap met tol at a
+    check) or budget (max_iters ran out; always so at tol = 0), followed by
+    "mass-ridge-1e-8" where the form degenerates.
     """
     form = _quadratic_pieces(op, src, s)
     hd, rhs, g_flat = form.hd, form.rhs, thr.g.ravel()
@@ -198,7 +219,7 @@ def pdhg_solve(
     sigma = 0.9 / tau
 
     # numpy only (no scipy eigh(Q, T)): importing scipy.linalg adds ~28 MB
-    Li = tril_inverse(np.linalg.cholesky(form.fft.gram(np.eye(d))))
+    Li = _gram_factor_inverse(form.grid, s)
     A0 = form.A0
     if A0 is not None and np.array_equal(A0, A0[0, 0] * np.eye(d)) and not np.any(form.hc_at):
         # A = a I and c = 0: Q = a h^d K^T K, the trivial pencil
@@ -214,7 +235,6 @@ def pdhg_solve(
         del Q
         V = Li.T @ W
         del W
-    del Li
     rhat = V.T @ rhs
     prox = 1.0 / (1.0 + tau * mu)
     sigma_g, tau_rhat = sigma * g_flat, tau * rhat
@@ -229,6 +249,7 @@ def pdhg_solve(
     z, zbar, w, y = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros((d, N))
     gap, primal = np.inf, 0.0
     it = 0
+    stop = "budget"
     while it < max_iters:
         it += 1
         ytil = form.grad(V @ zbar)
@@ -245,6 +266,7 @@ def pdhg_solve(
             # tol = 0 disables the gap stop (the gap floor is float noise
             # around 1e-14; run the full budget for machine-accurate u)
             if tol > 0 and gap <= tol * (1.0 + abs(primal)):
+                stop = "certified"
                 break
 
     p = form.grad(V @ z)
@@ -253,7 +275,7 @@ def pdhg_solve(
     if not np.isfinite(gap):
         primal, gap = primal_and_gap(zf, w, y)
     lam_flat = magnitude(y) / (hd * g_flat)
-    notes = ("mass-ridge-1e-8",) if form.degenerate else ()
+    notes = (f"stop={stop}",) + (("mass-ridge-1e-8",) if form.degenerate else ())
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return Solution.from_nodes(
         form.grid, form.fft.nodes, V @ zf, tstar * p, lam_flat,

@@ -1,6 +1,8 @@
 """Analytic benchmarks and the independent PDHG / dual-ascent solvers."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fracmk.forms import OperatorData, constant_source, constant_threshold, isot
 from fracmk.oracle import (
     _energy_matrix,
     _feasible_scaling,
+    _gram_factor_inverse,
     _quadratic_pieces,
     analytic_mk_1d,
     analytic_torsion_1d,
@@ -18,7 +21,7 @@ from fracmk.oracle import (
 )
 from fracmk.dense import BLOCK_LEAF, tril_inverse
 from fracmk.lattice import OmegaFFT, WeakForm, omega_fft
-from fracmk import penalty
+from fracmk import oracle, penalty
 from fracmk.penalty import SolverConfig, continuation_solve
 
 
@@ -291,6 +294,8 @@ def test_pdhg_unconstrained_matches_linear_solve():
     u_lin, unk = linear_solve(op, src, 1.0)
     assert rel_l2(sol.u.values.ravel()[unk], u_lin) <= 1e-8
     assert np.max(np.abs(sol.lam.values)) == 0.0
+    # tol = 0 runs the whole budget
+    assert sol.notes == ("stop=budget",)
 
 
 def test_pdhg_matches_analytic_torsion():
@@ -380,7 +385,17 @@ def test_pdhg_matches_per_iteration_solves(dim, n, kind, f, s):
     assert sol.converged
     assert sol.iterations == iters
     assert rel_l2(sol.u.values.ravel()[g.masks().inside.ravel()], u_ref) <= 1e-12
-    assert sol.notes == (("mass-ridge-1e-8",) if kind == "degenerate" else ())
+    assert sol.notes == ("stop=certified",) + (("mass-ridge-1e-8",) if kind == "degenerate" else ())
+
+
+def _spy(calls, name, fn):
+    """fn, appending name to calls at each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @pytest.mark.parametrize("kind", ["constant", "c>0"])
@@ -390,20 +405,87 @@ def test_pdhg_sets_up_a_trivial_pencil_without_q_or_eigh(kind, monkeypatch):
     g = grid_1d(64)
     op = _oracle_operator(g, kind)
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-    monkeypatch.setattr(WeakForm, "form_matrix", counted("form_matrix", WeakForm.form_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", _spy(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "solve", _spy(calls, "solve", np.linalg.solve))
+    monkeypatch.setattr(WeakForm, "form_matrix", _spy(calls, "form_matrix", WeakForm.form_matrix))
     sol = pdhg_solve(op, constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7, tol=1e-8)
     assert sol.converged
     assert calls == ([] if kind == "constant" else ["form_matrix", "eigh"])
+
+
+def _disc(n):
+    return GridSpec(dim=2, box_side=4.0, points_per_axis=n, omega=ball(1.0), buffer=0.5)
+
+
+@pytest.mark.parametrize("kind", ["constant", "diag(2, 0.5)", "c>0"])
+def test_a_warm_pdhg_setup_reuses_the_gram_factor(kind, monkeypatch):
+    # the factor of K^T K depends on (grid, s) alone: the first solve on a
+    # fresh cache factors it, later ones read it, on the trivial pencil
+    # (A = I) and on general ones, and their iterates do not change
+    g = _disc(16)
+    if kind == "diag(2, 0.5)":
+        A = np.diag([2.0, 0.5]).reshape(2, 2, 1, 1) * np.ones(g.shape)
+        zero_v = np.zeros((2,) + g.shape)
+        op = OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
+    else:
+        op = _oracle_operator(g, kind)
+    args = (op, constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7)
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", _spy(calls, "cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(oracle, "tril_inverse", _spy(calls, "tril_inverse", oracle.tril_inverse))
+    omega_fft.cache_clear()
+    _gram_factor_inverse.cache_clear()
+    cold = pdhg_solve(*args, tol=1e-8)
+    assert calls == ["cholesky", "tril_inverse"]
+    warm = pdhg_solve(*args, tol=1e-8)
+    assert calls == ["cholesky", "tril_inverse"]
+    assert warm.converged and warm.iterations == cold.iterations
+    assert np.array_equal(warm.u.values, cold.u.values) and np.array_equal(warm.lam.values, cold.lam.values)
+
+
+@pytest.mark.parametrize(
+    "grid, s", [(grid_1d(512), 1.0), (_disc(32), 0.7)], ids=["1d-n512-s1", "disc-n32-s0.7"]
+)
+def test_the_gram_factor_is_a_read_only_inverse_cholesky_factor(grid, s):
+    Li = _gram_factor_inverse(grid, s)
+    assert _gram_factor_inverse(grid, s) is Li
+    assert not Li.flags.writeable
+    with pytest.raises(ValueError):
+        Li[0, 0] = 1.0
+    assert not np.any(np.triu(Li, 1))
+    eye = np.eye(omega_fft(grid, s).nodes.size)
+    assert np.linalg.norm(Li @ omega_fft(grid, s).gram(np.eye(grid.dim)) @ Li.T - eye) <= 1e-10 * np.linalg.norm(eye)
+
+
+def test_the_process_holds_one_gram_factor_at_a_time():
+    # a solve on another (grid, s) frees the factor of the last one, so
+    # oracles on many grids keep one 8m^2 array alive, not one per operator
+    g = grid_1d(64)
+    args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0))
+    _gram_factor_inverse.cache_clear()
+    pdhg_solve(*args, 1.0, max_iters=1)
+    first = weakref.ref(_gram_factor_inverse(g, 1.0))
+    pdhg_solve(*args, 0.7, max_iters=1)
+    gc.collect()
+    assert first() is None
+    assert _gram_factor_inverse.cache_info().currsize == 1
+
+
+def test_a_warm_trivial_pencil_solve_holds_no_dense_matrix():
+    # perfbench's oracle-pdhg problem: with the factor cached, V = L^-T is a
+    # view of it, so the setup allocates no (m, m) array
+    g = grid_1d(512)
+    args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0), 1.0)
+    m = omega_fft(g, 1.0).nodes.size
+    pdhg_solve(*args, tol=1e-8)
+    tracemalloc.start()
+    try:
+        sol = pdhg_solve(*args, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 0.5 * 8 * m**2
 
 
 @pytest.mark.parametrize("m", [1, BLOCK_LEAF - 1, BLOCK_LEAF, BLOCK_LEAF + 1, 255])
@@ -443,7 +525,7 @@ def test_pdhg_handles_a_partially_degenerate_operator():
     src, thr = constant_source(g, 1.0), constant_threshold(g, 1.0)
     pd = pdhg_solve(op, src, thr, 1.0, tol=1e-8)
     assert pd.converged
-    assert pd.notes == ("mass-ridge-1e-8",)
+    assert pd.notes == ("stop=certified", "mass-ridge-1e-8")
     pen = continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3)))[-1][1]
     assert rel_l2(pen.u.values, pd.u.values) <= 1e-3
     # a mass term c > 0 on Omega keeps Q definite: no ridge

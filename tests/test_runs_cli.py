@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fracmk
+from fracmk import oracle, runs
 from fracmk.cli import main
 from fracmk.penalty import SolverConfig
 from fracmk.runs import (
@@ -380,6 +381,36 @@ def test_run_dependence_zero_shift_and_ratios(tmp_path):
     assert by_shift[("source", 0.1)]["ratio"] <= 1.0
     assert by_shift[("threshold", 0.05)]["ratio"] <= 1.0
     assert (tmp_path / "dependence.csv").exists()
+
+
+def test_run_dependence_factors_the_gram_once(monkeypatch):
+    # six PDHG solves on one (grid, s) share the operator's factor of K^T K;
+    # their rows equal those of solves that each factor it afresh
+    cfg = config_from_mapping(
+        base_mapping(dependence={"source_shifts": [0.0, 0.1, 0.2], "threshold_shifts": [0.1, 0.05], "tol": 1e-9})
+    )
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(T):
+        factored.append(T.shape)
+        return cholesky(T)
+
+    pdhg_solve = runs.pdhg_solve
+
+    def afresh(*args, **kwargs):
+        oracle._gram_factor_inverse.cache_clear()
+        return pdhg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(runs, "pdhg_solve", afresh)
+    ref = run_dependence(cfg)
+    assert len(factored) == 6
+    monkeypatch.setattr(runs, "pdhg_solve", pdhg_solve)
+    oracle._gram_factor_inverse.cache_clear()
+    rows = run_dependence(cfg)
+    assert len(factored) == 7
+    assert rows == ref
 
 
 def test_run_dependence_requires_coercive_operator():
