@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,12 @@ class OmegaShape:
 
     def __post_init__(self):
         if self.kind in ("interval", "rectangle"):
-            if not self.halfwidths or any(a <= 0 for a in self.halfwidths):
-                raise ValueError("box-like Omega needs positive halfwidths")
+            # 0 < a < inf is False for NaN, which would pass a <= 0 unnoticed
+            if not self.halfwidths or not all(0 < a < inf for a in self.halfwidths):
+                raise ValueError("box-like Omega needs positive finite halfwidths")
         elif self.kind == "ball":
-            if self.radius <= 0:
-                raise ValueError("ball Omega needs positive radius")
+            if not 0 < self.radius < inf:
+                raise ValueError("ball Omega needs a positive finite radius")
         else:
             raise ValueError(f"unknown Omega kind {self.kind!r}")
 
@@ -95,8 +96,9 @@ class GridSpec:
         n = self.points_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two, >= 16")
-        if self.box_side <= 0 or self.buffer <= 0:
-            raise ValueError("box_side and buffer must be positive")
+        for name in ("box_side", "buffer"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be positive and finite")
         margin = self.box_side / 2 - (self.omega.outer_radius() + self.buffer)
         if margin < 2 * self.spacing:
             raise ValueError(

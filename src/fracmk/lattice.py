@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .dense import tril_inverse
 from .forms import OperatorData, SourceData
 from .grid import GridSpec, ScalarField, bump, random_bumps
 from .riesz import riesz_symbol
@@ -76,8 +77,9 @@ class OmegaFFT:
     irfftn, through offset_rows, which reads a tiled copy as column_blocks
     does, so the s-Laplacian start and a Jacobian at u = 0 take no FFT per
     column; offset_rows of the kernel itself gives rows of G at any box
-    nodes.  Immutable but for the KKT battery, which is built on first
-    use, so concurrent solves can share one.
+    nodes.  Immutable but for two read-only arrays built on first use:
+    battery, the KKT report's test fields, and gram_factor_inverse, PDHG's
+    metric.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -184,10 +186,22 @@ class OmegaFFT:
         V.flags.writeable = norm_v.flags.writeable = False
         return V, norm_v
 
+    @cached_property
+    def gram_factor_inverse(self) -> np.ndarray:
+        """Li = L^-1, (m, m), for the Cholesky factor L of the s-Laplacian
+        Gram K^T K = gram(I) = L L^T on the Omega nodes: PDHG's metric, as
+        Li gram(I) Li^T = I.  Exactly zero above the diagonal; read-only,
+        built on first use."""
+        Li = tril_inverse(np.linalg.cholesky(self.gram(np.eye(self.d))))
+        Li.flags.writeable = False
+        return Li
 
-# The localize sweep solves up to 4 values of s at once; twice that keeps each
-# in-flight solve's operators cached between its stages.
-@lru_cache(maxsize=8)
+
+# The library asks for one (grid, s) at a time: a continuation, its stages and
+# KKT reports use one; run_localize solves one s after another; run_dependence's
+# PDHG solves share one, as do each verify-kernels triangle row's penalty, PDHG
+# and QP solves; run_oracle uses s = 1 alone.
+@lru_cache(maxsize=1)
 def omega_fft(grid: GridSpec, s: float) -> OmegaFFT:
     return OmegaFFT(grid, s)
 

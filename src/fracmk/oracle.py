@@ -17,15 +17,13 @@ symmetric convex problem (A symmetric, b = dvec = 0, c >= 0):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField
-from .dense import tril_inverse
-from .lattice import WeakForm, magnitude, omega_fft
+from .lattice import WeakForm, magnitude
 from .penalty import Solution
 
 
@@ -159,19 +157,6 @@ def _feasible_scaling(p_mag: np.ndarray, g: np.ndarray) -> float:
 _STEP_RATIO = 10.0
 
 
-@lru_cache(maxsize=1)
-def _gram_factor_inverse(grid: GridSpec, s) -> np.ndarray:
-    """Li = L^-1, (m, m), for the Cholesky factor L of the s-Laplacian Gram
-    K^T K = gram(I) = L L^T on the Omega nodes: PDHG's metric, as
-    Li gram(I) Li^T = I.  Exactly zero above the diagonal and read-only.
-    It depends on (grid, s) alone, so repeated solves on one grid factor it
-    once; one entry bounds what the cache holds to one 8m^2 factor, the last
-    (grid, s) solved."""
-    Li = tril_inverse(np.linalg.cholesky(omega_fft(grid, s).gram(np.eye(grid.dim))))
-    Li.flags.writeable = False
-    return Li
-
-
 def pdhg_solve(
     op: OperatorData,
     src: SourceData,
@@ -191,13 +176,13 @@ def pdhg_solve(
     K^T K / tau (Pock & Chambolle, ICCV 2011), and the loop runs in
     z = V^-1 u for the generalized eigenvectors of the pencil (Q, K^T K):
     V^T Q V = diag(mu), V^T K^T K V = I.  The setup reads Li = L^-1 for the
-    Cholesky factor L of the Toeplitz s-Laplacian Gram K^T K from
-    _gram_factor_inverse, which factors it (tril_inverse inverts L in place)
-    at the first solve on a (grid, s) and keeps it until a solve on another
-    one.  Where A is a I for one scalar a > 0 on the box and c = 0,
-    Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
+    Cholesky factor L of the Toeplitz s-Laplacian Gram K^T K off the
+    operator, form.fft.gram_factor_inverse: the first solve on a (grid, s)
+    factors it, and later ones find it there for as long as lattice.omega_fft
+    keeps that operator.  Where A is a I for one scalar a > 0 on the box and
+    c = 0, Q = a h^d K^T K exactly: the pencil is trivial, mu = a h^d and
     V = Li^T, so Q is never assembled and a setup that finds the factor
-    cached does no (m, m) work.  Otherwise one numpy eigh of
+    built does no (m, m) work.  Otherwise one numpy eigh of
     Li Q Li^T = W diag(mu) W^T gives V = Li^T W.  K V is orthonormal, so
     tau sigma = 0.9 meets the step condition with no norm estimate; the
     prox is the diagonal 1/(1 + tau mu), the dual value
@@ -219,7 +204,7 @@ def pdhg_solve(
     sigma = 0.9 / tau
 
     # numpy only (no scipy eigh(Q, T)): importing scipy.linalg adds ~28 MB
-    Li = _gram_factor_inverse(form.grid, s)
+    Li = form.fft.gram_factor_inverse
     A0 = form.A0
     if A0 is not None and np.array_equal(A0, A0[0, 0] * np.eye(d)) and not np.any(form.hc_at):
         # A = a I and c = 0: Q = a h^d K^T K, the trivial pencil

@@ -268,7 +268,8 @@ class _LaggedInverse:
     in place (_refreshed_inverse), and counts.
 
     One object serves one continuation, its stages and their cold-start eps
-    chains, so concurrent solves never share one.  A continuation holds one
+    chains: the inverse and the counts are that continuation's state, so no
+    two continuations share one.  A continuation holds one
     (m, m) array: storage, allocated at its first refresh or degenerate cold
     start (_feasible_start), into which every refresh assembles J and
     inverts it.  inv is None when storage holds no valid inverse: before the

@@ -262,26 +262,19 @@ def _weak_lambda_error(lam_a, lam_b, grid: GridSpec, battery) -> float:
 
 
 def run_localize(cfg: RunConfig, outdir: str | Path | None = None) -> list[dict]:
-    """Localization sweep: solve at each s in s_list plus s = 1, compare.
+    """Localization sweep: solve at s = 1 and at each s < 1 of s_list, compare.
 
     Reports sup error, an H^sigma surrogate error (spectral sigma-gradient
     at sigma = 0.5), and weak multiplier errors against the test battery,
-    all measured against the classical s = 1 solution.
+    all measured against the classical s = 1 solution, one row per s with
+    s = 1 last.  Entries s >= 1 of s_list are dropped.  s = 1 is solved
+    first, then each s, one at a time, in s_list order.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
-
     s_values = [s for s in cfg.s_list if s < 1.0]
     op, src, thr = cfg.build_operator(), cfg.build_source(), cfg.build_threshold()
     sol_1 = continuation_solve(op, src, thr, 1.0, cfg.solver)[-1][1]
     battery = weak_battery(cfg.grid)
-
-    # sweep points are independent deterministic solves over immutable
-    # fields; run them concurrently and join in sweep order
-    def point(s):
-        return continuation_solve(op, src, thr, s, cfg.solver)[-1][1]
-
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(s_values)))) as pool:
-        sols = list(pool.map(point, s_values))
+    sols = [continuation_solve(op, src, thr, s, cfg.solver)[-1][1] for s in s_values]
     rows = []
     for s, sol in zip(s_values + [1.0], sols + [sol_1]):
         diff = ScalarField(cfg.grid, sol.u.values - sol_1.u.values)

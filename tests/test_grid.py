@@ -30,6 +30,18 @@ def test_spec_invariants_enforced():
         GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=1.0)
     with pytest.raises(ValueError):
         GridSpec(dim=3, box_side=4.0, points_per_axis=64, omega=ball(1.0), buffer=0.5)
+    # NaN compares False with everything, so a check like x <= 0 lets it
+    # through (and json.loads reads NaN): each length is named here instead
+    # of failing later in masks() as an empty Omega
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="box_side must be positive and finite"):
+            GridSpec(dim=1, box_side=bad, points_per_axis=64, omega=interval(1.0), buffer=0.5)
+        with pytest.raises(ValueError, match="buffer must be positive and finite"):
+            GridSpec(dim=1, box_side=4.0, points_per_axis=64, omega=interval(1.0), buffer=bad)
+        with pytest.raises(ValueError, match="positive finite radius"):
+            ball(bad)
+        with pytest.raises(ValueError, match="positive finite halfwidths"):
+            interval(bad)
 
 
 def test_masks_nested_and_nonempty():

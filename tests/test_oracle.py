@@ -12,7 +12,6 @@ from fracmk.forms import OperatorData, constant_source, constant_threshold, isot
 from fracmk.oracle import (
     _energy_matrix,
     _feasible_scaling,
-    _gram_factor_inverse,
     _quadratic_pieces,
     analytic_mk_1d,
     analytic_torsion_1d,
@@ -21,7 +20,7 @@ from fracmk.oracle import (
 )
 from fracmk.dense import BLOCK_LEAF, tril_inverse
 from fracmk.lattice import OmegaFFT, WeakForm, omega_fft
-from fracmk import oracle, penalty
+from fracmk import lattice, penalty
 from fracmk.penalty import SolverConfig, continuation_solve
 
 
@@ -432,9 +431,8 @@ def test_a_warm_pdhg_setup_reuses_the_gram_factor(kind, monkeypatch):
     args = (op, constant_source(g, 2.0), constant_threshold(g, 1.0), 0.7)
     calls = []
     monkeypatch.setattr(np.linalg, "cholesky", _spy(calls, "cholesky", np.linalg.cholesky))
-    monkeypatch.setattr(oracle, "tril_inverse", _spy(calls, "tril_inverse", oracle.tril_inverse))
+    monkeypatch.setattr(lattice, "tril_inverse", _spy(calls, "tril_inverse", lattice.tril_inverse))
     omega_fft.cache_clear()
-    _gram_factor_inverse.cache_clear()
     cold = pdhg_solve(*args, tol=1e-8)
     assert calls == ["cholesky", "tril_inverse"]
     warm = pdhg_solve(*args, tol=1e-8)
@@ -447,8 +445,8 @@ def test_a_warm_pdhg_setup_reuses_the_gram_factor(kind, monkeypatch):
     "grid, s", [(grid_1d(512), 1.0), (_disc(32), 0.7)], ids=["1d-n512-s1", "disc-n32-s0.7"]
 )
 def test_the_gram_factor_is_a_read_only_inverse_cholesky_factor(grid, s):
-    Li = _gram_factor_inverse(grid, s)
-    assert _gram_factor_inverse(grid, s) is Li
+    Li = omega_fft(grid, s).gram_factor_inverse
+    assert omega_fft(grid, s).gram_factor_inverse is Li
     assert not Li.flags.writeable
     with pytest.raises(ValueError):
         Li[0, 0] = 1.0
@@ -458,17 +456,17 @@ def test_the_gram_factor_is_a_read_only_inverse_cholesky_factor(grid, s):
 
 
 def test_the_process_holds_one_gram_factor_at_a_time():
-    # a solve on another (grid, s) frees the factor of the last one, so
-    # oracles on many grids keep one 8m^2 array alive, not one per operator
+    # the factor lives on the one cached operator: any solve on another
+    # (grid, s), a penalty continuation too, frees it with that operator
     g = grid_1d(64)
     args = (isotropic_operator(g, a=1.0), constant_source(g, 2.0), constant_threshold(g, 1.0))
-    _gram_factor_inverse.cache_clear()
+    omega_fft.cache_clear()
     pdhg_solve(*args, 1.0, max_iters=1)
-    first = weakref.ref(_gram_factor_inverse(g, 1.0))
-    pdhg_solve(*args, 0.7, max_iters=1)
+    first = weakref.ref(omega_fft(g, 1.0).gram_factor_inverse)
+    continuation_solve(*args, 0.7, SolverConfig(eps_schedule=(0.1, 0.01)))
     gc.collect()
     assert first() is None
-    assert _gram_factor_inverse.cache_info().currsize == 1
+    assert omega_fft.cache_info().currsize == 1
 
 
 def test_a_warm_trivial_pencil_solve_holds_no_dense_matrix():

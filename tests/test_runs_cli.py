@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import fracmk
-from fracmk import oracle, runs
+from fracmk import runs
 from fracmk.cli import main
+from fracmk.lattice import omega_fft
 from fracmk.penalty import SolverConfig
 from fracmk.runs import (
     config_from_mapping,
@@ -224,11 +225,14 @@ def test_run_solve_loads_no_numpy_random(tmp_path):
 
 
 def test_runs_and_oracle_import_no_thread_pool():
-    # concurrent.futures, and logging through it, serve run_localize alone:
-    # it imports them when it runs
+    # the library runs one solve at a time: neither importing it nor a
+    # localize sweep loads concurrent.futures, or logging through it
+    mapping = base_mapping(s_list=[0.8, 1.0])
     out = _fresh_python(
         "import json, sys\n"
         "import fracmk.runs, fracmk.oracle\n"
+        "from fracmk.runs import config_from_mapping, run_localize\n"
+        f"run_localize(config_from_mapping(json.loads({json.dumps(mapping)!r})))\n"
         "print(json.dumps([m for m in ('concurrent.futures', 'logging') if m in sys.modules]))\n"
     )
     assert json.loads(out.splitlines()[-1]) == []
@@ -328,15 +332,14 @@ def test_demo_runs_end_to_end(demo, tmp_path):
 
 
 def test_run_localize_builds_each_gradient_matrix_once():
-    from fracmk.lattice import omega_fft
-
     s_list = [0.5, 0.6, 0.7, 0.8, 0.9]
     cfg = config_from_mapping(base_mapping(s_list=s_list))
     omega_fft.cache_clear()
     run_localize(cfg)
-    # every stage and cold-start step of the 4 concurrent sweep points finds
-    # its operator cached: one build per s, plus s = 1
+    # every stage and cold-start step of a sweep point finds its operator
+    # cached: one build per s, plus s = 1, and one operator held at the end
     assert omega_fft.cache_info().misses == len(s_list) + 1
+    assert omega_fft.cache_info().currsize == 1
 
 
 def test_load_config_round_trip(tmp_path):
@@ -399,7 +402,7 @@ def test_run_dependence_factors_the_gram_once(monkeypatch):
     pdhg_solve = runs.pdhg_solve
 
     def afresh(*args, **kwargs):
-        oracle._gram_factor_inverse.cache_clear()
+        omega_fft.cache_clear()
         return pdhg_solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
@@ -407,7 +410,7 @@ def test_run_dependence_factors_the_gram_once(monkeypatch):
     ref = run_dependence(cfg)
     assert len(factored) == 6
     monkeypatch.setattr(runs, "pdhg_solve", pdhg_solve)
-    oracle._gram_factor_inverse.cache_clear()
+    omega_fft.cache_clear()
     rows = run_dependence(cfg)
     assert len(factored) == 7
     assert rows == ref
