@@ -14,7 +14,7 @@ compactly supported fields do not vanish outside Omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,9 @@ class OperatorData:
     """Coefficients of the bilinear form; A may degenerate or vanish.
 
     A has shape (d, d) + grid.shape; b, dvec, c live on the box but must
-    vanish outside Omega.  a_star is the ellipticity floor (0 when
-    degenerate).
+    vanish outside Omega.  a_star, the ellipticity floor with
+    A xi . xi >= a_star |xi|^2, is read off A: the least eigenvalue of its
+    symmetric part over the box, or 0 where that degenerates.
     """
 
     grid: GridSpec
@@ -36,7 +37,7 @@ class OperatorData:
     b: np.ndarray
     dvec: np.ndarray
     c: np.ndarray
-    a_star: float = 0.0
+    a_star: float = field(init=False)
 
     def __post_init__(self):
         d = self.grid.dim
@@ -49,8 +50,6 @@ class OperatorData:
                 raise ValueError(f"{name} must have shape {want}")
         if not all(np.isfinite(a).all() for a in (self.A, self.b, self.dvec, self.c)):
             raise ValueError("operator coefficients must be finite")
-        if self.a_star < 0:
-            raise ValueError("a_star must be nonnegative")
         mask = self.grid.masks().inside
         for name, arr in (("b", self.b), ("dvec", self.dvec)):
             if np.any(arr[:, ~mask] != 0.0):
@@ -60,8 +59,10 @@ class OperatorData:
         # nonnegativity A(x) xi . xi >= 0 for all xi: the symmetric part of
         # A is positive semidefinite at every node
         An = np.moveaxis(self.A.reshape(d, d, -1), -1, 0)
-        if np.linalg.eigvalsh(0.5 * (An + np.swapaxes(An, 1, 2))).min() < -1e-12:
+        low = float(np.linalg.eigvalsh(0.5 * (An + np.swapaxes(An, 1, 2))).min())
+        if low < -1e-12:
             raise ValueError("A is not nonnegative: its symmetric part has a negative eigenvalue")
+        object.__setattr__(self, "a_star", max(low, 0.0))
 
     def apply_A(self, p: np.ndarray) -> np.ndarray:
         return np.einsum("ab...,b...->a...", self.A, p)
@@ -73,7 +74,6 @@ def isotropic_operator(
     b: np.ndarray | None = None,
     dvec: np.ndarray | None = None,
     c: np.ndarray | None = None,
-    a_star: float | None = None,
 ) -> OperatorData:
     """Operator with A = a(x) * Id and optional lower-order coefficients."""
     d, shp = grid.dim, grid.shape
@@ -88,7 +88,6 @@ def isotropic_operator(
         b=zero_v if b is None else np.asarray(b, dtype=float),
         dvec=zero_v if dvec is None else np.asarray(dvec, dtype=float),
         c=np.zeros(shp) if c is None else np.asarray(c, dtype=float),
-        a_star=float(a_field.min()) if a_star is None else float(a_star),
     )
 
 
@@ -121,27 +120,31 @@ def constant_source(grid: GridSpec, value: float) -> SourceData:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Gradient threshold g with global bounds 0 < g_star <= g <= g_upper."""
+    """Gradient threshold g > 0; its global bounds g_star <= g <= g_upper
+    are read off g."""
 
     grid: GridSpec
     g: np.ndarray
-    g_star: float
-    g_upper: float
 
     def __post_init__(self):
         if self.g.shape != self.grid.shape:
             raise ValueError("g must live on the grid")
         if not np.isfinite(self.g).all():
             raise ValueError("g must be finite")
-        if not (self.g_star > 0 and self.g_upper >= self.g_star):
-            raise ValueError("need 0 < g_star <= g_upper")
-        if self.g.min() < self.g_star - 1e-14 or self.g.max() > self.g_upper + 1e-14:
-            raise ValueError("g violates its stated bounds")
+        if self.g.min() <= 0:
+            raise ValueError("g must be positive")
+
+    @property
+    def g_star(self) -> float:
+        return float(self.g.min())
+
+    @property
+    def g_upper(self) -> float:
+        return float(self.g.max())
 
 
 def constant_threshold(grid: GridSpec, value: float = 1.0) -> Threshold:
-    g = np.full(grid.shape, float(value))
-    return Threshold(grid, g, float(value), float(value))
+    return Threshold(grid, np.full(grid.shape, float(value)))
 
 
 def threshold_replace(g_loc, grid: GridSpec, k: float | None = None) -> Threshold:
@@ -155,13 +158,10 @@ def threshold_replace(g_loc, grid: GridSpec, k: float | None = None) -> Threshol
     if vals.shape != grid.shape:
         raise ValueError("threshold values must live on the grid")
     buffer_mask = grid.masks().buffer_inside
-    floor = float(vals[buffer_mask].min())
-    if floor <= 0:
-        raise ValueError("threshold must have a positive floor on Omega_R")
     cap = float(vals[buffer_mask].max())
     k_out = cap if k is None else max(float(k), cap)
     h = np.where(buffer_mask, vals, k_out)
-    return Threshold(grid, h, min(floor, k_out), max(cap, k_out))
+    return Threshold(grid, h)
 
 
 @dataclass(frozen=True)
@@ -325,16 +325,13 @@ def vector_from_preset(grid: GridSpec, cfg, mask: np.ndarray | None = None) -> n
 
 def operator_from_preset(grid: GridSpec, cfg: dict) -> OperatorData:
     mask = grid.masks().inside
-    a = scalar_from_preset(grid, cfg.get("a", 1.0))
-    op = isotropic_operator(
+    return isotropic_operator(
         grid,
-        a=a,
+        a=scalar_from_preset(grid, cfg.get("a", 1.0)),
         b=vector_from_preset(grid, cfg.get("b"), mask=mask),
         dvec=vector_from_preset(grid, cfg.get("dvec"), mask=mask),
         c=scalar_from_preset(grid, cfg.get("c", 0.0), mask=mask),
-        a_star=cfg.get("a_star"),
     )
-    return op
 
 
 def source_from_preset(grid: GridSpec, cfg: dict) -> SourceData:
@@ -348,4 +345,4 @@ def threshold_from_preset(grid: GridSpec, cfg: dict) -> Threshold:
     vals = scalar_from_preset(grid, cfg.get("g", 1.0))
     if cfg.get("replace", False):
         return threshold_replace(vals, grid, k=cfg.get("k"))
-    return Threshold(grid, vals, float(vals.min()), float(vals.max()))
+    return Threshold(grid, vals)

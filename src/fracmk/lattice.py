@@ -70,16 +70,14 @@ class OmegaFFT:
     copy of the kernel, so no FFT and no dense G.  G v is the circular
     convolution of kern_a with v scattered onto the box, and
     G^T w = sum_a kern_a correlated with w_a, gathered on the nodes: both
-    are products with sigma_a = rfftn(kern_a).  The diagonal of
-    G^T diag(C) G is sum_ab C_ab correlated with kern_a kern_b, gathered the
-    same way.  For a constant d x d tensor C0, G^T C0 G is Toeplitz in the
-    node offsets: gram reads it off the kernel's cross-correlations, one
-    irfftn, through offset_rows, which reads a tiled copy as column_blocks
-    does, so the s-Laplacian start and a Jacobian at u = 0 take no FFT per
-    column; offset_rows of the kernel itself gives rows of G at any box
-    nodes.  Immutable but for two read-only arrays built on first use:
-    battery, the KKT report's test fields, and gram_factor_inverse, PDHG's
-    metric.
+    are products with sigma_a = rfftn(kern_a).  For a constant d x d tensor
+    C0, G^T C0 G is Toeplitz in the node offsets: gram reads it off the
+    kernel's cross-correlations, one irfftn, through offset_rows, which
+    reads a tiled copy as column_blocks does, so the s-Laplacian start and a
+    Jacobian at u = 0 take no FFT per column; offset_rows of the kernel
+    itself gives rows of G at any box nodes.  Immutable but for two
+    read-only arrays built on first use: battery, the KKT report's test
+    fields, and gram_factor_inverse, PDHG's metric.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -95,8 +93,6 @@ class OmegaFFT:
         self.nodes = np.flatnonzero(grid.masks().inside.ravel())
         self.sigma = rfft_box(kern, d)
         self.sigma_conj = self.sigma.conj()
-        self.pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        self.prod_conj = np.stack([rfft_box(kern[a] * kern[b], d) for a, b in self.pairs]).conj()
         # the window at offset n - x of the tiled kernel is the kernel rolled onto x
         tiled = np.tile(np.moveaxis(kern, 0, -1), (2,) * d + (1,))
         self._windows = np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=tuple(range(d)))
@@ -111,10 +107,6 @@ class OmegaFFT:
             j = slice(j0, min(j0 + step, m))
             yield j, np.ascontiguousarray(self._windows[tuple(o[j] for o in self._offsets)]).reshape(-1, self.d, self.N)
 
-    def _gather(self, spectrum: np.ndarray) -> np.ndarray:
-        box = irfft_box(spectrum, self.shape)
-        return box.reshape(box.shape[: -self.d] + (self.N,))[..., self.nodes]
-
     def grad(self, v: np.ndarray) -> np.ndarray:
         """G v, shape (d, N), for nodal values v of shape (m,)."""
         return self.box_grad(scatter(v, self.nodes, self.N))
@@ -127,13 +119,8 @@ class OmegaFFT:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """G^T w on the nodes, shape (..., m), for box vector fields w of shape (..., d, N)."""
         what = rfft_box(w.reshape(w.shape[:-1] + self.shape), self.d)
-        return self._gather(np.sum(self.sigma_conj * what, axis=-self.d - 1))
-
-    def gram_diag(self, C: np.ndarray) -> np.ndarray:
-        """diag(sum_ab G_a^T diag(C_ab) G_b), shape (m,), for C of shape (d, d, N)."""
-        sym = np.stack([C[a, a] if a == b else C[a, b] + C[b, a] for a, b in self.pairs])
-        chat = rfft_box(sym.reshape((len(self.pairs),) + self.shape), self.d)
-        return self._gather(np.sum(chat * self.prod_conj, axis=0))
+        box = irfft_box(np.sum(self.sigma_conj * what, axis=-self.d - 1), self.shape)
+        return box.reshape(box.shape[: -self.d] + (self.N,))[..., self.nodes]
 
     def offset_rows(self, fields: np.ndarray, points: np.ndarray | None = None):
         """Yield (i, F(x_i - x_j) for the box nodes x_i of points[i] and every
@@ -254,10 +241,10 @@ class WeakForm:
         # and _toeplitz skip them, as they would add exact zeros
         self.convection = bool(np.any(self.b_at) or np.any(self.dvec_flat))
         # A as one tensor A0 on the whole box whose symmetric part is positive
-        # definite, else None: then form_matrix takes its Toeplitz route
+        # definite (op.a_star > 0), else None: then form_matrix takes its
+        # Toeplitz route
         A0 = self.A_flat[..., 0].copy()
-        constant = np.all(self.A_flat == A0[..., None])
-        self.A0 = A0 if constant and np.all(np.linalg.eigvalsh(A0 + A0.T) > 0) else None
+        self.A0 = A0 if op.a_star > 0 and np.all(self.A_flat == A0[..., None]) else None
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         return self.fft.grad(u)
@@ -316,19 +303,17 @@ class WeakForm:
         return J
 
     def form_action(self, C: np.ndarray):
-        """(v -> M v, diag M) for M = form_matrix(C), without forming M: a
-        product costs a few FFTs.  C is left as it is, as in form_matrix."""
+        """The callable v -> M v alone, for M = form_matrix(C), without
+        forming M: a product costs a few FFTs.  C is left as it is, as in
+        form_matrix."""
         C = self.hd * C
-        # the convection and b terms put G_a[node i, i] = kern_a(0) on the
-        # diagonal, which is 0: the symbol is odd
-        diag = self.fft.gram_diag(C) + self.hc_at
 
         def apply(v: np.ndarray) -> np.ndarray:
             v_box = scatter(v, self.fft.nodes, self.N)
             pv = self.fft.box_grad(v_box)
             return self._weak_form(v, pv, np.einsum("abN,bN->aN", C, pv), v_box)
 
-        return apply, diag
+        return apply
 
     def add_active_rows(self, P: np.ndarray, C: np.ndarray, S: np.ndarray) -> np.ndarray:
         """P += h^d G_S^T C_S G_S, in place, for box nodes S and a (d, d, N) C,

@@ -264,7 +264,7 @@ def pdhg_solve(
     converged = gap <= max(tol, 1e-12) * (1.0 + abs(primal))
     return Solution.from_nodes(
         form.grid, form.fft.nodes, V @ zf, tstar * p, lam_flat,
-        eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+        eps=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )
 
 
@@ -341,5 +341,5 @@ def brute_force_qp(
     uf = tstar * uvec
     return Solution.from_nodes(
         form.grid, form.fft.nodes, uf, tstar * p, lam,
-        eps=0.0, q=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
+        eps=0.0, s=s, converged=converged, iterations=it, residual_norm=float(gap), notes=notes,
     )

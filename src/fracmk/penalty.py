@@ -34,18 +34,20 @@ stage warm-starts lambda from the previous stage's multiplier.
 Each reduced Newton system J s = -r is solved inexactly by preconditioned
 CG (GMRES when the form is not symmetric) to an Eisenstat-Walker forcing
 tolerance.  J = h^d G^T C G + ... is never formed for this: J v costs a few
-FFTs.  The preconditioner is the inverse of the last assembled, damped J,
+FFTs, and Krylov applies J itself.  Damping enters only the assembled J:
+the preconditioner is the inverse of the last assembled, damped J,
 inverted in place by 2x2 blocks with GEMMs (dense.block_inverse, whose
 symmetric path averages J with J^T, so PCG gets an exactly symmetric
 inverse): a continuation holds one (m, m) array, allocated at its first
 refresh or degenerate cold start, and every refresh assembles and inverts J
 in it.  The inverse is kept through a continuation and a degenerate cold
 start's eps chain, and J is assembled again only when the Krylov solve
-misses its iteration budget or its step fails the line search above the
-rounding floor: a lagged Jacobian inside a Krylov solve with the current
-J v (Jacobian-free Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193,
-2004).  WeakForm.form_matrix assembles J and WeakForm.form_action applies
-it, so the dense J and the Krylov J v share one definition.
+misses its iteration budget, its step fails the line search above the
+rounding floor, or the damping rises: a lagged Jacobian inside a Krylov
+solve with the current J v (Jacobian-free Newton-Krylov: Knoll & Keyes,
+J. Comput. Phys. 193, 2004).  WeakForm.form_matrix assembles J and
+WeakForm.form_action applies it, so the dense J and the Krylov J v share
+one definition.
 
 A cold start at u = 0 suits a coercive operator.  Where the principal part
 degenerates (A = 0 and c = 0 at some Omega node, as in transport), J at
@@ -71,7 +73,8 @@ from .dense import block_inverse, gmres, norm, pcg
 from .forms import OperatorData, SourceData, Threshold
 from .grid import GridSpec, ScalarField, VectorField, lp_norm
 from .lattice import WeakForm, magnitude, scatter
-from .riesz import EXP_CAP
+
+EXP_CAP = 500.0  # exp argument clamp; e^500 is finite in float64
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,6 @@ class Solution:
     lam: ScalarField
     psi: VectorField
     eps: float
-    q: float
     s: float
     converged: bool
     iterations: int
@@ -180,10 +182,10 @@ def _regularization(form: WeakForm, eps: float, q: float, mag: np.ndarray):
 class _PenaltyProblem(WeakForm):
     """Residual and Jacobian of the penalized weak form over the Omega nodes."""
 
-    def __init__(self, op: OperatorData, src: SourceData, thr: Threshold, s: float, eps: float, q: float):
+    def __init__(self, op: OperatorData, src: SourceData, thr: Threshold, s: float, eps: float):
         super().__init__(op, src, s)
         self.eps = eps
-        self.q = q
+        self.q = default_q(self.d, s)
         self.fn = PenaltyFn(eps)
         self.g_flat = thr.g.ravel()
 
@@ -243,12 +245,15 @@ class _PenaltyProblem(WeakForm):
         return self.form_matrix(self.flux_derivative(p, lam, gain), out)
 
     def linearization(self, p: np.ndarray, lam: np.ndarray, gain: np.ndarray):
-        """v -> J v and diag(J) for J = jacobian(p, lam, gain), without forming J."""
+        """The callable v -> J v alone, for J = jacobian(p, lam, gain)
+        undamped, without forming J."""
         return self.form_action(self.flux_derivative(p, lam, gain))
 
 
-# Newton damps the Jacobian diagonal by at least _DAMPING (1 + |J_ii|), and
-# rejects a search direction once the line search falls below _MIN_STEP
+# a refresh damps the assembled Jacobian's diagonal by at least
+# _DAMPING (1 + |J_ii|), Krylov applies J itself, and a rise of the damping
+# forces a refresh; Newton rejects a search direction once the line search
+# falls below _MIN_STEP
 _DAMPING = 1e-11
 _MIN_STEP = 1e-7
 
@@ -323,7 +328,8 @@ def _run_newton(
     system J du = -weak_residual(u, p, lam_t + reg(|p|)) has
     J = jacobian(p, lam, gain), and d lam = gain (p . D^s du)/|p| +
     lam_t - lam.  It is solved by PCG (GMRES when the form is not symmetric)
-    preconditioned by lagged.inv, to the Eisenstat-Walker tolerance
+    on J itself (prob.linearization), preconditioned by lagged.inv, the
+    inverse of a damped J, to the Eisenstat-Walker tolerance
     min(1e-3, max(0.9 (M_k / M_{k-1})^2, 1e-10)) |rhs|, tight because the
     recovered d lam amplifies the error in du by gain.  Without an inverse,
     or when the Krylov solve fails, the damped J is assembled and inverted
@@ -340,7 +346,7 @@ def _run_newton(
     where J is ill-conditioned (the degenerate sweep's n=512, a = 0 for
     x > 0, s = 1, f = 1 case stalled on steps 9% off the exact one).
     Otherwise, when lam is off k_eps(|D^s u| - g), lam restarts there, and
-    else the damping rises.
+    else the damping rises, and the next step assembles J afresh at it.
 
     The stop test is the primal one, |residual(u)| <= newton_tol scale, with
     lam = k_eps(|D^s u| - g).  stop is converged, stagnated, damping or
@@ -379,10 +385,8 @@ def _run_newton(
         b = -prob.weak_residual(u, p, lam_t + prob.regularization(mag))
         step, fresh = None, False
         if lagged.inv is not None:
-            apply, diag = prob.linearization(p, lam, gain)
-            damp = damping * (1.0 + np.abs(diag))
             eta = 1e-3 if M_prev is None else min(1e-3, max(0.9 * (M / M_prev) ** 2, 1e-10))
-            step, k = krylov(lambda v: apply(v) + damp * v, b, lagged.inv, eta, _KRYLOV_BUDGET)
+            step, k = krylov(prob.linearization(p, lam, gain), b, lagged.inv, eta, _KRYLOV_BUDGET)
             lagged.krylov += k
         if step is None:
             lagged.jacobians += 1
@@ -426,6 +430,7 @@ def _run_newton(
             if damping > 1e6:
                 stop = "damping"
                 break
+            lagged.inv = None  # the next step assembles J at the raised damping
             continue
         rnorm = norm(prob.residual(u, p))
         damping = max(_DAMPING, damping / 10)
@@ -496,8 +501,7 @@ def solve_fixed_eps(
     chain included.
     """
     grid = op.grid
-    q = default_q(grid.dim, s)
-    prob = _PenaltyProblem(op, src, thr, s, cfg.eps, q)
+    prob = _PenaltyProblem(op, src, thr, s, cfg.eps)
     lagged = _LaggedInverse() if lagged is None else lagged
     jac0, kry0 = lagged.jacobians, lagged.krylov
     if warm_start is None and cfg.eps < 0.1 and prob.degenerate:
@@ -522,7 +526,6 @@ def solve_fixed_eps(
     return Solution.from_nodes(
         grid, prob.fft.nodes, u, p, lam,
         eps=cfg.eps,
-        q=q,
         s=s,
         converged=stop == "converged",
         iterations=iters,
@@ -565,9 +568,11 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold)
 
     The operator is D^s of order sol.s, the order sol was solved at.  D^s u
     is G u on the Omega nodes, so sol.u must vanish off Omega, and a
-    non-finite sol.eps or sol.q raises ValueError naming it.  The
-    residuals of the limit system (flux coefficient lam) and of the penalized
-    equation (lam + eps |D^s u|^(q-2) where the form degenerates) are the
+    non-finite sol.eps raises ValueError naming it.  q = default_q(d, sol.s)
+    for every solution, and the reported D^s u norm is the L^r one with
+    r = q - 1.  The residuals of the limit system (flux coefficient lam) and
+    of the penalized equation (lam + eps |D^s u|^(q-2) where the form
+    degenerates) are the
     nodal weak residuals r of WeakForm; on a coercive form, which has no
     q-power term, the two coincide.  Every kkt_battery field v vanishes off
     the Omega nodes, so D^s v = G v|_Omega and L(u, v) + <coeff D^s u,
@@ -581,10 +586,10 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold)
     mask = grid.masks().inside
     if np.any(sol.u.values[~mask]):
         raise ValueError("sol.u must vanish outside Omega")
-    # the fields are finite by construction (ScalarField); the scalars are not
-    for name, value in (("sol.eps", sol.eps), ("sol.q", sol.q)):
-        if not isfinite(value):
-            raise ValueError(f"{name} must be finite")
+    # the fields are finite by construction (ScalarField); sol.eps is not
+    if not isfinite(sol.eps):
+        raise ValueError("sol.eps must be finite")
+    q = default_q(grid.dim, sol.s)
     form = WeakForm(op, src, sol.s)
     hd = form.hd
     u = sol.u.values[mask]
@@ -600,12 +605,12 @@ def kkt_report(sol: Solution, op: OperatorData, src: SourceData, thr: Threshold)
 
     V, norm_v = form.fft.battery
     r_eq = form.weak_residual(u, p, lam)
-    r_pen = form.weak_residual(u, p, lam + _regularization(form, sol.eps, sol.q, mag))
+    r_pen = form.weak_residual(u, p, lam + _regularization(form, sol.eps, q, mag))
     keep = norm_v > 0
     tested = np.abs(V[keep] @ np.stack([r_eq, r_pen], axis=1)) / norm_v[keep, None]
     eq_res, pen_res = np.max(tested, axis=0, initial=0.0)
 
-    r = max(sol.q - 1.0, 1.0)
+    r = q - 1.0
     return KKTReport(
         violation_sup=violation,
         complementarity=comp,

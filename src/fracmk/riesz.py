@@ -28,8 +28,6 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, lp_norm
 
-EXP_CAP = 500.0  # exp argument clamp; e^500 is finite in float64
-
 
 def sphere_area(d: int) -> float:
     """Surface area sigma_{d-1} of the unit sphere in R^d (2 for d=1)."""

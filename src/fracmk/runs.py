@@ -101,7 +101,7 @@ _GRID_KEYS = {"dim", "box_side", "points_per_axis", "omega", "buffer"}
 _OMEGA_KEYS = {"interval": "halfwidth", "rectangle": "halfwidths", "ball": "radius"}
 _DEPENDENCE_KEYS = {"tol", "source_shifts", "threshold_shifts"}
 _PRESET_KEYS = {
-    "operator": {"a", "b", "dvec", "c", "a_star"},
+    "operator": {"a", "b", "dvec", "c"},
     "source": {"f_sharp", "f_vec"},
     "threshold": {"g", "replace", "k"},
 }
@@ -346,7 +346,7 @@ def run_dependence(cfg: RunConfig, outdir: str | Path | None = None) -> list[dic
         cal = g_shifts[0]
         sols = {}
         for shift in g_shifts:
-            thr_hat = Threshold(grid, thr.g + shift, thr.g_star + shift, thr.g_upper + shift)
+            thr_hat = Threshold(grid, thr.g + shift)
             sols[shift] = pdhg_solve(op, src, thr_hat, s, tol=tol)
         m_cal = h_s_norm(sols[cal].u.values, base.u.values)
         c1 = 1.5 * m_cal**2 / cal
@@ -477,7 +477,7 @@ def _anisotropic_operator(grid: GridSpec, diag) -> OperatorData:
     for j, a in enumerate(diag):
         A[j, j] = a
     zero_v = np.zeros((grid.dim,) + grid.shape)
-    return OperatorData(grid, A, zero_v, zero_v, np.zeros(grid.shape), a_star=float(min(diag)))
+    return OperatorData(grid, A, zero_v, zero_v, np.zeros(grid.shape))
 
 
 def _verify_oracle_triangle(rows):
@@ -571,8 +571,7 @@ def run_oracle(cfg: RunConfig, outdir: str | Path) -> dict:
         u_ex, lam_ex = bench.sample(grid)
         write_field(u_ex, outdir / f"{name}_u_exact")
         write_field(lam_ex, outdir / f"{name}_lambda_exact")
-        op_cfg = {"a": bench.a0, "a_star": bench.a0}
-        op = operator_from_preset(grid, op_cfg)
+        op = operator_from_preset(grid, {"a": bench.a0})
         src = source_from_preset(grid, {"f_sharp": bench.f})
         thr = threshold_from_preset(grid, {"g": 1.0})
         stages = continuation_solve(op, src, thr, 1.0, cfg.solver)

@@ -162,7 +162,7 @@ def test_criterion_06_oracle_triangle():
     A = np.zeros((2, 2) + g2.shape)
     A[0, 0], A[1, 1] = 2.0, 0.5
     zero_v = np.zeros((2,) + g2.shape)
-    aniso = (g2, OperatorData(g2, A, zero_v, zero_v, np.zeros(g2.shape), a_star=0.5)) + disc[2:]
+    aniso = (g2, OperatorData(g2, A, zero_v, zero_v, np.zeros(g2.shape))) + disc[2:]
     rows = (
         ("s=1", 1.0, torsion_problem(256)),
         ("s=0.7", 0.7, torsion_problem(128)),

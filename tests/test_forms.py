@@ -6,6 +6,7 @@ import pytest
 from fracmk import (
     GridSpec,
     ScalarField,
+    ball,
     bump,
     frac_divergence_spectral,
     frac_gradient_spectral,
@@ -78,20 +79,49 @@ def test_operator_rejects_a_indefinite_off_the_sampled_directions():
 
 def test_threshold_validation():
     g = grid_1d()
-    with pytest.raises(ValueError):
-        Threshold(g, np.full(g.shape, 0.5), g_star=0.0, g_upper=1.0)
-    with pytest.raises(ValueError):
-        Threshold(g, np.full(g.shape, 2.0), g_star=0.5, g_upper=1.0)
+    with pytest.raises(ValueError, match="g must live on the grid"):
+        Threshold(g, np.full(5, 1.0))
+    # a g vanishing at one node was once accepted under a tiny stated g_star,
+    # and PDHG divides by g
+    vals = np.full(g.shape, 1.0)
+    vals[7] = 0.0
+    for bad in (vals, -vals):
+        with pytest.raises(ValueError, match="g must be positive"):
+            Threshold(g, bad)
+    # the bounds are read off g
+    thr = Threshold(g, vals + 0.5)
+    assert (thr.g_star, thr.g_upper) == (0.5, 1.5)
 
 
 def test_threshold_rejects_non_finite_values():
-    # NaN compares false against both bounds, so the bounds check alone lets it through
+    # NaN compares false against 0, so the positivity check alone lets it through
     g = grid_1d()
     for bad in (np.nan, np.inf):
         vals = np.full(g.shape, 1.0)
         vals[3] = bad
         with pytest.raises(ValueError, match="g must be finite"):
-            Threshold(g, vals, g_star=1.0, g_upper=1.0)
+            Threshold(g, vals)
+
+
+def test_a_star_is_read_off_A():
+    # the least eigenvalue of A's symmetric part; it was once 0 whatever A was
+    g = GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)
+    zero_v = np.zeros((2,) + g.shape)
+    A = np.zeros((2, 2) + g.shape)
+    A[0, 0], A[1, 1] = 2.0, 1.0
+    A[0, 1] = A[1, 0] = 0.5
+    op = OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
+    assert op.a_star == pytest.approx(1.5 - np.sqrt(0.5), abs=1e-15)
+    assert coercivity_margin(op, 0.7, estimate_constants(g, 0.7, samples=8)).coercive
+    # an asymmetric A with symmetric part I
+    A[0, 0] = A[1, 1] = 1.0
+    A[1, 0] = -0.5
+    assert OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape)).a_star == 1.0
+    # within the nonnegativity tolerance the floor is 0
+    assert isotropic_operator(g, a=-1e-13).a_star == 0.0
+    # A = a Id: the least a
+    a = np.random.default_rng(4).uniform(0.5, 2.0, size=g.shape)
+    assert isotropic_operator(g, a=a).a_star == a.min()
 
 
 def test_bilinear_pure_gradient_term():
@@ -230,7 +260,7 @@ def test_threshold_replace_growing_input():
 def test_threshold_replace_rejects_nonpositive_floor():
     g = grid_1d()
     vals = np.zeros(g.shape)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="g must be positive"):
         threshold_replace(vals, g)
 
 

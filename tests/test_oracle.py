@@ -273,7 +273,7 @@ def _unsupported_operator(kind):
     A[0, 0] = A[1, 1] = 1.0
     A[0, 1], A[1, 0] = 0.5, -0.5
     zero_v = np.zeros((2,) + g.shape)
-    return g, OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape), a_star=1.0)
+    return g, OperatorData(g, A, zero_v, zero_v, np.zeros(g.shape))
 
 
 @pytest.mark.parametrize("solver", [pdhg_solve, brute_force_qp], ids=["pdhg", "qp"])
@@ -535,7 +535,7 @@ def test_pdhg_names_a_form_that_is_not_positive_definite():
     # the nonnegativity check on A tolerates -1e-12; such an A is not
     # degenerate (no ridge), and Q is negative definite
     g = grid_1d(32)
-    op = isotropic_operator(g, a=-1e-13, a_star=0.0)
+    op = isotropic_operator(g, a=-1e-13)
     with pytest.raises(ValueError, match="not strictly convex") as err:
         pdhg_solve(op, constant_source(g, 1.0), constant_threshold(g, 1.0), 1.0)
     assert not isinstance(err.value, np.linalg.LinAlgError)

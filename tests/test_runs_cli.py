@@ -3,6 +3,7 @@
 import ast
 import csv
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,8 +17,9 @@ import pytest
 import fracmk
 from fracmk import runs
 from fracmk.cli import main
+from fracmk.forms import OperatorData, SourceData, Threshold, isotropic_operator
 from fracmk.lattice import omega_fft
-from fracmk.penalty import SolverConfig
+from fracmk.penalty import Solution, SolverConfig
 from fracmk.runs import (
     config_from_mapping,
     load_config,
@@ -115,11 +117,17 @@ def test_config_rejects_unknown_keys_in_every_checked_block():
 
 def test_config_rejects_unknown_preset_keys():
     # {"operator": {"A": 2.0}} once solved with the default a = 1
-    for block, bad in (("operator", {"A": 2.0}), ("source", {"f_sharpe": 5.0}), ("threshold", {"gg": 3.0})):
+    # and an a_star disagreeing with A once overrode it: a_* is read off A
+    for block, bad in (
+        ("operator", {"A": 2.0}),
+        ("operator", {"a_star": 2.0}),
+        ("source", {"f_sharpe": 5.0}),
+        ("threshold", {"gg": 3.0}),
+    ):
         with pytest.raises(ValueError, match=f"unknown {block} keys: {next(iter(bad))}$"):
             config_from_mapping(base_mapping(**{block: bad}))
     every = base_mapping(
-        operator={"a": 2.0, "b": "zero", "dvec": "zero", "c": 0.5, "a_star": 2.0},
+        operator={"a": 2.0, "b": "zero", "dvec": "zero", "c": 0.5},
         source={"f_sharp": 2.0, "f_vec": "zero"},
         threshold={"g": 1.0, "replace": True, "k": None},
     )
@@ -299,6 +307,31 @@ def test_package_exports_resolve_to_their_submodule_objects():
         fracmk.no_such_name
 
 
+# the values a caller sets, in order, by the class or function that takes them,
+# and the keys of each preset config block, sorted: a quantity the data
+# already fix (a_star, g's bounds, q) is read off the data, and a stored copy
+# of it would show up here
+SETTABLE = {
+    "OperatorData": "grid A b dvec c",
+    "SourceData": "grid f_sharp f_vec",
+    "Threshold": "grid g",
+    "Solution": "u lam psi eps s converged iterations residual_norm notes",
+    "SolverConfig": "eps eps_schedule newton_tol max_iters",
+    "isotropic_operator": "grid a b dvec c",
+    "operator keys": "a b c dvec",
+    "source keys": "f_sharp f_vec",
+    "threshold keys": "g k replace",
+}
+
+
+def test_settable_values_are_pinned():
+    classes = (OperatorData, SourceData, Threshold, Solution, SolverConfig)
+    found = {cls.__name__: [f.name for f in fields(cls) if f.init] for cls in classes}
+    found["isotropic_operator"] = list(inspect.signature(isotropic_operator).parameters)
+    found.update({f"{block} keys": sorted(keys) for block, keys in runs._PRESET_KEYS.items()})
+    assert found == {name: values.split() for name, values in SETTABLE.items()}
+
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -417,8 +450,8 @@ def test_run_dependence_factors_the_gram_once(monkeypatch):
 
 
 def test_run_dependence_requires_coercive_operator():
-    cfg = config_from_mapping(base_mapping(operator={"a": 0.0, "a_star": 0.0}))
-    with pytest.raises(ValueError):
+    cfg = config_from_mapping(base_mapping(operator={"a": 0.0}))
+    with pytest.raises(ValueError, match="requires a coercive operator"):
         run_dependence(cfg)
 
 
