@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: solve, sweep-eps, localize, depend, verify-kernels, oracle.
+Subcommands: solve, localize, depend, verify-kernels, oracle.
 Configs are JSON (schema documented in the README); outputs go to
 <output-root>/<run-name> with a deterministic manifest.  The output root
 resolves from --output-root, then $FRACMK_OUTPUT_ROOT, then ./runs.
@@ -58,7 +58,6 @@ def main(argv=None) -> int:
 
     for name, needs_cfg in (
         ("solve", True),
-        ("sweep-eps", True),
         ("localize", True),
         ("depend", True),
         ("oracle", True),
@@ -98,10 +97,7 @@ def main(argv=None) -> int:
     payload = {"config": cfg.raw, "seed": cfg.seed}
     outdir = _run_dir(args, args.command, payload)
 
-    if args.command in ("solve", "sweep-eps"):
-        if args.command == "sweep-eps" and not cfg.solver.eps_schedule:
-            print("sweep-eps needs solver.eps_schedule in the config", file=sys.stderr)
-            return 2
+    if args.command == "solve":
         stages = run_solve(cfg, outdir)
         eps, sol, rep = stages[-1]
         print(

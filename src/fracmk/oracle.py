@@ -137,9 +137,11 @@ def _quadratic_pieces(op: OperatorData, src: SourceData, s: float):
 def _energy_matrix(form: WeakForm) -> np.ndarray:
     """Q, (m, m): the form_matrix of A, the matrix of the weak form with no
     flux coefficient (Toeplitz, read off the kernel, where A is one definite
-    tensor on the box).  Where the form degenerates (form.degenerate), Q can
-    be singular, and a 1e-8 mass ridge keeps it positive definite."""
-    Q = form.form_matrix(form.A_flat)
+    tensor on the box).  Where A vanishes on the whole box, Q is the c term
+    alone, diag(h^d c), with no column of D^s formed: the oracles reject
+    convection.  Where the form degenerates (form.degenerate), Q can be
+    singular, and a 1e-8 mass ridge keeps it positive definite."""
+    Q = form.form_matrix(form.A_flat) if np.any(form.A_flat) else np.diag(form.hc_at)
     if form.degenerate:
         Q[np.diag_indices_from(Q)] += 1e-8 * form.hd
     return Q

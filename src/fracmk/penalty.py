@@ -63,7 +63,7 @@ resident memory and ~0.3 s, more than some whole solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, isfinite
 from numbers import Integral
 
@@ -79,27 +79,27 @@ EXP_CAP = 500.0  # exp argument clamp; e^500 is finite in float64
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalty parameter, its schedule and iteration controls."""
+    """The strictly decreasing eps schedule a continuation walks, entries in
+    (0, 1), and Newton's controls; a one-entry schedule is a fixed-eps solve."""
 
-    eps: float = 1e-2
-    eps_schedule: tuple[float, ...] = ()
+    eps_schedule: tuple[float, ...] = (1e-2,)
     newton_tol: float = 1e-8
     max_iters: int = 120
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must lie in (0, 1)")
+        sched = tuple(float(e) for e in self.eps_schedule)
+        if not sched:
+            raise ValueError("eps_schedule must not be empty")
+        if any(not 0 < e < 1 for e in sched):
+            raise ValueError("schedule entries must lie in (0, 1)")
+        if any(a <= b for a, b in zip(sched, sched[1:])):
+            raise ValueError("schedule must be strictly decreasing")
+        object.__setattr__(self, "eps_schedule", sched)
+        object.__setattr__(self, "newton_tol", float(self.newton_tol))
         if not (isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError("newton_tol must be finite and positive")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral) or self.max_iters < 0:
             raise ValueError("max_iters must be an integer >= 0")
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if sched:
-            if any(not 0 < e < 1 for e in sched):
-                raise ValueError("schedule entries must lie in (0, 1)")
-            if any(a <= b for a, b in zip(sched, sched[1:])):
-                raise ValueError("schedule must be strictly decreasing")
-        object.__setattr__(self, "eps_schedule", sched)
 
 
 def default_q(d: int, s: float) -> float:
@@ -473,12 +473,14 @@ def solve_fixed_eps(
     src: SourceData,
     thr: Threshold,
     s,
-    cfg: SolverConfig,
+    eps: float,
+    cfg: SolverConfig = SolverConfig(),
     warm_start: Solution | None = None,
     *,
     lagged: _LaggedInverse | None = None,
 ) -> Solution:
-    """Solve the penalized problem at the configured eps.
+    """Solve the penalized problem at eps, which must lie in (0, 1); of cfg
+    only Newton's controls, newton_tol and max_iters, are read.
 
     Inexact primal-dual Newton (see _run_newton), globalized by one merit
     line search.  With warm_start, Newton starts at its u and its
@@ -500,16 +502,17 @@ def solve_fixed_eps(
     and inverted, and the Krylov iterations this call took, its cold-start
     chain included.
     """
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
     grid = op.grid
-    prob = _PenaltyProblem(op, src, thr, s, cfg.eps)
+    prob = _PenaltyProblem(op, src, thr, s, eps)
     lagged = _LaggedInverse() if lagged is None else lagged
     jac0, kry0 = lagged.jacobians, lagged.krylov
-    if warm_start is None and cfg.eps < 0.1 and prob.degenerate:
+    if warm_start is None and eps < 0.1 and prob.degenerate:
         e = 0.1
-        while e > cfg.eps * 1.0001:
-            chain_cfg = replace(cfg, eps=e, eps_schedule=())
-            warm_start = solve_fixed_eps(op, src, thr, s, chain_cfg, warm_start, lagged=lagged)
-            e = max(cfg.eps, 0.25 * e)
+        while e > eps * 1.0001:
+            warm_start = solve_fixed_eps(op, src, thr, s, e, cfg, warm_start, lagged=lagged)
+            e = max(eps, 0.25 * e)
     mask = grid.masks().inside
     lam0 = None
     if warm_start is not None:
@@ -525,7 +528,7 @@ def solve_fixed_eps(
     lam, _ = prob.flux_coeff(magnitude(p))
     return Solution.from_nodes(
         grid, prob.fft.nodes, u, p, lam,
-        eps=cfg.eps,
+        eps=eps,
         s=s,
         converged=stop == "converged",
         iterations=iters,
@@ -541,18 +544,16 @@ def continuation_solve(
     s,
     cfg: SolverConfig,
 ) -> list[tuple[float, Solution, KKTReport]]:
-    """Warm-started continuation along the decreasing eps schedule.
+    """Warm-started continuation along cfg.eps_schedule, one stage per entry.
 
     One lagged inverse Jacobian serves every stage.  Raises RuntimeError
     naming the stop reason when a stage does not converge.
     """
-    schedule = cfg.eps_schedule if cfg.eps_schedule else (cfg.eps,)
     out = []
     warm = None
     lagged = _LaggedInverse()
-    for eps in schedule:
-        stage_cfg = replace(cfg, eps=eps, eps_schedule=())
-        sol = solve_fixed_eps(op, src, thr, s, stage_cfg, warm_start=warm, lagged=lagged)
+    for eps in cfg.eps_schedule:
+        sol = solve_fixed_eps(op, src, thr, s, eps, cfg, warm_start=warm, lagged=lagged)
         if not sol.converged:
             raise RuntimeError(
                 f"continuation stage eps={eps} failed to converge: {sol.notes[0]} after "

@@ -17,6 +17,8 @@ import json
 import random
 import time
 from dataclasses import astuple, dataclass, field, fields
+from math import isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,22 @@ def _omega_from_mapping(m: dict):
     return ball(m["radius"])
 
 
+def _finite_number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+
+
+def _check_dependence(dm: dict) -> None:
+    """A dependence block's tol is finite and > 0 (at tol <= 0 the PDHG gap
+    stop never fires, and each solve runs its whole iteration budget), and
+    its shifts are lists of finite numbers."""
+    if "tol" in dm and not (_finite_number(dm["tol"]) and dm["tol"] > 0):
+        raise ValueError(f"dependence tol must be finite and > 0, got {dm['tol']!r}")
+    for key in ("source_shifts", "threshold_shifts"):
+        shifts = dm.get(key, ())
+        if not (isinstance(shifts, (list, tuple)) and all(_finite_number(x) for x in shifts)):
+            raise ValueError(f"dependence {key} must be a list of finite numbers, got {shifts!r}")
+
+
 def config_from_mapping(cfg: dict) -> RunConfig:
     """Validate a config mapping; every module-level invariant is enforced
     here before any solve starts.  Unknown keys at the top level and in
@@ -146,6 +164,8 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         s_list = tuple(float(s) for s in cfg["s_list"])
     else:
         s_list = (float(cfg.get("s", 0.5)),)
+    if not s_list:
+        raise ValueError("s_list must not be empty")
     for s in s_list:
         if not 0 < s <= 1:
             raise ValueError(f"s={s} outside (0, 1]")
@@ -153,6 +173,7 @@ def config_from_mapping(cfg: dict) -> RunConfig:
     _check_keys("solver", sm, {f.name for f in fields(SolverConfig)})
     dm = dict(cfg.get("dependence", {}))
     _check_keys("dependence", dm, _DEPENDENCE_KEYS)
+    _check_dependence(dm)
     for block, allowed in _PRESET_KEYS.items():
         _check_keys(block, cfg.get(block, {}), allowed)
     rc = RunConfig(
@@ -161,7 +182,7 @@ def config_from_mapping(cfg: dict) -> RunConfig:
         operator_cfg=dict(cfg.get("operator", {})),
         source_cfg=dict(cfg.get("source", {})),
         threshold_cfg=dict(cfg.get("threshold", {})),
-        solver=SolverConfig(**{k: float(v) if k in ("eps", "newton_tol") else v for k, v in sm.items()}),
+        solver=SolverConfig(**sm),
         seed=int(cfg.get("seed", 0)),
         dependence_cfg=dm,
         raw=cfg,
@@ -212,7 +233,7 @@ _KKT_HEADER = ["eps", "iterations", "residual_norm"] + [f.name for f in fields(K
 
 
 def run_solve(cfg: RunConfig, outdir: str | Path) -> list[tuple[float, Solution, KKTReport]]:
-    """Continuation solve (or single eps) with full run-directory output."""
+    """Continuation along cfg.solver.eps_schedule with full run-directory output."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -128,6 +128,20 @@ def test_quadratic_pieces_q_matches_the_column_loop(grid, kind, monkeypatch):
         assert len(calls) == 1 + sum(1 for _ in omega_fft(grid, s).column_blocks())
 
 
+@pytest.mark.parametrize("c_right", [0.0, 0.5], ids=["c=0", "c=0.5 for x>0"])
+def test_energy_matrix_without_a_principal_part_is_the_c_term(c_right, monkeypatch):
+    # A = 0 on the whole box: Q is diag(h^d c) plus the ridge, exactly what
+    # the column route assembles, with no column of D^s formed
+    grid = GridSpec(dim=2, box_side=4.0, points_per_axis=32, omega=ball(1.0), buffer=0.5)
+    c = np.where(grid.masks().inside & (grid.coords()[0] > 0), c_right, 0.0)
+    prob = _quadratic_pieces(isotropic_operator(grid, a=0.0, c=c), constant_source(grid, 1.0), 0.7)
+    ref = prob.form_matrix(prob.A_flat)
+    ref[np.diag_indices_from(ref)] += 1e-8 * prob.hd
+    monkeypatch.setattr(OmegaFFT, "column_blocks", None)
+    Q = _energy_matrix(prob)
+    assert prob.degenerate and np.array_equal(Q, ref)
+
+
 @pytest.mark.parametrize(
     "grid",
     [grid_1d(64), GridSpec(dim=2, box_side=4.0, points_per_axis=16, omega=ball(1.0), buffer=0.5)],

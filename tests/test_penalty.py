@@ -54,20 +54,29 @@ def torsion_setup(n=128, f=2.0, a=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(eps=1.5)
+    # eps_schedule is the only eps setting; a one-entry schedule is a fixed-eps solve
+    with pytest.raises(TypeError, match="'eps'"):
+        SolverConfig(eps=0.05)
     with pytest.raises(TypeError, match="'q'"):
         SolverConfig(q=4.0)  # q is always default_q(d, s)
-    with pytest.raises(ValueError):
-        SolverConfig(eps_schedule=(0.1, 0.2))  # not decreasing
+    for bad, msg in (((), "empty"), ((0.1, 0.2), "decreasing"), ((0.1, 0.1), "decreasing"), ((1.5,), r"\(0, 1\)"),
+                     ((0.1, 0.0), r"\(0, 1\)"), ((float("nan"),), r"\(0, 1\)")):
+        with pytest.raises(ValueError, match=msg):
+            SolverConfig(eps_schedule=bad)
+    assert SolverConfig().eps_schedule == (1e-2,)
+    # solve_fixed_eps takes its eps as an argument, checked before any work
+    g, op, src, thr = torsion_setup(n=64)
+    for bad in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            solve_fixed_eps(op, src, thr, 0.7, bad)
     for bad in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="newton_tol"):
             SolverConfig(newton_tol=bad)
     for bad in (-5, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(max_iters=bad)
-    cfg = SolverConfig(eps_schedule=[0.1, 0.01])
-    assert cfg.eps_schedule == (0.1, 0.01)
+    cfg = SolverConfig(eps_schedule=[0.1, 0.01], newton_tol=1)
+    assert cfg.eps_schedule == (0.1, 0.01) and type(cfg.newton_tol) is float
     # the cold-start and stop-reason tests rely on these edge values
     assert SolverConfig(max_iters=0, newton_tol=1e-30).max_iters == 0
 
@@ -209,7 +218,7 @@ def test_penalized_residual_is_energy_gradient():
 def test_zero_data_solves_exactly():
     g, op, _, thr = torsion_setup()
     src0 = constant_source(g, 0.0)
-    sol = solve_fixed_eps(op, src0, thr, 0.7, SolverConfig(eps=0.05))
+    sol = solve_fixed_eps(op, src0, thr, 0.7, 0.05)
     assert sol.converged and sol.iterations == 0
     assert not sol.u.values.any()
     assert not sol.lam.values.any()
@@ -217,7 +226,7 @@ def test_zero_data_solves_exactly():
 
 def test_solution_support_and_sign_invariants():
     g, op, src, thr = torsion_setup()
-    sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.01))
+    sol = solve_fixed_eps(op, src, thr, 0.7, 0.01)
     assert sol.converged
     mask = g.masks().inside
     assert not sol.u.values[~mask].any()  # u = 0 outside Omega, identically
@@ -227,15 +236,15 @@ def test_solution_support_and_sign_invariants():
 def test_violation_bounded_by_sqrt_eps():
     g, op, src, thr = torsion_setup(n=128)
     for eps in (0.1, 0.01):
-        sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=eps))
+        sol = solve_fixed_eps(op, src, thr, 1.0, eps)
         rep = kkt_report(sol, op, src, thr)
         assert rep.violation_sup <= np.sqrt(eps) + 1e-3
 
 
 def test_solver_deterministic():
     g, op, src, thr = torsion_setup(n=64)
-    a = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.03))
-    b = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.03))
+    a = solve_fixed_eps(op, src, thr, 0.7, 0.03)
+    b = solve_fixed_eps(op, src, thr, 0.7, 0.03)
     assert np.array_equal(a.u.values, b.u.values)
     assert np.array_equal(a.lam.values, b.lam.values)
 
@@ -243,9 +252,10 @@ def test_solver_deterministic():
 def test_single_stage_continuation_reduces_to_fixed_eps():
     g, op, src, thr = torsion_setup(n=64)
     stages = continuation_solve(op, src, thr, 0.7, SolverConfig(eps_schedule=(0.1,)))
-    direct = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.1))
+    direct = solve_fixed_eps(op, src, thr, 0.7, 0.1)
     assert len(stages) == 1
     assert np.array_equal(stages[0][1].u.values, direct.u.values)
+    assert stages[0][0] == stages[0][1].eps == direct.eps == 0.1
 
 
 def test_continuation_trends():
@@ -262,7 +272,7 @@ def test_continuation_trends():
 def test_kkt_zero_solution_report():
     g, op, _, thr = torsion_setup(n=64)
     src0 = constant_source(g, 0.0)
-    sol = solve_fixed_eps(op, src0, thr, 0.7, SolverConfig(eps=0.05))
+    sol = solve_fixed_eps(op, src0, thr, 0.7, 0.05)
     rep = kkt_report(sol, op, src0, thr)
     assert rep.violation_sup == 0.0
     assert rep.complementarity == 0.0
@@ -290,13 +300,12 @@ def test_lambda_weighted_gradient_matches_threshold():
 
 def test_penalized_equation_residual_small():
     g, op, src, thr = torsion_setup(n=128)
-    cfg = SolverConfig(eps=1e-2)
-    sol = solve_fixed_eps(op, src, thr, 0.7, cfg)
+    sol = solve_fixed_eps(op, src, thr, 0.7, 1e-2)
     rep = kkt_report(sol, op, src, thr)
     # the solved penalized equation holds against the battery to well below
     # 10x the Newton tolerance; a coercive form has no q-power term, so it
     # is the limit system itself
-    assert sol.converged and rep.penalized_residual_sup <= 10 * cfg.newton_tol
+    assert sol.converged and rep.penalized_residual_sup <= 10 * SolverConfig().newton_tol
     assert rep.equation_residual == rep.penalized_residual_sup
 
 
@@ -304,17 +313,16 @@ def test_degenerate_limit_residual_exceeds_the_penalized_one():
     # A = 0: the penalized equation keeps eps |D^s u|^(q-2), which the
     # limit system leaves out, so its residual is O(eps) instead
     g, op, src, thr = torsion_setup(n=128, f=1.0, a=0.0)
-    cfg = SolverConfig(eps=1e-2)
-    sol = solve_fixed_eps(op, src, thr, 0.7, cfg)
+    sol = solve_fixed_eps(op, src, thr, 0.7, 1e-2)
     rep = kkt_report(sol, op, src, thr)
-    assert sol.converged and rep.penalized_residual_sup <= 10 * cfg.newton_tol
+    assert sol.converged and rep.penalized_residual_sup <= 10 * SolverConfig().newton_tol
     assert rep.equation_residual > rep.penalized_residual_sup
 
 
 def test_k_bounded_solutions_stay_in_threshold_ball():
     # feasible fields obey ||D^s u||_p(box) <= 2^(1/p) ||g||_p(Omega_R)
     g, op, src, thr = torsion_setup(n=128)
-    sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=1e-3))
+    sol = solve_fixed_eps(op, src, thr, 0.7, 1e-3)
     du = frac_gradient_spectral(sol.u, 0.7)
     buffer_mask = g.masks().buffer_inside
     gf = ScalarField(g, thr.g)
@@ -332,15 +340,14 @@ def test_threshold_replacement_leaves_solution_unchanged():
     growing = 1.0 + np.abs(x[0]) ** 4
     thr_g = threshold_replace(growing, g)
     thr_k = threshold_replace(growing, g, k=2 * thr_g.g_upper)
-    cfg = SolverConfig(eps=1e-2)
-    sol_g = solve_fixed_eps(op, src, thr_g, 0.7, cfg)
-    sol_k = solve_fixed_eps(op, src, thr_k, 0.7, cfg)
+    sol_g = solve_fixed_eps(op, src, thr_g, 0.7, 1e-2)
+    sol_k = solve_fixed_eps(op, src, thr_k, 0.7, 1e-2)
     # constraint is inactive outside Omega_R, so the cap level is invisible
     assert np.max(np.abs(sol_g.u.values - sol_k.u.values)) <= 1e-10
 
     # and solving with the raw growing threshold agrees within solver scale
     thr_raw = __import__("fracmk.forms", fromlist=["Threshold"]).Threshold(g, growing)
-    sol_raw = solve_fixed_eps(op, src, thr_raw, 0.7, cfg)
+    sol_raw = solve_fixed_eps(op, src, thr_raw, 0.7, 1e-2)
     assert np.max(np.abs(sol_raw.u.values - sol_g.u.values)) <= 1e-6
 
 
@@ -349,7 +356,7 @@ def test_2d_solve_smoke():
     op = isotropic_operator(g, a=1.0)
     src = constant_source(g, 2.0)
     thr = constant_threshold(g, 1.0)
-    sol = solve_fixed_eps(op, src, thr, 0.6, SolverConfig(eps=0.01))
+    sol = solve_fixed_eps(op, src, thr, 0.6, 0.01)
     assert sol.converged
     rep = kkt_report(sol, op, src, thr)
     assert rep.violation_sup <= np.sqrt(0.01) + 1e-3
@@ -701,7 +708,7 @@ def test_solve_into_the_saturated_branch():
     # at eps = 0.5, k_eps saturates at k_sat = e^4 - 1 past |D^s u| = g + 2;
     # f = 400 drives the torsion solution past it on part of Omega
     g, op, src, thr = torsion_setup(n=128, f=400.0)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.5))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.5)
     assert sol.converged
     fn = PenaltyFn(0.5)
     mag = frac_gradient_spectral(sol.u, 1.0).magnitude().ravel()
@@ -800,8 +807,8 @@ def test_inexact_newton_matches_direct_newton(name):
     lagged = _LaggedInverse()
     u_ref = u = np.zeros(int(grid.masks().inside.sum()))
     iters = 0
+    cfg = SolverConfig(max_iters=max_iters)
     for eps in schedule:
-        cfg = SolverConfig(eps=eps, max_iters=max_iters)
         prob = _PenaltyProblem(op, src, thr, s, eps)
         assert prob.symmetric == ("nonsymmetric" not in name)
         u_ref, ok_ref, _ = _reference_newton(prob, u_ref, cfg)
@@ -1160,7 +1167,7 @@ def test_convection_free_form_skips_only_exact_zeros(name):
 def disc64_stage():
     """The solve-2d disc's problem at eps = 0.1, and (p, lam, gain) at its solution."""
     op, src, thr = _disc(64, None)
-    sol = solve_fixed_eps(op, src, thr, 0.7, SolverConfig(eps=0.1))
+    sol = solve_fixed_eps(op, src, thr, 0.7, 0.1)
     return _stage_point(op, src, thr, 0.1, sol)
 
 
@@ -1444,7 +1451,7 @@ def test_a_krylov_step_that_misses_descent_is_taken_again_from_a_fresh_inverse(m
     # rounding floor; at f = 2 the line search accepts the flipped step, as
     # the multiplier's part of the update is not flipped
     g, op, src, thr = torsion_setup(f=4.0)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.1)
     assert flipped and sol.converged
     # the refresh right after the flipped step is at the point it left
     # untouched, and keeps the damping
@@ -1466,7 +1473,7 @@ def test_a_failed_refresh_assembles_afresh_at_raised_damping(monkeypatch):
 
     monkeypatch.setattr(penalty, "block_inverse", failing_once)
     g, op, src, thr = torsion_setup()
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.01)
     assert failed and sol.converged and np.all(np.isfinite(sol.u.values))
     assert len(dampings) >= 2 and dampings[1] > dampings[0]
     assert _count(sol.notes[1]) == len(dampings)
@@ -1478,7 +1485,7 @@ def test_a_damping_rise_refreshes_at_once(monkeypatch):
     dampings = _refresh_dampings(monkeypatch)
     monkeypatch.setattr(penalty, "_MIN_STEP", 2.0)
     g, op, src, thr = torsion_setup(n=64)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.1)
     assert sol.notes == ("stop=damping", "jacobians=9", "krylov=0")
     assert sol.iterations == 9
     assert dampings == pytest.approx([1e-11, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6], rel=1e-12)
@@ -1510,25 +1517,25 @@ def _count(note: str) -> int:
 
 def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     g, op, src, thr = torsion_setup()
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.01)
     stop, jac, kry = sol.notes
     assert stop == "stop=converged"
     assert jac.startswith("jacobians=") and kry.startswith("krylov=")
     # a coercive cold start solves at eps = 0.01 directly: it assembles at
     # its first step and then lives mostly on the lagged inverse
     assert 1 <= _count(jac) < sol.iterations and _count(kry) > 0
-    zero = solve_fixed_eps(op, constant_source(g, 0.0), thr, 1.0, SolverConfig(eps=0.1))
+    zero = solve_fixed_eps(op, constant_source(g, 0.0), thr, 1.0, 0.1)
     assert zero.notes == ("stop=converged", "jacobians=0", "krylov=0")
     # the later stages of a continuation reuse the first stage's inverse
     stages = continuation_solve(op, src, thr, 1.0, SolverConfig(eps_schedule=(0.1, 0.03, 0.01)))
     assert _count(stages[0][1].notes[1]) >= 1
     later = [sol for _, sol, _ in stages[1:]]
     assert sum(_count(sol.notes[1]) for sol in later) < sum(sol.iterations for sol in later)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1, max_iters=2))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.1, SolverConfig(max_iters=2))
     assert sol.notes[0] == "stop=budget" and not sol.converged
     with monkeypatch.context() as patch:
         patch.setattr(penalty, "_MIN_STEP", 2.0)  # no trial step is ever taken
-        sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1))
+        sol = solve_fixed_eps(op, src, thr, 1.0, 0.1)
     assert sol.notes[0] == "stop=damping" and not sol.converged
     # stagnated, by a construction that rounding cannot decide: from u = 0
     # with a lagged inverse every step is a Krylov step, here cut to 3e-4 of
@@ -1537,7 +1544,7 @@ def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
     # a row stay under the 1% that counts as progress, below a floor moved
     # up to the starting M
     lagged = _LaggedInverse()
-    solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1), lagged=lagged)
+    solve_fixed_eps(op, src, thr, 1.0, 0.1, lagged=lagged)
     pcg = penalty.pcg
 
     def short(*args):
@@ -1546,7 +1553,7 @@ def test_solution_notes_name_the_stop_and_the_work(monkeypatch):
 
     monkeypatch.setattr(penalty, "pcg", short)
     monkeypatch.setattr(penalty, "_FLOOR", 1.0)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1), lagged=lagged)
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.1, lagged=lagged)
     assert sol.notes[:2] == ("stop=stagnated", "jacobians=0") and sol.iterations == 15
     assert not sol.converged
 
@@ -1562,7 +1569,7 @@ def test_only_a_degenerate_cold_start_walks_the_eps_chain(a, epsilons, monkeypat
 
     monkeypatch.setattr(penalty, "_run_newton", recorded)
     g, op, src, thr = torsion_setup(f=1.0, a=a)
-    sol = solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.01, max_iters=200))
+    sol = solve_fixed_eps(op, src, thr, 1.0, 0.01, SolverConfig(max_iters=200))
     assert sol.converged and seen == epsilons
 
 
@@ -1665,7 +1672,7 @@ def test_degenerate_cold_start_is_feasible_and_converges(where, n, f, s):
     if where == "all":
         r = prob.weak_residual(u0, prob.grad(u0), lam0)
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(prob.rhs)
-    start = solve_fixed_eps(op, src, thr, s, SolverConfig(eps=0.1, max_iters=0))
+    start = solve_fixed_eps(op, src, thr, s, 0.1, SolverConfig(max_iters=0))
     assert np.array_equal(start.u.values[g.masks().inside], u0)
     stages = continuation_solve(op, src, thr, s, SolverConfig(eps_schedule=SCHEDULE, max_iters=200))
     assert all(sol.converged for _, sol, _ in stages)
@@ -1687,7 +1694,7 @@ def test_the_penalty_path_never_builds_the_gram_factor():
 def test_nondegenerate_cold_start_stays_at_zero():
     g, op, src, thr = torsion_setup()
     assert not _PenaltyProblem(op, src, thr, 1.0, 0.1).degenerate
-    assert not np.any(solve_fixed_eps(op, src, thr, 1.0, SolverConfig(eps=0.1, max_iters=0)).u.values)
+    assert not np.any(solve_fixed_eps(op, src, thr, 1.0, 0.1, SolverConfig(max_iters=0)).u.values)
 
 
 def test_degenerate_transport_converges_under_mesh_refinement():

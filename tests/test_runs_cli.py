@@ -57,6 +57,9 @@ def test_config_validation_rejects_bad_s():
         config_from_mapping(base_mapping(s=1.5))
     with pytest.raises(ValueError):
         config_from_mapping(base_mapping(s_list=[0.5, -0.1]))
+    # RunConfig.s is the first entry of s_list
+    with pytest.raises(ValueError, match="s_list must not be empty"):
+        config_from_mapping(base_mapping(s_list=[]))
 
 
 def test_config_validation_rejects_bad_omega():
@@ -79,13 +82,16 @@ def test_config_rejects_unknown_solver_keys():
     for removed in ({"damping": 1e-11}, {"min_step": 1e-7}, {"seed": 1}):
         with pytest.raises(ValueError, match="unknown solver keys"):
             config_from_mapping(base_mapping(solver=removed))
-    # q is always default_q(d, s)
+    # q is always default_q(d, s), and eps_schedule is the only eps setting
     with pytest.raises(ValueError, match="unknown solver keys: q$"):
-        config_from_mapping(base_mapping(solver={"eps": 0.05, "q": 4.0}))
-    every = {"eps": 0.05, "eps_schedule": [0.1, 0.01], "newton_tol": 1e-9, "max_iters": 50}
+        config_from_mapping(base_mapping(solver={"q": 4.0}))
+    with pytest.raises(ValueError, match="unknown solver keys: eps$"):
+        config_from_mapping(base_mapping(solver={"eps": 0.05}))
+    every = {"eps_schedule": [0.1, 0.01], "newton_tol": 1e-9, "max_iters": 50}
     cfg = config_from_mapping(base_mapping(solver=every))
-    assert (cfg.solver.eps, cfg.solver.eps_schedule) == (0.05, (0.1, 0.01))
-    assert (cfg.solver.newton_tol, cfg.solver.max_iters) == (1e-9, 50)
+    assert cfg.solver == SolverConfig(eps_schedule=(0.1, 0.01), newton_tol=1e-9, max_iters=50)
+    # SolverConfig alone coerces its fields
+    assert type(config_from_mapping(base_mapping(solver={"newton_tol": 1})).solver.newton_tol) is float
     with pytest.raises(ValueError, match="newton_tol"):
         config_from_mapping(base_mapping(solver={"newton_tol": float("nan")}))
 
@@ -316,7 +322,7 @@ SETTABLE = {
     "SourceData": "grid f_sharp f_vec",
     "Threshold": "grid g",
     "Solution": "u lam psi eps s converged iterations residual_norm notes",
-    "SolverConfig": "eps eps_schedule newton_tol max_iters",
+    "SolverConfig": "eps_schedule newton_tol max_iters",
     "isotropic_operator": "grid a b dvec c",
     "operator keys": "a b c dvec",
     "source keys": "f_sharp f_vec",
@@ -330,6 +336,34 @@ def test_settable_values_are_pinned():
     found["isotropic_operator"] = list(inspect.signature(isotropic_operator).parameters)
     found.update({f"{block} keys": sorted(keys) for block, keys in runs._PRESET_KEYS.items()})
     assert found == {name: values.split() for name, values in SETTABLE.items()}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(opening: str) -> str:
+    """The body of README's first fenced block that opens with `opening`."""
+    text = README.read_text()
+    start = text.index(opening + "\n") + len(opening) + 1
+    return text[start : text.index("```", start)]
+
+
+def test_readme_config_example_loads():
+    # README's schema example, its // comments stripped, is a config that
+    # loads as written, solver block included
+    body = "\n".join(line.split("//")[0] for line in _readme_block("```jsonc").splitlines())
+    cfg = config_from_mapping(json.loads(body))
+    assert cfg.solver == SolverConfig(eps_schedule=(0.1, 0.03, 0.01, 3e-3, 1e-3))
+
+
+def test_readme_commands_parse():
+    lines = [line.split() for line in _readme_block("## Command line\n\n```").splitlines()]
+    commands = [words[1] for words in lines if words and words[0] == "fracmk" and not words[1].startswith("[")]
+    assert commands == ["solve", "localize", "depend", "oracle", "verify-kernels"]
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0, command
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -455,6 +489,28 @@ def test_run_dependence_requires_coercive_operator():
         run_dependence(cfg)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": "abc"},
+        {"source_shifts": 5},
+        {"source_shifts": ["0.1"]},
+        {"threshold_shifts": [float("inf")]},
+        {"threshold_shifts": [0.1, float("nan")]},
+    ],
+    ids=repr,
+)
+def test_config_rejects_a_bad_dependence_block(block):
+    # checked before any solve: at tol <= 0 the PDHG gap stop never fires,
+    # and each of run_dependence's solves would run its whole budget
+    with pytest.raises(ValueError, match=f"dependence {next(iter(block))} must"):
+        config_from_mapping(base_mapping(dependence=block))
+
+
 def test_run_verify_empty_selection(tmp_path):
     rows, ok = run_verify(outdir=tmp_path, selection=[])
     assert rows == [] and ok
@@ -550,14 +606,6 @@ def test_cli_solve_creates_run_dir(tmp_path, capsys):
     assert "solved s=0.7" in out
     run_dirs = list((tmp_path / "runs").iterdir())
     assert len(run_dirs) == 1 and (run_dirs[0] / "manifest.json").exists()
-
-
-def test_cli_sweep_requires_schedule(tmp_path):
-    cfg = base_mapping()
-    cfg["solver"] = {"eps": 0.05}
-    cfgp = write_cfg(tmp_path, cfg)
-    rc = main(["--output-root", str(tmp_path / "runs"), "sweep-eps", "--config", str(cfgp)])
-    assert rc == 2
 
 
 def test_cli_seed_override_changes_manifest(tmp_path):
